@@ -1,8 +1,8 @@
 # Tier-1 verify: everything a change must keep green (see ROADMAP.md).
 # For deeper concurrency soak-testing beyond tier-1, run `make stress`.
-.PHONY: verify vet build test bench stress fuzz lint lint-selftest serve-smoke crash-smoke
+.PHONY: verify vet build test bench bench-verify stress fuzz lint lint-selftest serve-smoke crash-smoke
 
-verify: vet build test
+verify: vet build test bench-verify
 
 vet:
 	go vet ./...
@@ -38,14 +38,15 @@ build:
 test:
 	go test -race ./...
 
+# bench runs sepmark, the repository's benchmark (see benchmark/README.md).
+# The paper's §4 relation sizes are a test, not a benchmark: paper_test.go.
 bench:
-	go run ./cmd/sepbench -quick
-	go run ./cmd/sepbench -parallel-bench -parallelism 4 -json BENCH_parallel.json
-	go run ./cmd/sepbench -cache-bench -json BENCH_plancache.json
-	go run ./cmd/sepbench -serve-bench -json BENCH_serve.json
-	go run ./cmd/sepbench -wal-bench -json BENCH_wal.json
-	go run ./cmd/sepbench -stream-bench -classes 3 -json BENCH_stream.json
-	go run ./cmd/sepbench -segment-bench -classes 3 -json BENCH_segments.json
+	bash benchmark/run.sh
+
+# bench-verify vets and race-tests the benchmark, which is its own Go
+# module and so is not covered by ./... from the root.
+bench-verify:
+	cd benchmark && go vet ./... && go test -race ./...
 
 # serve-smoke boots a real sepdld process, answers a query and a prepared
 # batch over HTTP, SIGTERMs it mid-load, and asserts 503 + Retry-After

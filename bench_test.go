@@ -7,8 +7,8 @@ package sepdl
 //	go test -bench=. -benchmem
 //
 // The asymptotic claims are about the sizes of the relations each method
-// constructs; cmd/sepbench prints those. The benchmarks here show the
-// wall-clock consequence of the same gaps.
+// constructs; paper_test.go asserts those exactly. The benchmarks here
+// show the wall-clock consequence of the same gaps.
 
 import (
 	"fmt"

@@ -10,13 +10,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	internalbudget "sepdl/internal/budget"
+	"sepdl/internal/leakcheck"
 )
+
+// abortSlack bounds how long a budgeted, canceled or expired query may run
+// past its cut-off. It leaves headroom for the race detector on a loaded
+// machine and is still far shorter than the 1200-node naive runs the
+// mid-evaluation tests cut off.
+const abortSlack = time.Second
 
 // chainEngine builds the paper's buys program over a friend chain
 // a00 -> a01 -> ... with a perfectFor fact at every node, the workload
@@ -100,8 +106,8 @@ func TestTupleBudgetEveryStrategy(t *testing.T) {
 			if re.Strategy != string(tc.strategy) {
 				t.Errorf("Strategy = %q, want %q", re.Strategy, tc.strategy)
 			}
-			if elapsed > 100*time.Millisecond {
-				t.Errorf("budgeted query took %v, want < 100ms", elapsed)
+			if elapsed > abortSlack {
+				t.Errorf("budgeted query took %v, want < %v", elapsed, abortSlack)
 			}
 			if got := dumpFacts(t, e); got != before {
 				t.Error("aborted query modified the engine's base facts")
@@ -121,7 +127,7 @@ func TestTupleBudgetEveryStrategy(t *testing.T) {
 func TestQueryCtxCanceledEveryStrategy(t *testing.T) {
 	e := chainEngine(t, 30)
 	before := dumpFacts(t, e)
-	goroutines := runtime.NumGoroutine()
+	leakcheck.Check(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, tc := range budgetCases {
@@ -135,16 +141,13 @@ func TestQueryCtxCanceledEveryStrategy(t *testing.T) {
 			if !errors.Is(err, ErrBudgetExceeded) {
 				t.Errorf("err = %v, want ErrBudgetExceeded match too", err)
 			}
-			if elapsed > 100*time.Millisecond {
-				t.Errorf("canceled query took %v, want < 100ms", elapsed)
+			if elapsed > abortSlack {
+				t.Errorf("canceled query took %v, want < %v", elapsed, abortSlack)
 			}
 			if got := dumpFacts(t, e); got != before {
 				t.Error("canceled query modified the engine's base facts")
 			}
 		})
-	}
-	if n := runtime.NumGoroutine(); n > goroutines {
-		t.Errorf("goroutines grew from %d to %d", goroutines, n)
 	}
 }
 
@@ -163,7 +166,7 @@ func TestQueryCtxDeadlineMidEvaluation(t *testing.T) {
 	if !errors.As(err, &re) || re.Limit != LimitDeadline {
 		t.Fatalf("err = %#v, want deadline ResourceError", err)
 	}
-	if elapsed > 10*time.Millisecond+100*time.Millisecond {
+	if elapsed > 10*time.Millisecond+abortSlack {
 		t.Errorf("deadline overshoot: query took %v", elapsed)
 	}
 }
@@ -181,7 +184,7 @@ func TestQueryCtxCancelMidEvaluation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if elapsed > 5*time.Millisecond+100*time.Millisecond {
+	if elapsed > 5*time.Millisecond+abortSlack {
 		t.Errorf("cancellation overshoot: query took %v", elapsed)
 	}
 }

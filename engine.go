@@ -689,9 +689,9 @@ func WithDeadline(d time.Duration) QueryOption {
 // for one query: every fixpoint round and carry loop materializes its
 // full emission set and computes the delta by differencing afterwards,
 // instead of streaming emissions through the round sinks. Answers are
-// byte-identical either way; the equivalence suite and sepbench
-// -stream-bench use it to measure and verify what streaming buys. Not
-// exported: it is an ablation, not a tuning knob.
+// byte-identical either way; the equivalence suite uses it to verify
+// that streaming changes no answer. Not exported: it is an ablation, not
+// a tuning knob.
 func withMaterializedRounds() QueryOption {
 	return func(c *queryConfig) { c.materializeRounds = true }
 }

@@ -57,8 +57,7 @@ type EvalOptions struct {
 	// into the round's intermediate relation and the next carry is
 	// computed by differencing against the seen set afterwards, instead
 	// of streaming emissions through a reused row buffer that
-	// materializes unseen tuples only. The answer is identical; sepbench
-	// -stream-bench uses this to measure what streaming buys.
+	// materializes unseen tuples only. The answer is identical.
 	MaterializeRounds bool
 	// Closures, when non-nil, memoizes the second loop's per-start class
 	// closures across queries: those closures depend only on the program

@@ -61,8 +61,8 @@ func (e *evaluator) phase2Classes(phase1Class, excludePhase2 int, outCols []int,
 // product evaluator's per-class fan-out is not worth its setup. Unlike the
 // fixpoint rounds' per-round gate, phase 2 spawns exactly one goroutine
 // per class for the whole closure computation, so the fixed cost is a few
-// microseconds — BENCH_parallel.json shows multi-x speedups on separable
-// programs with support databases of only a few dozen tuples. The floor
+// microseconds, which multi-class separable programs repay with support
+// databases of only a few dozen tuples. The floor
 // exists only to keep trivial databases (unit tests, tiny examples) off
 // the goroutine machinery.
 const adaptiveClosureFloor = 64

@@ -51,8 +51,7 @@ type Options struct {
 	// round relation and the delta is computed by differencing against the
 	// totals afterwards, instead of streaming emissions through a
 	// RoundSink that materializes new tuples only. The answer is
-	// identical; sepbench -stream-bench uses this to measure what
-	// streaming buys.
+	// identical.
 	MaterializeRounds bool
 }
 

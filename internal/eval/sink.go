@@ -72,10 +72,10 @@ func (s *AnswerSink) Result() *rel.Relation { return s.out }
 // same insertion order — without ever holding the round's full emission
 // multiset, whose duplicates dominate peak memory on dense inputs.
 //
-// The materialize flag (ablation, driven by Options.MaterializeRounds and
-// sepbench -stream-bench) restores the old pipeline: every emission is
-// inserted into an intermediate relation and the delta is computed by
-// differencing afterwards.
+// The materialize flag (ablation, driven by Options.MaterializeRounds)
+// restores the old pipeline: every emission is inserted into an
+// intermediate relation and the delta is computed by differencing
+// afterwards.
 type RoundSink struct {
 	total   *rel.Relation
 	next    *rel.Relation

@@ -191,7 +191,8 @@ func Check(root string, opts Options) ([]Finding, error) {
 
 // Packages walks the module root and returns the module-relative
 // directory of every package holding non-test Go files, skipping
-// testdata, hidden and underscore directories, and the opt-out list.
+// testdata, hidden and underscore directories, nested modules (any
+// directory below root with its own go.mod), and the opt-out list.
 func Packages(root string, skip []string) ([]string, error) {
 	skipSet := make(map[string]bool, len(skip))
 	for _, s := range skip {
@@ -213,6 +214,11 @@ func Packages(root string, skip []string) ([]string, error) {
 			}
 			if skipSet[filepath.ToSlash(rel)] {
 				return filepath.SkipDir
+			}
+			if path != root {
+				if _, serr := os.Stat(filepath.Join(path, "go.mod")); serr == nil {
+					return filepath.SkipDir
+				}
 			}
 			return nil
 		}

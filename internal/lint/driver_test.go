@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -148,6 +150,37 @@ func TestPackagesSkip(t *testing.T) {
 		if d == "internal/wal" || strings.HasPrefix(d, "cmd") {
 			t.Errorf("walk included skipped dir %s", d)
 		}
+	}
+}
+
+func TestPackagesSkipsNestedModules(t *testing.T) {
+	// A sub-directory with its own go.mod is a separate module: the walk
+	// must neither report it nor descend into it. The root's own go.mod
+	// does not stop the walk.
+	root := t.TempDir()
+	for path, src := range map[string]string{
+		"go.mod":            "module m\n",
+		"a/a.go":            "package a\n",
+		"nested/go.mod":     "module n\n",
+		"nested/n.go":       "package n\n",
+		"nested/inner/i.go": "package inner\n",
+		"b/go.mod.txt":      "not a module file\n",
+		"b/b.go":            "package b\n",
+	} {
+		full := filepath.Join(root, filepath.FromSlash(path))
+		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(full, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dirs, err := Packages(root, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(dirs, ","), "a,b"; got != want {
+		t.Fatalf("Packages = %s, want %s", got, want)
 	}
 }
 
