@@ -144,11 +144,14 @@ func (e *Engine) Close() error {
 
 // Checkpoint forces a checkpoint synchronously: the log is rotated under
 // the writer lock and the engine's exact state at that instant is written
-// as the new recovery baseline, superseding the sealed segments. On a
-// New engine it is a no-op. Automatic checkpoints (WithCheckpointBytes)
-// make calling this optional; it exists for maintenance windows and
-// tests.
+// as the new recovery baseline, superseding the sealed segments. A
+// background checkpoint still in flight finishes first; the two never
+// overlap. On a New engine it is a no-op. Automatic checkpoints
+// (WithCheckpointBytes) make calling this optional; it exists for
+// maintenance windows and tests.
 func (e *Engine) Checkpoint() error {
+	e.ckptBusy.Lock()
+	defer e.ckptBusy.Unlock()
 	e.mu.Lock()
 	seq, err := e.store.Rotate()
 	if err != nil {
@@ -175,12 +178,12 @@ func (e *Engine) Checkpoint() error {
 // expensive write streams from the immutable snapshot off-lock,
 // concurrent with new appends and with readers.
 func (e *Engine) maybeCheckpointLocked() {
-	if !e.needCheckpointLocked() || !e.ckptBusy.CompareAndSwap(false, true) {
+	if !e.needCheckpointLocked() || !e.ckptBusy.TryLock() {
 		return
 	}
 	seq, err := e.store.Rotate()
 	if err != nil {
-		e.ckptBusy.Store(false)
+		e.ckptBusy.Unlock()
 		return
 	}
 	prog := e.state.prog.String()
@@ -189,7 +192,7 @@ func (e *Engine) maybeCheckpointLocked() {
 	e.ckptWG.Add(1)
 	go func() {
 		defer e.ckptWG.Done()
-		defer e.ckptBusy.Store(false)
+		defer e.ckptBusy.Unlock()
 		// Failure is recorded in StoreStats.CheckpointErrors; the sealed
 		// segments stay live, so nothing acknowledged is at risk and the
 		// next threshold crossing retries.

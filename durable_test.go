@@ -497,3 +497,44 @@ func TestMemStoreUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCheckpointRacesBackgroundCheckpoint forces checkpoints while tiny
+// memtable and log thresholds keep background checkpoints in flight. A
+// forced checkpoint must never overlap a background one, and an older
+// segment finishing last must never replace a newer one as the engine's
+// cold base: either would drop the facts written between the two
+// rotations. Every acknowledged fact must be counted before and after a
+// reopen.
+func TestCheckpointRacesBackgroundCheckpoint(t *testing.T) {
+	leakcheck.CheckResources(t)
+	const n, every = 40000, 500
+	dir := t.TempDir()
+	e, err := Open(dir, WithSyncWrites(false), WithMemtableBytes(1<<10), WithCheckpointBytes(2<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= n; i++ {
+		if err := e.AddFact("edge", fmt.Sprintf("v%d", i), fmt.Sprintf("v%d", i+1)); err != nil {
+			t.Fatal(err)
+		}
+		if i%every == 0 {
+			if err := e.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := e.NumFacts(); got != n {
+		t.Errorf("NumFacts = %d before reopen, want %d", got, n)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := re.NumFacts(); got != n {
+		t.Errorf("NumFacts = %d after reopen, want %d", got, n)
+	}
+}

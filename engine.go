@@ -83,7 +83,6 @@ type Engine struct {
 	gate          chan struct{}
 	strict        bool
 	parallelism   int
-	parThreshold  int
 	planCacheOff  bool
 	closureBytes  int64
 	closures      *plancache.Closures
@@ -99,9 +98,10 @@ type Engine struct {
 	blockCacheBytes int64
 	coldOff         bool
 
-	// ckptBusy single-flights background checkpoints; ckptWG lets Close
-	// wait out one still in flight; closed gates writes after Close.
-	ckptBusy atomic.Bool
+	// ckptBusy is held by the one checkpoint in flight: background
+	// checkpoints skip when it is taken, Checkpoint waits for it. ckptWG
+	// lets Close wait out a background one; closed gates writes after Close.
+	ckptBusy sync.Mutex
 	ckptWG   sync.WaitGroup
 	closed   atomic.Bool
 
@@ -223,34 +223,17 @@ func WithStrictChecks() EngineOption {
 	return func(e *Engine) { e.strict = true }
 }
 
-// WithParallelism sets the worker-pool size the evaluation strategies use
-// for one query: concurrent per-class closures in the Separable evaluator
-// and hash-partitioned delta evaluation in the semi-naive fixpoint (which
-// Magic Sets and Aho–Ullman run on). n < 1 (and the default) means
-// runtime.GOMAXPROCS; n == 1 disables intra-query parallelism. Whatever
-// the setting, a query's answer set is identical — only evaluation
-// scheduling changes — and resource budgets, deadlines, and cancellation
-// are enforced across all workers through the query's shared tracker.
-// Rounds below WithParallelThreshold's work floor run sequentially, so
-// small queries keep their single-threaded cost profile.
+// WithParallelism controls intra-query parallelism, which only the
+// Separable evaluator has: with n > 1, each equivalence class's closure in
+// the second loop of Figure 2 runs on its own goroutine once the support
+// database holds a few dozen tuples. n < 1 (and the default) means
+// runtime.GOMAXPROCS; n == 1 keeps every query on one goroutine. The other
+// strategies always evaluate sequentially. Whatever the setting, a query's
+// answer set is identical — only evaluation scheduling changes — and
+// resource budgets, deadlines, and cancellation are enforced across all
+// workers through the query's shared tracker.
 func WithParallelism(n int) EngineOption {
 	return func(e *Engine) { e.parallelism = n }
-}
-
-// WithParallelThreshold sets a static floor on the per-round work size
-// (tuples feeding the round's joins, or the support database size for the
-// Separable product evaluator) at which parallel evaluation engages.
-//
-// Deprecated: the default (0) now gates each round adaptively — the
-// engine estimates a round's output as its input work times the join
-// fan-out observed on earlier rounds and fans out only past the measured
-// break-even — which parallelizes emission-heavy rounds a static input
-// floor keeps sequential. The option is kept as a manual override for
-// workloads whose fan-out the estimator misjudges: a positive n restores
-// the old fixed floor, and a negative n removes the gate entirely (useful
-// in tests to force the parallel paths on tiny programs).
-func WithParallelThreshold(n int) EngineOption {
-	return func(e *Engine) { e.parThreshold = n }
 }
 
 // WithPlanCache toggles the per-program-revision plan cache (default on):
@@ -631,8 +614,7 @@ type queryConfig struct {
 	budget            Budget
 	deadline          time.Duration
 	fallback          bool
-	parallelism       int // resolved worker count (par.Degree applied)
-	parThreshold      int
+	parallelism       int                 // resolved worker count (par.Degree applied)
 	materializeRounds bool                // ablation: pre-streaming round pipeline
 	closures          *plancache.Closures // engine's closure cache (nil when disabled)
 	scope             plancache.Scope     // revisions of the attempt's snapshot
@@ -830,7 +812,7 @@ func (e *Engine) QueryCtx(ctx context.Context, query string, opts ...QueryOption
 
 // newQueryConfig resolves QueryOptions against the engine's defaults.
 func (e *Engine) newQueryConfig(opts []QueryOption) queryConfig {
-	cfg := queryConfig{strategy: Auto, parallelism: par.Degree(e.parallelism), parThreshold: e.parThreshold}
+	cfg := queryConfig{strategy: Auto, parallelism: par.Degree(e.parallelism)}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -953,7 +935,6 @@ func runStrategy(st *progState, db *database.Database, q ast.Atom, query string,
 			AllowDisconnected: cfg.allowDisconnected,
 			Budget:            bud,
 			Parallelism:       cfg.parallelism,
-			ParallelThreshold: cfg.parThreshold,
 			MaterializeRounds: cfg.materializeRounds,
 			Closures:          cfg.closures,
 			CacheScope:        cfg.scope,
@@ -964,8 +945,6 @@ func runStrategy(st *progState, db *database.Database, q ast.Atom, query string,
 			MaxIterations:     cfg.maxIterations,
 			Supplementary:     strategy == MagicSetsSup,
 			Budget:            bud,
-			Parallelism:       cfg.parallelism,
-			ParallelThreshold: cfg.parThreshold,
 			MaterializeRounds: cfg.materializeRounds,
 			Template:          pl.template,
 		})
@@ -978,8 +957,6 @@ func runStrategy(st *progState, db *database.Database, q ast.Atom, query string,
 			Collector:         c,
 			MaxIterations:     cfg.maxIterations,
 			Budget:            bud,
-			Parallelism:       cfg.parallelism,
-			ParallelThreshold: cfg.parThreshold,
 			MaterializeRounds: cfg.materializeRounds,
 		})
 	case Tabling:
@@ -991,8 +968,6 @@ func runStrategy(st *progState, db *database.Database, q ast.Atom, query string,
 			Naive:             strategy == Naive,
 			MaxIterations:     cfg.maxIterations,
 			Budget:            bud,
-			Parallelism:       cfg.parallelism,
-			ParallelThreshold: cfg.parThreshold,
 			MaterializeRounds: cfg.materializeRounds,
 		})
 		if err == nil {

@@ -70,10 +70,8 @@ type Options struct {
 	// Budget, when non-nil, governs the bottom-up evaluation of the pushed
 	// program at round and join-inner-loop granularity.
 	Budget *budget.Budget
-	// Parallelism, ParallelThreshold, and MaterializeRounds forward to the
-	// semi-naive fixpoint over the pushed program (eval.Options).
-	Parallelism       int
-	ParallelThreshold int
+	// MaterializeRounds forwards to the semi-naive fixpoint over the pushed
+	// program (eval.Options).
 	MaterializeRounds bool
 }
 
@@ -165,8 +163,6 @@ func Answer(prog *ast.Program, db *database.Database, q ast.Atom, opts Options) 
 		Collector:         opts.Collector,
 		MaxIterations:     opts.MaxIterations,
 		Budget:            opts.Budget,
-		Parallelism:       opts.Parallelism,
-		ParallelThreshold: opts.ParallelThreshold,
 		MaterializeRounds: opts.MaterializeRounds,
 	})
 	if err != nil {

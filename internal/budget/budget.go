@@ -99,12 +99,13 @@ const tickStride = 256
 
 // Budget tracks one query's resource consumption against its limits and
 // context. The zero value is not used; construct with New or NewProbed.
-// The consumption counters are atomics, so one Budget may be shared by the
-// parallel evaluators' worker pools: every worker ticks and charges the
-// same tracker, limits are enforced against the query-wide totals, and the
-// first worker to cross a limit aborts (the shared counters make the rest
-// follow promptly). The probe hook is serialized internally, so injected
-// faults fire in a well-defined order even under concurrency.
+// The consumption counters are atomics, so one Budget may be shared by
+// the Separable evaluator's per-class workers: every worker ticks and
+// charges the same tracker, limits are enforced against the query-wide
+// totals, and the first worker to cross a limit aborts (the shared
+// counters make the rest follow promptly). The probe hook is serialized
+// internally, so injected faults fire in a well-defined order even under
+// concurrency.
 type Budget struct {
 	ctx     context.Context
 	done    <-chan struct{}

@@ -220,10 +220,11 @@ func (p *Plan) Run(src RelSource, in []rel.Value, emit func(binding []rel.Value)
 
 // Runner executes one compiled Plan with private, reusable scratch: the
 // slot binding vector plus one cursor (probe-key buffer and candidate
-// scan) per plan step. Each worker goroutine of the parallel evaluators
-// holds its own Runner over the shared Plan: the Plan itself stays
-// immutable during execution, so any number of Runners may execute it
-// concurrently. One Runner supports one in-flight Stream at a time.
+// scan) per plan step. The semi-naive round loop keeps one Runner per
+// rule and reuses it across rounds; concurrent evaluations each build
+// their own over the shared Plan, which stays immutable during execution,
+// so any number of Runners may execute it at once. One Runner supports one
+// in-flight Stream at a time.
 type Runner struct {
 	p       *Plan
 	tick    func()
@@ -234,7 +235,7 @@ type Runner struct {
 
 // NewRunner returns a Runner over p with its own binding state. The
 // runner inherits the plan's tick hook as installed at creation time;
-// override per worker with SetTick.
+// override it per runner with SetTick.
 func (p *Plan) NewRunner() *Runner {
 	return &Runner{p: p, tick: p.tick, binding: make([]rel.Value, len(p.vars))}
 }

@@ -51,8 +51,6 @@ func AnswerBatch(prog *ast.Program, db *database.Database, qs []ast.Atom, opts E
 	base, err := MaterializeSupportOpts(prog, db, qs[0].Pred, eval.Options{
 		Collector:         opts.Collector,
 		Budget:            opts.Budget,
-		Parallelism:       opts.Parallelism,
-		ParallelThreshold: opts.ParallelThreshold,
 		MaterializeRounds: opts.MaterializeRounds,
 	})
 	if err != nil {

@@ -42,16 +42,8 @@ type EvalOptions struct {
 	// Parallelism > 1 enables the product evaluator for the second loop
 	// of Figure 2: each class's closure is computed on its own goroutine
 	// and the results are crossed, instead of interleaving every class in
-	// one carry loop. The answer set is identical. It also forwards to the
-	// support-predicate fixpoint (eval.Options.Parallelism).
+	// one carry loop. The answer set is identical.
 	Parallelism int
-	// ParallelThreshold overrides the product evaluator's profit gate on
-	// the support database's tuple count. 0 (the default) uses the
-	// adaptive per-class floor (see parallelPhase2); a positive value is
-	// the deprecated static floor, kept as a manual override; negative
-	// removes the gate (tests). Also forwarded to the support-predicate
-	// fixpoint's round gate.
-	ParallelThreshold int
 	// MaterializeRounds restores the pre-streaming carry loops as an
 	// ablation: every transition emission is allocated and materialized
 	// into the round's intermediate relation and the next carry is
@@ -104,8 +96,6 @@ func Answer(prog *ast.Program, db *database.Database, q ast.Atom, opts EvalOptio
 	base, err := MaterializeSupportOpts(prog, db, q.Pred, eval.Options{
 		Collector:         opts.Collector,
 		Budget:            opts.Budget,
-		Parallelism:       opts.Parallelism,
-		ParallelThreshold: opts.ParallelThreshold,
 		MaterializeRounds: opts.MaterializeRounds,
 	})
 	if err != nil {
@@ -147,16 +137,15 @@ func Answer(prog *ast.Program, db *database.Database, q ast.Atom, opts EvalOptio
 
 // evaluator holds the pieces shared by the schema's phases.
 type evaluator struct {
-	a            *Analysis
-	db           *database.Database
-	col          *stats.Collector
-	noDedup      bool
-	matRounds    bool
-	bud          *budget.Budget
-	par          int
-	parThreshold int
-	closures     *plancache.Closures
-	scope        plancache.Scope
+	a         *Analysis
+	db        *database.Database
+	col       *stats.Collector
+	noDedup   bool
+	matRounds bool
+	bud       *budget.Budget
+	par       int
+	closures  *plancache.Closures
+	scope     plancache.Scope
 }
 
 // newEvaluator builds the evaluator for one analyzed predicate, pinning the
@@ -168,8 +157,7 @@ func newEvaluator(a *Analysis, base *database.Database, pred string, opts EvalOp
 	scope.Relaxed = a.AllowDisconnected
 	return &evaluator{a: a, db: base, col: opts.Collector, noDedup: opts.NoCarryDedup,
 		matRounds: opts.MaterializeRounds, bud: opts.Budget,
-		par: opts.Parallelism, parThreshold: opts.ParallelThreshold,
-		closures: opts.Closures, scope: scope}
+		par: opts.Parallelism, closures: opts.Closures, scope: scope}
 }
 
 // observeIntermediate reports a carry round's transient materialization —

@@ -58,33 +58,20 @@ func (e *evaluator) phase2Classes(phase1Class, excludePhase2 int, outCols []int,
 }
 
 // adaptiveClosureFloor is the support-database size below which the
-// product evaluator's per-class fan-out is not worth its setup. Unlike the
-// fixpoint rounds' per-round gate, phase 2 spawns exactly one goroutine
-// per class for the whole closure computation, so the fixed cost is a few
-// microseconds, which multi-class separable programs repay with support
-// databases of only a few dozen tuples. The floor
-// exists only to keep trivial databases (unit tests, tiny examples) off
-// the goroutine machinery.
+// product evaluator's per-class fan-out is not worth its setup. Phase 2
+// spawns exactly one goroutine per class for the whole closure
+// computation, so the fixed cost is a few microseconds, which multi-class
+// separable programs repay with support databases of only a few dozen
+// tuples. The floor exists only to keep trivial databases (unit tests,
+// tiny examples) off the goroutine machinery.
 const adaptiveClosureFloor = 64
 
 // parallelPhase2 decides whether the per-class closures run on their own
 // goroutines. It needs at least two classes to have anything to fan out;
 // the gate on the support database the transitions join against — the
 // best cheap proxy for closure sizes — keeps trivial inputs sequential.
-// ParallelThreshold 0 (the default) applies the adaptive floor; a
-// positive value is the deprecated static override; negative forces
-// fan-out (tests).
 func (e *evaluator) parallelPhase2(nClasses int) bool {
-	if e.par <= 1 || e.noDedup || nClasses < 2 {
-		return false
-	}
-	switch th := e.parThreshold; {
-	case th < 0:
-		return true
-	case th > 0:
-		return e.db.NumTuples() >= th
-	}
-	return e.db.NumTuples() >= adaptiveClosureFloor
+	return e.par > 1 && !e.noDedup && nClasses >= 2 && e.db.NumTuples() >= adaptiveClosureFloor
 }
 
 // productPhase2 decides whether phase 2 runs as a product of per-class
@@ -321,7 +308,7 @@ func (e *evaluator) runPhase2Product(p2 []phase2class, carry2, seen2 *rel.Relati
 
 // runPhase2Loop is the sequential interleaved carry loop (lines 10-14 of
 // Figure 2), also the fallback under NoCarryDedup (the product form needs
-// the seen sets) and below the parallel threshold.
+// the seen sets) and below adaptiveClosureFloor.
 func (e *evaluator) runPhase2Loop(p2 []phase2class, carry2, seen2 *rel.Relation, tagW, outW int, src conj.RelSource) {
 	classVals := make(rel.Tuple, 0, 8)
 	runners := make([][]*conj.TransitionRunner, len(p2))

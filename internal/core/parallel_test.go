@@ -11,10 +11,16 @@ import (
 	"sepdl/internal/datagen"
 )
 
-// parEvalOpts forces the product evaluator on: eight workers, no support
-// database floor.
-func parEvalOpts() EvalOptions {
-	return EvalOptions{Parallelism: 8, ParallelThreshold: -1}
+// padAboveClosureFloor adds facts of a predicate no program reads until db
+// holds adaptiveClosureFloor tuples, so the product evaluator's gate opens
+// on tiny test databases without changing any answer.
+func padAboveClosureFloor(t *testing.T, db *database.Database) {
+	t.Helper()
+	for i := 0; db.NumTuples() < adaptiveClosureFloor; i++ {
+		if _, err := db.AddFact("unusedPad", fmt.Sprintf("pad%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // checkParallelMatches runs the query sequentially (interleaved carry
@@ -22,6 +28,7 @@ func parEvalOpts() EvalOptions {
 // identical answer sets, cross-validated against semi-naive.
 func checkParallelMatches(t *testing.T, prog string, db *database.Database, query string, opts EvalOptions) {
 	t.Helper()
+	padAboveClosureFloor(t, db)
 	p := mustProgram(t, prog)
 	q := mustQuery(t, query)
 	seqOpts := opts
@@ -32,7 +39,6 @@ func checkParallelMatches(t *testing.T, prog string, db *database.Database, quer
 	}
 	parOpts := opts
 	parOpts.Parallelism = 8
-	parOpts.ParallelThreshold = -1
 	par, err := Answer(p, db, q, parOpts)
 	if err != nil {
 		t.Fatalf("%s parallel: %v", query, err)
@@ -146,6 +152,7 @@ func TestProductEvaluatorNoDedupFallsBackToLoop(t *testing.T) {
 func TestProductEvaluatorBudgetAbortParity(t *testing.T) {
 	prog := datagen.MultiClassProgram(3)
 	db := datagen.MultiClassDB(30, 3)
+	padAboveClosureFloor(t, db)
 	q := mustQuery(t, datagen.MultiClassQuery(3))
 	for _, limits := range []budget.Limits{
 		{MaxTuples: 5},
@@ -156,9 +163,10 @@ func TestProductEvaluatorBudgetAbortParity(t *testing.T) {
 			_, seqErr := Answer(prog, db, q, EvalOptions{
 				Budget: budget.New(context.Background(), limits),
 			})
-			opts := parEvalOpts()
-			opts.Budget = budget.New(context.Background(), limits)
-			_, parErr := Answer(prog, db, q, opts)
+			_, parErr := Answer(prog, db, q, EvalOptions{
+				Parallelism: 8,
+				Budget:      budget.New(context.Background(), limits),
+			})
 			if !errors.Is(seqErr, budget.ErrBudget) {
 				t.Fatalf("sequential err = %v, want budget abort", seqErr)
 			}

@@ -31,21 +31,6 @@ type Options struct {
 	// join-inner-loop granularity; exceeding it aborts the run with a
 	// *budget.ResourceError and leaves db untouched.
 	Budget *budget.Budget
-	// Parallelism sets the worker-pool size used to evaluate a round's
-	// rules — and hash-partitioned chunks of the delta frontier —
-	// concurrently. 0 or 1 evaluates sequentially. The answer set is
-	// identical either way; only the insertion order of derived tuples
-	// (and hence unsorted Rows order) can differ.
-	Parallelism int
-	// ParallelThreshold overrides the parallel profit gate. 0 (the
-	// default) gates each round adaptively: fan out only when the round's
-	// estimated emissions — input work × the observed join fan-out — reach
-	// DefaultParallelThreshold, the measured break-even for the fan-out
-	// machinery. A positive value is the deprecated static floor on round
-	// input size (kept as a manual override for workloads the estimator
-	// misjudges); negative removes the gate entirely (tests use this to
-	// force the parallel path on tiny programs).
-	ParallelThreshold int
 	// MaterializeRounds restores the pre-streaming round pipeline as an
 	// ablation: every rule emission is materialized into an intermediate
 	// round relation and the delta is computed by differencing against the
@@ -61,9 +46,9 @@ type compiledRule struct {
 	proj    *conj.Projector
 	idbOccs []int // body atom indexes whose predicate is IDB
 
-	// runner and row are the sequential evaluator's reusable scratch: one
-	// pull-stream runner and one projected-head buffer per rule, reused
-	// across every round of the stratum. Parallel workers build their own.
+	// runner and row are reusable scratch: one pull-stream runner and one
+	// projected-head buffer per rule, reused across every round of the
+	// stratum.
 	runner *conj.Runner
 	row    rel.Tuple
 }
@@ -166,21 +151,41 @@ func runStratum(rules []ast.Rule, inStratum map[string]bool, view *database.Data
 		}
 	}
 
-	pr := newParRunner(opts)
 	sinks := make(map[string]*RoundSink, len(inStratum))
 
-	startRound := func() {
+	// runRound evaluates one round into fresh sinks and folds each sink's
+	// delta into the stratum totals at the round boundary. Round 0 and
+	// naive rounds run every rule against the full relations; semi-naive
+	// rounds run each recursive rule once per IDB occurrence with the
+	// previous round's delta substituted there. It reports whether any
+	// total grew.
+	runRound := func(fromDelta bool) bool {
+		opts.Budget.Round()
+		opts.Collector.AddIteration()
 		for p := range inStratum {
 			sinks[p] = NewRoundSink(total[p], opts.MaterializeRounds)
 		}
-	}
+		for i := range compiled {
+			cr := &compiled[i]
+			into := sinks[cr.rule.Head.Pred]
+			if !fromDelta {
+				runRule(cr, baseSrc, into)
+				continue
+			}
+			// Exit rules (no IDB occurrence) cannot produce new facts
+			// after round 0.
+			for _, occ := range cr.idbOccs {
+				src := func(atomIdx int, pred string) *rel.Relation {
+					if atomIdx == occ {
+						return delta[pred]
+					}
+					return view.Relation(pred)
+				}
+				runRule(cr, src, into)
+			}
+		}
 
-	// finishRound is the round boundary: fold each sink's delta into the
-	// stratum totals, account for the work, and feed the round's observed
-	// fan-out back into the parallel profit gate.
-	finishRound := func(work int) bool {
 		changed := false
-		emitted := 0
 		var interBytes int64
 		for p, s := range sinks {
 			d := s.Delta()
@@ -188,13 +193,11 @@ func runStratum(rules []ast.Rule, inStratum map[string]bool, view *database.Data
 			added := total[p].InsertAll(d)
 			opts.Collector.AddInserted(added)
 			opts.Budget.AddDerived(added, total[p].Arity())
-			emitted += s.Emitted()
 			interBytes += int64(s.IntermediateLen(d)) * int64(total[p].Arity()) * int64(rel.ValueBytes)
 			if added > 0 {
 				changed = true
 			}
 		}
-		pr.observe(work, emitted)
 		opts.Collector.ObserveIntermediate(interBytes)
 		for p := range inStratum {
 			opts.Collector.Observe(p, total[p].Len())
@@ -202,62 +205,12 @@ func runStratum(rules []ast.Rule, inStratum map[string]bool, view *database.Data
 		return changed
 	}
 
-	// Round 0: evaluate every rule against the initial totals.
-	opts.Budget.Round()
-	startRound()
-	work := baseWork(compiled, view.Relation)
-	if pr.eligible(work) {
-		pr.runTasks(baseTasks(compiled, baseSrc), sinks, opts.Budget)
-	} else {
-		for i := range compiled {
-			runRule(&compiled[i], baseSrc, sinks[compiled[i].rule.Head.Pred])
-		}
-	}
-	opts.Collector.AddIteration()
-	changed := finishRound(work)
-
-	round := 1
-	for changed {
+	changed := runRound(false)
+	for round := 1; changed; round++ {
 		if opts.MaxIterations > 0 && round >= opts.MaxIterations {
 			return budget.RoundsExceeded(opts.Budget.Strategy(), round, opts.MaxIterations)
 		}
-		round++
-		opts.Budget.Round()
-		opts.Collector.AddIteration()
-		startRound()
-		if opts.Naive {
-			work = baseWork(compiled, view.Relation)
-		} else {
-			work = deltaWork(compiled, delta)
-		}
-		switch {
-		case opts.Naive && pr.eligible(work):
-			pr.runTasks(baseTasks(compiled, baseSrc), sinks, opts.Budget)
-		case opts.Naive:
-			for i := range compiled {
-				runRule(&compiled[i], baseSrc, sinks[compiled[i].rule.Head.Pred])
-			}
-		case pr.eligible(work):
-			pr.runTasks(pr.deltaTasks(compiled, delta, baseSrc), sinks, opts.Budget)
-		default:
-			for i := range compiled {
-				cr := &compiled[i]
-				if len(cr.idbOccs) == 0 {
-					continue // exit rules cannot produce new facts after round 0
-				}
-				for _, occ := range cr.idbOccs {
-					occIdx := occ
-					src := func(atomIdx int, pred string) *rel.Relation {
-						if atomIdx == occIdx {
-							return delta[pred]
-						}
-						return view.Relation(pred)
-					}
-					runRule(cr, src, sinks[cr.rule.Head.Pred])
-				}
-			}
-		}
-		changed = finishRound(work)
+		changed = runRound(!opts.Naive)
 	}
 	return nil
 }

@@ -2,6 +2,9 @@ package eval
 
 import (
 	"errors"
+	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"sepdl/internal/ast"
@@ -71,6 +74,92 @@ func TestTransitiveClosureCycleTerminates(t *testing.T) {
 	}
 }
 
+// viewDump renders every IDB relation of a finished view, sorted by
+// predicate, in the relations' own sorted Dump format — a canonical string
+// two evaluations can be compared by, regardless of insertion order.
+func viewDump(t *testing.T, prog *ast.Program, db *database.Database, v *database.Database) string {
+	t.Helper()
+	var preds []string
+	for p := range prog.IDBPreds() {
+		preds = append(preds, p)
+	}
+	sort.Strings(preds)
+	var sb strings.Builder
+	for _, p := range preds {
+		r := v.Relation(p)
+		if r == nil {
+			fmt.Fprintf(&sb, "%s: <nil>\n", p)
+			continue
+		}
+		fmt.Fprintf(&sb, "%s: %s\n", p, r.Dump(db.Syms))
+	}
+	return sb.String()
+}
+
+// equivPrograms is the equivalence corpus: every shape the fixpoint
+// handles — linear and nonlinear recursion, mutual recursion, multiple
+// strata, negation, cyclic data.
+var equivPrograms = []struct {
+	name  string
+	prog  string
+	facts string
+}{
+	{
+		name:  "tc-chain",
+		prog:  tcProg,
+		facts: `edge(a, b). edge(b, c). edge(c, d). edge(d, e).`,
+	},
+	{
+		name:  "tc-cycle",
+		prog:  tcProg,
+		facts: `edge(a, b). edge(b, c). edge(c, a). edge(c, d).`,
+	},
+	{
+		name: "buys-example11",
+		prog: `
+buys(X, Y) :- friend(X, W) & buys(W, Y).
+buys(X, Y) :- idol(X, W) & buys(W, Y).
+buys(X, Y) :- perfectFor(X, Y).
+`,
+		facts: `
+friend(tom, dick). friend(dick, harry). friend(sue, tom).
+idol(tom, harry).
+perfectFor(harry, radio). perfectFor(dick, tv). perfectFor(alice, car).
+`,
+	},
+	{
+		name: "mutual-recursion",
+		prog: `
+even(X) :- zero(X).
+even(Y) :- odd(X) & succ(X, Y).
+odd(Y) :- even(X) & succ(X, Y).
+`,
+		facts: `
+zero(n0).
+succ(n0, n1). succ(n1, n2). succ(n2, n3). succ(n3, n4). succ(n4, n5).
+`,
+	},
+	{
+		name: "nonlinear",
+		prog: `
+t(X, Y) :- t(X, W) & t(W, Y).
+t(X, Y) :- edge(X, Y).
+`,
+		facts: `edge(a, b). edge(b, c). edge(c, d). edge(d, a).`,
+	},
+	{
+		name: "negation-strata",
+		prog: `
+reach(X) :- start(X).
+reach(Y) :- reach(X) & edge(X, Y).
+node(X) :- edge(X, Y).
+node(Y) :- edge(X, Y).
+blocked(X) :- node(X) & not reach(X).
+`,
+		facts: `start(a). edge(a, b). edge(c, d). edge(d, c).`,
+	},
+}
+
 func TestNaiveMatchesSemiNaive(t *testing.T) {
 	db := database.New()
 	mustLoad(t, db, `edge(a, b). edge(b, c). edge(c, a). edge(c, d). edge(d, e).`)
@@ -79,6 +168,25 @@ func TestNaiveMatchesSemiNaive(t *testing.T) {
 	nv := answerDump(t, prog, db, `path(X, Y)?`, Options{Naive: true})
 	if sn != nv {
 		t.Fatalf("semi-naive %s != naive %s", sn, nv)
+	}
+
+	for _, tc := range equivPrograms {
+		t.Run(tc.name, func(t *testing.T) {
+			prog := mustProgram(t, tc.prog)
+			db := database.New()
+			mustLoad(t, db, tc.facts)
+			snView, err := Run(prog, db, Options{})
+			if err != nil {
+				t.Fatalf("semi-naive: %v", err)
+			}
+			nvView, err := Run(prog, db, Options{Naive: true})
+			if err != nil {
+				t.Fatalf("naive: %v", err)
+			}
+			if sn, nv := viewDump(t, prog, db, snView), viewDump(t, prog, db, nvView); sn != nv {
+				t.Errorf("naive view differs from semi-naive:\nsemi-naive:\n%s\nnaive:\n%s", sn, nv)
+			}
+		})
 	}
 }
 

@@ -117,7 +117,7 @@ func (s *RoundSink) Delta() *rel.Relation {
 }
 
 // Emitted reports the raw number of head tuples streamed into the sink —
-// the round's join fan-out, which feeds the parallel profit gate.
+// the round's join fan-out, duplicates included.
 func (s *RoundSink) Emitted() int { return s.emitted }
 
 // IntermediateLen reports how many tuples the sink materialized outside

@@ -14,7 +14,7 @@
 // A second rule covers parallel fan-out, where the materializing loop is
 // often a range over a partitioned chunk (which the first rule exempts):
 // any spawned body — a go statement, or the function literal handed to the
-// par.Run / par.ForEach worker pools — that materializes tuples must reach
+// par.Run worker pool — that materializes tuples must reach
 // a budget hook itself, directly or through one same-package function.
 // A goroutine that inserts without ticking would keep deriving after the
 // caller's budget aborts the rest of the evaluation, so cancellation must
@@ -294,16 +294,15 @@ func spawnedBody(call *ast.CallExpr, funcs map[string]*ast.FuncDecl) ast.Node {
 	return nil
 }
 
-// poolWorkerBody recognizes the repo's worker-pool spawns — par.Run(n,
-// func(...){...}) and par.ForEach(n, count, func(...){...}) — and returns
-// the worker function literal's body.
+// poolWorkerBody recognizes the repo's worker-pool spawn — par.Run(n,
+// func(...){...}) — and returns the worker function literal's body.
 func poolWorkerBody(call *ast.CallExpr) ast.Node {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return nil
 	}
 	pkg, ok := sel.X.(*ast.Ident)
-	if !ok || pkg.Name != "par" || (sel.Sel.Name != "Run" && sel.Sel.Name != "ForEach") {
+	if !ok || pkg.Name != "par" || sel.Sel.Name != "Run" {
 		return nil
 	}
 	for _, arg := range call.Args {

@@ -241,7 +241,7 @@ func TestFlagsPoolWorkerWithoutBudget(t *testing.T) {
 import "sepdl/internal/par"
 
 func fanout(rel interface{ Insert(x int) bool }, parts [][]int) {
-	par.ForEach(4, len(parts), func(_, i int) {
+	par.Run(len(parts), func(i int) {
 		for _, x := range parts[i] {
 			rel.Insert(x)
 		}

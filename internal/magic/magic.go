@@ -164,10 +164,8 @@ type Options struct {
 	// Budget, when non-nil, governs the bottom-up evaluation of the
 	// rewritten program at round and join-inner-loop granularity.
 	Budget *budget.Budget
-	// Parallelism, ParallelThreshold, and MaterializeRounds forward to the
-	// semi-naive fixpoint over the rewritten program (eval.Options).
-	Parallelism       int
-	ParallelThreshold int
+	// MaterializeRounds forwards to the semi-naive fixpoint over the
+	// rewritten program (eval.Options).
 	MaterializeRounds bool
 	// Template, when non-nil, supplies the precompiled rewrite for the
 	// query's form (from a plan cache): Answer binds the query's constants
@@ -200,8 +198,6 @@ func Answer(prog *ast.Program, db *database.Database, q ast.Atom, opts Options) 
 		MaxIterations:     opts.MaxIterations,
 		Naive:             opts.Naive,
 		Budget:            opts.Budget,
-		Parallelism:       opts.Parallelism,
-		ParallelThreshold: opts.ParallelThreshold,
 		MaterializeRounds: opts.MaterializeRounds,
 	})
 	if err != nil {

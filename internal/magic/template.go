@@ -125,8 +125,6 @@ func AnswerBatch(prog *ast.Program, db *database.Database, qs []ast.Atom, opts O
 		MaxIterations:     opts.MaxIterations,
 		Naive:             opts.Naive,
 		Budget:            opts.Budget,
-		Parallelism:       opts.Parallelism,
-		ParallelThreshold: opts.ParallelThreshold,
 		MaterializeRounds: opts.MaterializeRounds,
 	})
 	if err != nil {

@@ -1,5 +1,5 @@
-// Package par holds the small worker-group machinery the parallel
-// evaluators share: bounded goroutine fan-out with panic capture, so a
+// Package par holds the small worker-group machinery of the parallel
+// Separable evaluator: bounded goroutine fan-out with panic capture, so a
 // budget abort (which travels as a panic, see internal/budget) raised
 // inside any worker surfaces on the calling goroutine where the query's
 // budget.Guard can recover it.
@@ -47,26 +47,4 @@ func Run(n int, fn func(worker int)) {
 		panic(p)
 	default:
 	}
-}
-
-// ForEach processes items 0..count-1 on up to n workers, pulling the next
-// item off a shared atomic cursor, so uneven item costs balance across the
-// pool. Panic semantics are those of Run.
-func ForEach(n, count int, fn func(worker, item int)) {
-	if count == 0 {
-		return
-	}
-	if n > count {
-		n = count
-	}
-	var cursor atomicCounter
-	Run(n, func(worker int) {
-		for {
-			i := cursor.next()
-			if i >= count {
-				return
-			}
-			fn(worker, i)
-		}
-	})
 }

@@ -80,17 +80,3 @@ func TestRunWaitsForAllWorkersBeforePanicking(t *testing.T) {
 		t.Fatalf("only %d workers finished before the panic surfaced", finished.Load())
 	}
 }
-
-func TestForEachCoversEveryItemOnce(t *testing.T) {
-	const items = 1000
-	counts := make([]atomic.Int64, items)
-	ForEach(8, items, func(_, i int) {
-		counts[i].Add(1)
-	})
-	for i := range counts {
-		if counts[i].Load() != 1 {
-			t.Fatalf("item %d processed %d times", i, counts[i].Load())
-		}
-	}
-	ForEach(8, 0, func(_, _ int) { t.Fatal("fn called for zero items") })
-}

@@ -106,29 +106,3 @@ func TestFromRowsSharesStorage(t *testing.T) {
 		t.Fatalf("Lookup on FromRows relation = %v", got)
 	}
 }
-
-// TestPartitionHash checks that hash partitioning covers every tuple
-// exactly once and keeps equal content in one part.
-func TestPartitionHash(t *testing.T) {
-	r := New(2)
-	for i := 0; i < 1000; i++ {
-		r.Insert(Tuple{Value(i), Value(i * 31)})
-	}
-	parts := r.PartitionHash(4)
-	if len(parts) != 4 {
-		t.Fatalf("got %d parts", len(parts))
-	}
-	total := 0
-	merged := New(2)
-	for _, p := range parts {
-		total += p.Len()
-		merged.InsertAll(p)
-	}
-	if total != r.Len() || !merged.Equal(r) {
-		t.Fatalf("partition lost or duplicated tuples: total=%d want=%d", total, r.Len())
-	}
-
-	if got := New(2).PartitionHash(4); len(got) != 1 {
-		t.Fatalf("tiny relation should come back unsplit, got %d parts", len(got))
-	}
-}

@@ -75,8 +75,8 @@ func encode(dst []byte, t Tuple, cols []int) []byte {
 // for concurrent mutation; point-in-time isolation for concurrent readers
 // is provided by Snapshot's copy-on-write scheme. The read paths —
 // Contains, Rows, Index, Lookup — are safe for concurrent use on a
-// relation nobody is mutating, which is what lets the parallel evaluators
-// share one immutable (total, delta) snapshot across a worker pool.
+// relation nobody is mutating, which is what lets concurrent queries and
+// the Separable evaluator's per-class workers share one snapshot.
 type Relation struct {
 	arity int
 	rows  []Tuple
@@ -120,8 +120,8 @@ func FromTuples(arity int, tuples []Tuple) *Relation {
 // FromRows builds a relation over rows without cloning tuple storage: the
 // tuples are shared with the caller, which must treat them as immutable
 // (every tuple a Relation hands out already is). Duplicates are ignored.
-// The parallel evaluators use it to slice a delta relation into per-worker
-// chunks without copying every tuple.
+// The Separable evaluator uses it to split a joint closure into per-start
+// sets without copying every tuple.
 func FromRows(arity int, rows []Tuple) *Relation {
 	r := New(arity)
 	var buf [keyBufLen]byte
@@ -137,34 +137,6 @@ func FromRows(arity int, rows []Tuple) *Relation {
 		r.rows = append(r.rows, t)
 	}
 	return r
-}
-
-// PartitionHash splits r's rows into k relations by a content hash, so
-// equal tuples always land in the same part and typical data spreads
-// evenly. Tuple storage is shared with r (see FromRows). k below 2 (or a
-// relation smaller than k) returns r itself as the only part.
-func (r *Relation) PartitionHash(k int) []*Relation {
-	rows := r.Rows()
-	if k < 2 || len(rows) < k {
-		return []*Relation{r}
-	}
-	parts := make([][]Tuple, k)
-	est := len(rows)/k + 1
-	for i := range parts {
-		parts[i] = make([]Tuple, 0, est)
-	}
-	for _, t := range rows {
-		h := uint64(14695981039346656037)
-		for _, v := range t {
-			h = (h ^ uint64(uint32(v))) * 1099511628211
-		}
-		parts[h%uint64(k)] = append(parts[h%uint64(k)], t)
-	}
-	out := make([]*Relation, k)
-	for i, rows := range parts {
-		out[i] = FromRows(r.arity, rows)
-	}
-	return out
 }
 
 // Arity returns the number of columns.

@@ -101,9 +101,17 @@ func (c *Codec) Write(seq uint64, state database.CheckpointState) error {
 	return nil
 }
 
+// install makes set the current set unless a newer sequence already is:
+// checkpoints may finish out of order, and an older set installed last
+// would make the engine rebase onto a segment missing the newer facts. The
+// losing set is retired like any superseded one.
 func (c *Codec) install(seq uint64, set *Set) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.cur != nil && seq < c.curSeq {
+		c.retired = append(c.retired, set)
+		return
+	}
 	if c.cur != nil {
 		c.retired = append(c.retired, c.cur)
 	}

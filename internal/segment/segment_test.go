@@ -377,6 +377,29 @@ func TestCodecLifecycle(t *testing.T) {
 	}
 }
 
+// TestCodecInstallMonotone: checkpoints may finish out of order. A set
+// for an older sequence written after a newer one must not become the
+// current cold set.
+func TestCodecInstallMonotone(t *testing.T) {
+	leakcheck.CheckResources(t)
+	dir := t.TempDir()
+	newer, oracle := buildDB(t, 5, map[string]int{"e": 2}, 200)
+	older, _ := buildDB(t, 6, map[string]int{"e": 2}, 20)
+	c := NewCodec(dir, 1<<20, 256)
+	defer c.Close()
+
+	if err := c.Write(5, newer); err != nil {
+		t.Fatalf("Write(5): %v", err)
+	}
+	if err := c.Write(4, older); err != nil {
+		t.Fatalf("Write(4): %v", err)
+	}
+	base, _, ok := c.ColdSet().Cold("e")
+	if !ok || base.Len() != len(oracle["e"]) {
+		t.Fatalf("current set lost to the older write: ok=%v", ok)
+	}
+}
+
 type coldSink struct {
 	flatSink
 	symbols []string

@@ -15,12 +15,11 @@ import (
 )
 
 // parallelPair builds two engines over the same program and facts: one
-// pinned to sequential evaluation, one with eight workers and the
-// work-size floor removed so even tiny programs take the parallel paths.
+// pinned to sequential evaluation, one with eight workers.
 func parallelPair(t *testing.T, program, facts string) (seq, par *Engine) {
 	t.Helper()
 	seq = New(WithParallelism(1))
-	par = New(WithParallelism(8), WithParallelThreshold(-1))
+	par = New(WithParallelism(8))
 	for _, e := range []*Engine{seq, par} {
 		if err := e.LoadProgram(program); err != nil {
 			t.Fatal(err)
@@ -104,9 +103,11 @@ parent(p1, a). parent(p1, c). parent(p2, b). parent(p2, d).
 }
 
 // TestParallelMatchesSequentialMultiClass drives the product evaluator on
-// the benchmark's 4-class family through the public API.
+// the benchmark's 4-class family through the public API. n = 17 gives 65
+// facts, past the support-database floor below which the classes' closures
+// stay sequential.
 func TestParallelMatchesSequentialMultiClass(t *testing.T) {
-	const n, c = 5, 4
+	const n, c = 17, 4
 	program := `
 t(X1, X2, X3, X4) :- e1(X1, W) & t(W, X2, X3, X4).
 t(X1, X2, X3, X4) :- e2(X2, W) & t(X1, W, X3, X4).
@@ -148,7 +149,7 @@ t(X1, X2, X3, X4) :- t0(X1, X2, X3, X4).
 // parallel engine must abort with the same typed error, limit kind, and
 // strategy tag as the sequential engines in budget_api_test.go.
 func TestParallelBudgetAbortParity(t *testing.T) {
-	e := New(WithParallelism(8), WithParallelThreshold(-1))
+	e := New(WithParallelism(8))
 	if err := e.LoadProgram(`
 buys(X, Y) :- friend(X, W) & buys(W, Y).
 buys(X, Y) :- perfectFor(X, Y).

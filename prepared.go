@@ -247,28 +247,23 @@ func runStrategyBatch(st *progState, db *database.Database, qs []ast.Atom, pl *p
 			AllowDisconnected: cfg.allowDisconnected,
 			Budget:            bud,
 			Parallelism:       cfg.parallelism,
-			ParallelThreshold: cfg.parThreshold,
 			Closures:          cfg.closures,
 			CacheScope:        cfg.scope,
 		})
 	case MagicSets, MagicSetsSup:
 		return magic.AnswerBatch(st.prog, db, qs, magic.Options{
-			Collector:         c,
-			MaxIterations:     cfg.maxIterations,
-			Supplementary:     strategy == MagicSetsSup,
-			Budget:            bud,
-			Parallelism:       cfg.parallelism,
-			ParallelThreshold: cfg.parThreshold,
-			Template:          pl.template,
+			Collector:     c,
+			MaxIterations: cfg.maxIterations,
+			Supplementary: strategy == MagicSetsSup,
+			Budget:        bud,
+			Template:      pl.template,
 		})
 	case SemiNaive, Naive:
 		view, err := eval.Run(st.prog, db, eval.Options{
-			Collector:         c,
-			Naive:             strategy == Naive,
-			MaxIterations:     cfg.maxIterations,
-			Budget:            bud,
-			Parallelism:       cfg.parallelism,
-			ParallelThreshold: cfg.parThreshold,
+			Collector:     c,
+			Naive:         strategy == Naive,
+			MaxIterations: cfg.maxIterations,
+			Budget:        bud,
 		})
 		if err != nil {
 			return nil, err

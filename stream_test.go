@@ -2,8 +2,7 @@ package sepdl
 
 // Streaming-executor equivalence: the streaming round pipeline must be
 // byte-identical to the materializing ablation on every corpus entry
-// under every strategy, and the deprecated WithParallelThreshold override
-// must keep its documented semantics.
+// under every strategy.
 
 import "testing"
 
@@ -43,50 +42,6 @@ func TestStreamingMaterializedEquivalence(t *testing.T) {
 						t.Errorf("%s [%s]: streaming %s, materialized %s", query, s, stream, mat)
 					}
 				}
-			}
-		})
-	}
-}
-
-// TestParallelThresholdOverride pins the deprecated WithParallelThreshold
-// semantics against the adaptive default: zero gates each round by
-// estimated emissions, a positive value restores the fixed work floor, a
-// negative value removes the gate entirely. All three must answer
-// identically; the knob only moves where fan-out happens.
-func TestParallelThresholdOverride(t *testing.T) {
-	const program = `
-path(X, Y) :- e(X, W) & path(W, Y).
-path(X, Y) :- e(X, Y).
-`
-	const facts = `
-e(a, b). e(b, c). e(c, d). e(d, e1). e(e1, f). e(a, c). e(b, d).
-`
-	ref := ""
-	for _, tc := range []struct {
-		name      string
-		threshold int
-	}{
-		{"adaptive-default", 0},
-		{"static-floor-deprecated", 1}, // every round clears the floor: always parallel
-		{"static-floor-huge", 1 << 20}, // no round clears the floor: never parallel
-		{"gate-disabled", -1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			e := New(WithParallelism(2), WithParallelThreshold(tc.threshold))
-			if err := e.LoadProgram(program); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.LoadFacts(facts); err != nil {
-				t.Fatal(err)
-			}
-			res, err := e.Query(`path(a, Y)?`, WithStrategy(SemiNaive))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ref == "" {
-				ref = res.String()
-			} else if res.String() != ref {
-				t.Fatalf("threshold %d answers %s, want %s", tc.threshold, res, ref)
 			}
 		})
 	}
