@@ -58,7 +58,7 @@ serve-smoke:
 # ingests facts into a write-ahead-logged engine, gets SIGKILLed at a
 # different point each cycle, and the reopened database must contain
 # every acknowledged fact, exactly a prefix of the ingest order, and
-# answer queries identically to an in-RAM oracle under all nine
+# answer queries identically to an in-RAM oracle under all six
 # evaluation strategies. The second pass bounds the memtable so kills
 # land around segment builds and recovery serves from the cold tier.
 crash-smoke:

@@ -62,10 +62,10 @@ func factArgs(i int) (pred, c, g string) {
 	return "perfectFor", owners[i%len(owners)], fmt.Sprintf("g%d", i)
 }
 
+// strategies is every strategy the engine serves.
 var strategies = []sepdl.Strategy{
-	sepdl.Separable, sepdl.MagicSets, sepdl.MagicSetsSup, sepdl.Counting,
-	sepdl.HenschenNaqvi, sepdl.AhoUllman, sepdl.Tabling, sepdl.SemiNaive,
-	sepdl.Naive,
+	sepdl.Auto, sepdl.Separable, sepdl.MagicSets, sepdl.MagicSetsSup,
+	sepdl.SemiNaive, sepdl.Naive,
 }
 
 func main() {
@@ -218,7 +218,7 @@ func spawnAndKill(self, dir string, facts, killAt int, memtable int64) (lastAcke
 }
 
 // verify reopens the directory and checks durability, prefix
-// consistency, and nine-strategy equivalence against an in-RAM oracle.
+// consistency, and six-strategy equivalence against an in-RAM oracle.
 func verify(dir string, lastAcked, facts int, memtable int64) error {
 	e, err := sepdl.Open(dir, storeOpts(memtable)...)
 	if err != nil {

@@ -61,7 +61,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		memBytes    = fs.Int64("memtable-bytes", 0, "in-RAM overlay budget before facts flush to sorted segment files; 0 disables the trigger")
 		cacheBytes  = fs.Int64("block-cache-bytes", 0, "segment block-cache budget; 0 = default (32 MiB), negative disables retention")
 		query       = fs.String("query", "", "query to evaluate; omit for a REPL")
-		strategy    = fs.String("strategy", "auto", "auto|separable|magic|magic-sup|counting|hn|aho|tabling|seminaive|naive")
+		strategy    = fs.String("strategy", "auto", "auto|separable|magic|magic-sup|seminaive|naive")
 		showStats   = fs.Bool("stats", false, "print evaluation statistics (relation sizes, iterations, time)")
 		explain     = fs.Bool("explain", false, "print the strategy Auto would choose and why")
 		relaxed     = fs.Bool("relaxed", false, "allow condition-4-violating recursions in the Separable strategy (§5)")

@@ -11,13 +11,15 @@
 //     from the selection constants and building relations no wider than one
 //     equivalence class. On the paper's workloads it is O(n) where Magic
 //     Sets is Ω(n²) and Counting Ω(2ⁿ).
-//   - MagicSets — Generalized Magic Sets [BMSU86, BR87], the standard
-//     general-purpose selection-propagating rewrite.
-//   - Counting — the Generalized Counting Method [BMSU86, SZ86].
-//   - HenschenNaqvi — the iterative query/answer method [HN84].
-//   - AhoUllman — stable-argument selection pushing [AU79].
-//   - Tabling — memoized top-down evaluation (QSQ-style).
+//   - MagicSets / MagicSetsSup — Generalized Magic Sets [BMSU86, BR87],
+//     the standard general-purpose selection-propagating rewrite, basic and
+//     supplementary.
 //   - SemiNaive / Naive — plain bottom-up fixpoint evaluation.
+//
+// The paper's other comparison algorithms — Generalized Counting,
+// Henschen–Naqvi, Aho–Ullman selection pushing, and memoized top-down
+// evaluation — are library baselines in internal packages: the tests use
+// them as oracles, and the engine does not serve them.
 //
 // Beyond per-query strategies, Engine.Materialize returns an incrementally
 // maintained view (insertions propagate semi-naively, deletions via DRed),

@@ -13,20 +13,13 @@ import (
 	"sepdl/internal/wal"
 )
 
-// durableStrategies is every evaluation strategy; crash-recovery tests
-// compare a recovered engine against an in-RAM oracle under all of them.
-var durableStrategies = []Strategy{
-	Separable, MagicSets, MagicSetsSup, Counting, HenschenNaqvi,
-	AhoUllman, Tabling, SemiNaive, Naive,
-}
-
-// assertEnginesAgree runs the queries under every strategy on both
+// assertEnginesAgree runs the queries under every served strategy on both
 // engines and requires identical outcomes: the same accept/reject
 // decision and, on success, byte-identical result strings.
 func assertEnginesAgree(t *testing.T, label string, got, want *Engine, queries []string) {
 	t.Helper()
 	for _, q := range queries {
-		for _, s := range durableStrategies {
+		for _, s := range servedStrategies {
 			r1, err1 := got.Query(q, WithStrategy(s))
 			r2, err2 := want.Query(q, WithStrategy(s))
 			if (err1 == nil) != (err2 == nil) {

@@ -10,16 +10,13 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sepdl/internal/aho"
 	"sepdl/internal/ast"
 	"sepdl/internal/budget"
 	"sepdl/internal/check"
 	"sepdl/internal/core"
-	"sepdl/internal/counting"
 	"sepdl/internal/database"
 	"sepdl/internal/diag"
 	"sepdl/internal/eval"
-	"sepdl/internal/hn"
 	"sepdl/internal/magic"
 	"sepdl/internal/par"
 	"sepdl/internal/parser"
@@ -27,26 +24,32 @@ import (
 	"sepdl/internal/provenance"
 	"sepdl/internal/rel"
 	"sepdl/internal/stats"
-	"sepdl/internal/tabling"
 )
 
 // Strategy selects how a query is evaluated.
 type Strategy string
 
-// Available strategies. Auto runs the separability test and picks
-// Separable, MagicSets, or SemiNaive.
+// The strategies the engine serves. Auto runs the separability test and
+// picks Separable, MagicSets, or SemiNaive.
 const (
-	Auto          Strategy = "auto"
-	Separable     Strategy = "separable"
-	MagicSets     Strategy = "magic"
-	MagicSetsSup  Strategy = "magic-sup" // supplementary-magic variant [BR87]
-	Counting      Strategy = "counting"
-	HenschenNaqvi Strategy = "hn"
-	AhoUllman     Strategy = "aho"     // selection pushing [AU79]; stable columns only
-	Tabling       Strategy = "tabling" // memoized top-down (QSQ-style); positive programs
-	SemiNaive     Strategy = "seminaive"
-	Naive         Strategy = "naive"
+	Auto         Strategy = "auto"
+	Separable    Strategy = "separable"
+	MagicSets    Strategy = "magic"
+	MagicSetsSup Strategy = "magic-sup" // supplementary-magic variant [BR87]
+	SemiNaive    Strategy = "seminaive"
+	Naive        Strategy = "naive"
 )
+
+// checkStrategy rejects a strategy the engine does not serve. Queries call
+// it before admission, so an unknown name never reaches the plan cache,
+// whose keys would otherwise grow with every distinct name a client sends.
+func checkStrategy(s Strategy) error {
+	switch s {
+	case Auto, Separable, MagicSets, MagicSetsSup, SemiNaive, Naive:
+		return nil
+	}
+	return fmt.Errorf("%w: %q", ErrUnknownStrategy, s)
+}
 
 // Engine holds a program and a fact database and answers queries.
 // The zero value is not usable; construct with New.
@@ -570,11 +573,11 @@ func (e *Engine) DistinctConstants() int {
 }
 
 // Budget bounds the resources one query (or one materialized view) may
-// consume; zero fields mean unlimited. The comparison strategies the paper
-// measures are exactly the ones that blow up on adversarial inputs —
-// Generalized Magic builds Ω(n²) intermediate tuples and Counting Ω(2ⁿ)
-// where Separable builds O(n) — so a server embedding the engine should
-// always set at least MaxTuples or a deadline.
+// consume; zero fields mean unlimited. The general-purpose strategies are
+// exactly the ones that blow up on adversarial inputs — Generalized Magic
+// builds Ω(n²) intermediate tuples where Separable builds O(n) — so a
+// server embedding the engine should always set at least MaxTuples or a
+// deadline.
 type Budget struct {
 	// MaxTuples bounds insertions into derived relations.
 	MaxTuples int
@@ -679,8 +682,8 @@ func withMaterializedRounds() QueryOption {
 }
 
 // WithFallback opts the query into graceful degradation: if the selected
-// compiled strategy (Separable, Magic, Counting, HN, Aho-Ullman, Tabling)
-// aborts on a tuple, round, or byte budget, the query is retried once
+// compiled strategy (Separable, MagicSets, MagicSetsSup) aborts on a
+// tuple, round, or byte budget, the query is retried once
 // under SemiNaive. The retry runs under the same context — any wall-clock
 // deadline spans both attempts, so only the remaining time is available —
 // with a fresh allowance of the per-query tuple/round/byte limits (the
@@ -803,6 +806,9 @@ func (e *Engine) Query(query string, opts ...QueryOption) (*Result, error) {
 // an admission rejection returns an *OverloadError matching ErrOverloaded.
 func (e *Engine) QueryCtx(ctx context.Context, query string, opts ...QueryOption) (*Result, error) {
 	cfg := e.newQueryConfig(opts)
+	if err := checkStrategy(cfg.strategy); err != nil {
+		return nil, err
+	}
 	q, err := parser.Query(query)
 	if err != nil {
 		return nil, err
@@ -948,19 +954,6 @@ func runStrategy(st *progState, db *database.Database, q ast.Atom, query string,
 			MaterializeRounds: cfg.materializeRounds,
 			Template:          pl.template,
 		})
-	case Counting:
-		ans, err = counting.Answer(st.prog, db, q, counting.Options{Collector: c, Analysis: pl.analysis, MaxLevels: cfg.maxIterations, Budget: bud})
-	case HenschenNaqvi:
-		ans, err = hn.Answer(st.prog, db, q, hn.Options{Collector: c, Analysis: pl.analysis, MaxDepth: cfg.maxIterations, Budget: bud})
-	case AhoUllman:
-		ans, err = aho.Answer(st.prog, db, q, aho.Options{
-			Collector:         c,
-			MaxIterations:     cfg.maxIterations,
-			Budget:            bud,
-			MaterializeRounds: cfg.materializeRounds,
-		})
-	case Tabling:
-		ans, err = tabling.Answer(st.prog, db, q, tabling.Options{Collector: c, Budget: bud})
 	case SemiNaive, Naive:
 		var view *database.Database
 		view, err = eval.Run(st.prog, db, eval.Options{
@@ -1047,9 +1040,6 @@ func (st *progState) compileLocked(q ast.Atom, cfg queryConfig) *plan {
 		if tpl, err := magic.NewTemplate(st.prog, q, strategy == MagicSetsSup); err == nil {
 			pl.template = tpl
 		}
-	case Counting, HenschenNaqvi:
-		// Both analyze strictly regardless of the relaxation option.
-		pl.analysis, _ = st.analysisLocked(q.Pred, false)
 	}
 	return pl
 }

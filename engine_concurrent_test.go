@@ -104,7 +104,7 @@ func TestConcurrentReadersWritersSnapshotIsolation(t *testing.T) {
 
 	// Readers hammer the engine across strategies; every answer set must be
 	// a contiguous prefix at least as long as the initial chain.
-	strategies := []Strategy{Auto, Separable, MagicSets, SemiNaive, Tabling}
+	strategies := []Strategy{Auto, Separable, MagicSets, MagicSetsSup, SemiNaive}
 	for r := 0; r < readers; r++ {
 		r := r
 		wg.Add(1)
@@ -398,39 +398,6 @@ func TestFallbackMagicToSemiNaive(t *testing.T) {
 	}
 	if res.Stats.Strategy != SemiNaive || res.Stats.FallbackFrom != MagicSets {
 		t.Fatalf("Stats = {Strategy: %s, FallbackFrom: %s}, want {seminaive, magic}",
-			res.Stats.Strategy, res.Stats.FallbackFrom)
-	}
-}
-
-func TestFallbackCountingCycle(t *testing.T) {
-	// The Ω(2ⁿ) counting blowup on a cyclic database (see the adversarial
-	// budget tests): with fallback, the query still answers.
-	e := New()
-	if err := e.LoadProgram(`
-buys(X, Y) :- friend(X, W) & buys(W, Y).
-buys(X, Y) :- idol(X, W) & buys(W, Y).
-buys(X, Y) :- perfectFor(X, Y).
-`); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.LoadFacts(`
-friend(a, b). friend(b, a).
-idol(a, b). idol(b, a).
-perfectFor(a, g). perfectFor(b, g).
-`); err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Query(`buys(a, Y)?`,
-		WithStrategy(Counting), WithMaxIterations(1<<20),
-		WithBudget(Budget{MaxTuples: 500}), WithFallback())
-	if err != nil {
-		t.Fatalf("with fallback: %v", err)
-	}
-	if res.String() != "{(g)}" {
-		t.Fatalf("answers = %s, want {(g)}", res)
-	}
-	if res.Stats.Strategy != SemiNaive || res.Stats.FallbackFrom != Counting {
-		t.Fatalf("Stats = {Strategy: %s, FallbackFrom: %s}, want {seminaive, counting}",
 			res.Stats.Strategy, res.Stats.FallbackFrom)
 	}
 }

@@ -3,6 +3,7 @@ package sepdl
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -52,7 +53,7 @@ func TestQuickstartFlow(t *testing.T) {
 func TestAllStrategiesAgree(t *testing.T) {
 	e := newExample11(t)
 	var want string
-	for _, s := range []Strategy{Separable, MagicSets, Counting, HenschenNaqvi, SemiNaive, Naive} {
+	for _, s := range servedStrategies {
 		res, err := e.Query(`buys(tom, Y)?`, WithStrategy(s))
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
@@ -237,10 +238,38 @@ func TestWithMaxIterations(t *testing.T) {
 	}
 }
 
+// TestUnknownStrategy checks that every entry point rejects a strategy the
+// engine does not serve before evaluating anything: on IDB and EDB
+// queries, batches and prepared forms alike, and without a plan-cache
+// entry per distinct name.
 func TestUnknownStrategy(t *testing.T) {
 	e := newExample11(t)
-	if _, err := e.Query(`buys(tom, Y)?`, WithStrategy(Strategy("bogus"))); err == nil {
-		t.Fatal("unknown strategy accepted")
+	ctx := context.Background()
+	for _, s := range []Strategy{"bogus", "counting", "hn", "aho", "tabling", Materialized} {
+		for _, query := range []string{`buys(tom, Y)?`, `friend(tom, Y)?`} {
+			if _, err := e.Query(query, WithStrategy(s)); !errors.Is(err, ErrUnknownStrategy) {
+				t.Errorf("Query(%s) [%s]: err = %v, want ErrUnknownStrategy", query, s, err)
+			}
+			if _, err := e.QueryBatch(ctx, []string{query}, WithStrategy(s)); !errors.Is(err, ErrUnknownStrategy) {
+				t.Errorf("QueryBatch(%s) [%s]: err = %v, want ErrUnknownStrategy", query, s, err)
+			}
+			if _, err := e.Prepare(query, WithStrategy(s)); !errors.Is(err, ErrUnknownStrategy) {
+				t.Errorf("Prepare(%s) [%s]: err = %v, want ErrUnknownStrategy", query, s, err)
+			}
+		}
+	}
+	st := e.progState()
+	st.mu.Lock()
+	before := len(st.plans)
+	st.mu.Unlock()
+	for i := 0; i < 1000; i++ {
+		e.Query(`buys(tom, Y)?`, WithStrategy(Strategy(fmt.Sprintf("bogus%d", i))))
+	}
+	st.mu.Lock()
+	after := len(st.plans)
+	st.mu.Unlock()
+	if after != before {
+		t.Errorf("1000 unknown strategies grew the plan cache from %d to %d entries", before, after)
 	}
 }
 
@@ -309,14 +338,18 @@ func TestQueryParseError(t *testing.T) {
 	}
 }
 
+// The paper's comparison algorithms are library baselines, not served
+// strategies; the tests below run them as packages on an engine's facts.
+
 func TestCountingAndHNStrategiesSurfaceDivergence(t *testing.T) {
 	e := New()
 	e.LoadProgram(example11)
 	e.LoadFacts(`friend(a, b). friend(b, a). perfectFor(a, thing).`)
-	if _, err := e.Query(`buys(a, Y)?`, WithStrategy(Counting)); err == nil {
+	ctx := context.Background()
+	if _, err := baselineCounting.run(ctx, e, `buys(a, Y)?`, Budget{}); err == nil {
 		t.Fatal("counting should diverge on cyclic data")
 	}
-	if _, err := e.Query(`buys(a, Y)?`, WithStrategy(HenschenNaqvi)); err == nil {
+	if _, err := baselineHN.run(ctx, e, `buys(a, Y)?`, Budget{}); err == nil {
 		t.Fatal("HN should diverge on cyclic data")
 	}
 	// But separable answers fine.
@@ -326,6 +359,41 @@ func TestCountingAndHNStrategiesSurfaceDivergence(t *testing.T) {
 	}
 	if res.Len() != 1 {
 		t.Fatalf("answers = %s", res)
+	}
+}
+
+func TestAhoUllmanStrategy(t *testing.T) {
+	e := newExample11(t)
+	ctx := context.Background()
+	res, err := baselineAho.run(ctx, e, `buys(X, radio)?`, Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn, err := e.Query(`buys(X, radio)?`, WithStrategy(SemiNaive))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res != sn.String() {
+		t.Fatalf("aho %s != seminaive %s", res, sn)
+	}
+	// Class-column selections are outside [AU79]'s scope.
+	if _, err := baselineAho.run(ctx, e, `buys(tom, Y)?`, Budget{}); err == nil {
+		t.Fatal("aho accepted a class-column selection")
+	}
+}
+
+func TestTablingStrategy(t *testing.T) {
+	e := newExample11(t)
+	res, err := baselineTabling.run(context.Background(), e, `buys(tom, Y)?`, Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn, err := e.Query(`buys(tom, Y)?`, WithStrategy(SemiNaive))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res != sn.String() {
+		t.Fatalf("tabling %s != seminaive %s", res, sn)
 	}
 }
 
@@ -351,25 +419,6 @@ func TestSupplementaryMagicStrategy(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no sup relations in %v", sup.Stats.RelationSizes)
-	}
-}
-
-func TestAhoUllmanStrategy(t *testing.T) {
-	e := newExample11(t)
-	res, err := e.Query(`buys(X, radio)?`, WithStrategy(AhoUllman))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sn, err := e.Query(`buys(X, radio)?`, WithStrategy(SemiNaive))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.String() != sn.String() {
-		t.Fatalf("aho %s != seminaive %s", res, sn)
-	}
-	// Class-column selections are outside [AU79]'s scope.
-	if _, err := e.Query(`buys(tom, Y)?`, WithStrategy(AhoUllman)); err == nil {
-		t.Fatal("aho accepted a class-column selection")
 	}
 }
 
@@ -484,21 +533,6 @@ func TestMaterializeRejectsNegation(t *testing.T) {
 	}
 	if _, err := e.Materialize(); err == nil {
 		t.Fatal("negated program materialized")
-	}
-}
-
-func TestTablingStrategy(t *testing.T) {
-	e := newExample11(t)
-	res, err := e.Query(`buys(tom, Y)?`, WithStrategy(Tabling))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sn, err := e.Query(`buys(tom, Y)?`, WithStrategy(SemiNaive))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.String() != sn.String() {
-		t.Fatalf("tabling %s != seminaive %s", res, sn)
 	}
 }
 

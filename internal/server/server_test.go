@@ -150,6 +150,7 @@ func TestQueryErrorMapping(t *testing.T) {
 		{"missing query", `{}`, http.StatusBadRequest, "bad_request"},
 		{"parse error", `{"query": "path(v0"}`, http.StatusBadRequest, "bad_request"},
 		{"unknown strategy", `{"query": "path(v0, Y)?", "strategy": "bogus"}`, http.StatusBadRequest, "bad_request"},
+		{"library baseline strategy", `{"query": "path(v0, Y)?", "strategy": "counting"}`, http.StatusBadRequest, "bad_request"},
 		{"tuple cap", `{"query": "path(v0, Y)?", "max_tuples": 10}`, http.StatusTooManyRequests, "resource"},
 		{"unknown field", `{"query": "path(v0, Y)?", "bogus_knob": 1}`, http.StatusBadRequest, "bad_request"},
 	}

@@ -7,6 +7,7 @@ package sepdl
 // way.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -51,16 +52,12 @@ func checkQueryParity(t *testing.T, seq, par *Engine, query string, opts ...Quer
 }
 
 func TestParallelMatchesSequentialCorpus(t *testing.T) {
-	strategies := []Strategy{
-		Separable, MagicSets, MagicSetsSup, Counting, HenschenNaqvi,
-		AhoUllman, Tabling, SemiNaive, Naive,
-	}
 	for _, entry := range corpus {
 		entry := entry
 		t.Run(entry.name, func(t *testing.T) {
 			seq, par := parallelPair(t, entry.program, entry.facts)
 			for _, query := range entry.queries {
-				for _, s := range strategies {
+				for _, s := range servedStrategies {
 					checkQueryParity(t, seq, par, query, WithStrategy(s))
 				}
 				checkQueryParity(t, seq, par, query) // Auto
@@ -147,7 +144,8 @@ t(X1, X2, X3, X4) :- t0(X1, X2, X3, X4).
 
 // TestParallelBudgetAbortParity reuses the per-strategy budget cases: a
 // parallel engine must abort with the same typed error, limit kind, and
-// strategy tag as the sequential engines in budget_api_test.go.
+// strategy tag as the sequential engines in budget_api_test.go. The
+// baselines run on the parallel engine's snapshot.
 func TestParallelBudgetAbortParity(t *testing.T) {
 	e := New(WithParallelism(8))
 	if err := e.LoadProgram(`
@@ -167,14 +165,15 @@ buys(X, Y) :- perfectFor(X, Y).
 	if err := e.LoadFacts(sb.String()); err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	for _, tc := range budgetCases {
 		tc := tc
-		t.Run(string(tc.strategy), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			// Unbudgeted sanity first.
-			if _, err := e.Query(tc.query, WithStrategy(tc.strategy)); err != nil {
+			if _, err := tc.run(ctx, e, tc.query, Budget{}); err != nil {
 				t.Fatalf("unbudgeted: %v", err)
 			}
-			_, err := e.Query(tc.query, WithStrategy(tc.strategy), WithBudget(Budget{MaxTuples: 1}))
+			_, err := tc.run(ctx, e, tc.query, Budget{MaxTuples: 1})
 			if !errors.Is(err, ErrBudgetExceeded) {
 				t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 			}
@@ -185,8 +184,8 @@ buys(X, Y) :- perfectFor(X, Y).
 			if re.Limit != LimitTuples {
 				t.Errorf("Limit = %s, want %s", re.Limit, LimitTuples)
 			}
-			if re.Strategy != string(tc.strategy) {
-				t.Errorf("Strategy = %s, want %s", re.Strategy, tc.strategy)
+			if re.Strategy != tc.name {
+				t.Errorf("Strategy = %s, want %s", re.Strategy, tc.name)
 			}
 		})
 	}

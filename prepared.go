@@ -39,6 +39,9 @@ type Prepared struct {
 // Options are captured now and apply to every Run and RunBatch.
 func (e *Engine) Prepare(queryForm string, opts ...QueryOption) (*Prepared, error) {
 	cfg := e.newQueryConfig(opts)
+	if err := checkStrategy(cfg.strategy); err != nil {
+		return nil, err
+	}
 	q, err := parser.Query(queryForm)
 	if err != nil {
 		return nil, err
@@ -108,13 +111,13 @@ func (p *Prepared) RunBatch(ctx context.Context, constSets ...[]string) ([]*Resu
 // multi-seed driver phases for the Separable strategy, multi-seed magic
 // facts for the Magic strategies, one shared fixpoint view for
 // SemiNaive/Naive. Results align with queries, and each answer set is
-// identical to what Query would return for that element. Per-query
-// strategies without a multi-seed form (Counting, HN, Aho-Ullman,
-// Tabling) still share the snapshot, slot, and budget, evaluating
-// seed-by-seed. Stats on every Result report the whole batch's work, with
-// BatchSize = len(queries).
+// identical to what Query would return for that element. Stats on every
+// Result report the whole batch's work, with BatchSize = len(queries).
 func (e *Engine) QueryBatch(ctx context.Context, queries []string, opts ...QueryOption) ([]*Result, error) {
 	cfg := e.newQueryConfig(opts)
+	if err := checkStrategy(cfg.strategy); err != nil {
+		return nil, err
+	}
 	qs := make([]ast.Atom, len(queries))
 	for i, s := range queries {
 		q, err := parser.Query(s)
@@ -220,9 +223,8 @@ func (e *Engine) queryBatch(ctx context.Context, qs []ast.Atom, cfg queryConfig)
 }
 
 // runStrategyBatch dispatches one batched evaluation attempt, with the
-// same last-resort recovery as runStrategy. Strategies with a multi-seed
-// form run one shared fixpoint; the rest loop seed-by-seed over the shared
-// snapshot and budget.
+// same last-resort recovery as runStrategy. Every served strategy runs the
+// whole batch in one shared fixpoint.
 func runStrategyBatch(st *progState, db *database.Database, qs []ast.Atom, pl *plan, cfg queryConfig, c *stats.Collector, bud *budget.Budget) (anss []*rel.Relation, err error) {
 	strategy := pl.strategy
 	defer func() {
@@ -276,14 +278,6 @@ func runStrategyBatch(st *progState, db *database.Database, qs []ast.Atom, pl *p
 		}
 		return anss, nil
 	default:
-		anss = make([]*rel.Relation, len(qs))
-		for i, q := range qs {
-			ans, err := runStrategy(st, db, q, q.String(), pl, cfg, c, bud)
-			if err != nil {
-				return nil, err
-			}
-			anss[i] = ans
-		}
-		return anss, nil
+		return nil, fmt.Errorf("%w: %q", ErrUnknownStrategy, strategy)
 	}
 }

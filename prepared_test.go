@@ -45,10 +45,7 @@ func uncachedEngine(t *testing.T, program, facts string) *Engine {
 // four ways — uncached, cold, warm (same engine, second time), and through
 // a Prepared handle — and demands byte-identical answers.
 func TestCorpusCachedEquivalence(t *testing.T) {
-	strategies := []Strategy{
-		Separable, MagicSets, MagicSetsSup, Counting, HenschenNaqvi,
-		AhoUllman, Tabling, SemiNaive, Naive, Auto,
-	}
+	strategies := append([]Strategy{Auto}, servedStrategies...)
 	for _, entry := range corpus {
 		entry := entry
 		t.Run(entry.name, func(t *testing.T) {
@@ -105,10 +102,7 @@ func TestCorpusCachedEquivalence(t *testing.T) {
 // several queries of one form, batches those together; every element must
 // match the uncached per-query answer.
 func TestCorpusBatchedEquivalence(t *testing.T) {
-	strategies := []Strategy{
-		Separable, MagicSets, MagicSetsSup, Counting, HenschenNaqvi,
-		AhoUllman, Tabling, SemiNaive, Naive, Auto,
-	}
+	strategies := append([]Strategy{Auto}, servedStrategies...)
 	ctx := context.Background()
 	for _, entry := range corpus {
 		entry := entry
