@@ -66,12 +66,16 @@ crash-smoke:
 	go run ./cmd/crashsmoke -iterations 8 -facts 200 -memtable-bytes 2048 -v
 
 # stress repeats the concurrent-serving tests under the race detector,
-# runs the forced-vs-background checkpoint race 20 times, and replays the
-# parser fuzz seed corpus. It is slower than tier-1 and meant for changes
-# that touch the engine's locking, admission, checkpoints, or view repair.
+# runs the forced-vs-background checkpoint race 20 times, repeats the
+# relation snapshot tests (the index cache snapshots share with the live
+# handle, racing readers and writers; a few seconds) 20 times, and replays
+# the parser fuzz seed corpus. It is slower than tier-1 and meant for
+# changes that touch the engine's locking, admission, checkpoints, view
+# repair, or relation storage.
 stress:
 	go test -race -run Concurrent -count=5 ./...
 	go test -race -count=20 -run TestCheckpointRacesBackgroundCheckpoint .
+	go test -race -count=20 -run 'TestSnapshot' ./internal/rel/
 	go test -run 'Fuzz' ./internal/parser/
 
 # fuzz runs each parser fuzzer for a short budget of new inputs.

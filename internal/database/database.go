@@ -34,10 +34,12 @@ func NewShared(syms *symtab.Table) *Database {
 // Snapshot returns an immutable point-in-time view of the database: every
 // relation is snapshotted copy-on-write (see rel.Relation.Snapshot), so the
 // view never observes later mutations of db and is safe to read from other
-// goroutines — each snapshot handle carries its own lazy indexes and
-// scratch buffers. The symbol table is shared (it is itself concurrency
-// safe). Taking a snapshot mutates per-relation bookkeeping, so calls must
-// be serialized with writers; the engine snapshots under its writer lock.
+// goroutines. Each relation's lazy index cache is shared with db and with
+// every other snapshot until the relation is next written, so an index is
+// built once per storage generation rather than once per query. The
+// symbol table is shared (it is itself concurrency safe). Taking a
+// snapshot mutates per-relation bookkeeping, so calls must be serialized
+// with writers; the engine snapshots under its writer lock.
 func (db *Database) Snapshot() *Database {
 	out := &Database{Syms: db.Syms, rels: make(map[string]*rel.Relation, len(db.rels))}
 	for p, r := range db.rels {

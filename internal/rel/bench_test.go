@@ -83,7 +83,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Rebuild from scratch each iteration on a fresh clone view.
-		fresh := &Relation{arity: r.arity, rows: r.rows, set: r.set}
+		fresh := &Relation{arity: r.arity, rows: r.rows, set: r.set, idx: new(idxCache)}
 		fresh.Index([]int{1})
 	}
 }

@@ -91,8 +91,10 @@ func (r *Relation) OverlayLen() int { return len(r.rows) }
 // into a fully resident relation with identical content. It is the
 // correctness net for Delete on a cold tuple: the engine never deletes
 // EDB facts (the WAL has no delete record), so this path only triggers on
-// direct library misuse, and correctness there beats speed. Indexes are
-// dropped — a bound-prefix index holds a pointer to the cold base.
+// direct library misuse, and correctness there beats speed. The thawed
+// relation starts a new generation with an empty index cache: a bound-
+// prefix index holds a pointer to the cold base, and snapshots taken
+// before the thaw keep the old cache.
 func (r *Relation) thaw() {
 	base := r.cold.rows()
 	rows := make([]Tuple, 0, len(base)+len(r.rows))
@@ -103,7 +105,6 @@ func (r *Relation) thaw() {
 	for _, t := range rows {
 		set[string(encode(buf[:0], t, nil))] = struct{}{}
 	}
-	r.rows, r.set, r.cold, r.shared = rows, set, nil, false
-	r.idx.drop()
+	r.rows, r.set, r.idx, r.cold, r.shared = rows, set, new(idxCache), nil, false
 	r.all.Store(nil)
 }

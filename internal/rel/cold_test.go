@@ -268,7 +268,7 @@ func TestColdDeleteThaws(t *testing.T) {
 	base := newSliceBase([]rel.Tuple{{1, 1}, {2, 2}, {3, 3}})
 	r := rel.NewCold(2, base)
 	r.Insert(rel.Tuple{4, 4})
-	r.Index([]int{0}) // force an index the thaw must drop
+	r.Index([]int{0}) // force an index the thaw must leave behind
 
 	if !r.Delete(rel.Tuple{2, 2}) {
 		t.Fatal("Delete of cold tuple = false")

@@ -7,9 +7,10 @@ import (
 )
 
 // Index is a hash index over a subset of a relation's columns. Indexes are
-// built lazily by Relation.Index and kept current as tuples are inserted.
-// A built Index is safe for concurrent Lookup as long as the relation is
-// not being mutated — the isolation contract every snapshot provides.
+// built lazily by Relation.Index, once per storage generation, and shared
+// by every snapshot of it. A built Index is immutable once its generation
+// is shared and safe for concurrent Lookup — the isolation contract every
+// snapshot provides.
 //
 // On a cold relation there are two builds. When cols is a leading prefix
 // (0, 1, ..., k-1), the order-preserving key encoding makes the matching
@@ -55,14 +56,6 @@ func (c *idxCache) load() map[string]*Index {
 	return nil
 }
 
-// drop discards every built index (used by thaw: a bound-prefix index
-// holds a pointer to the cold base being dissolved).
-func (c *idxCache) drop() {
-	c.mu.Lock()
-	c.p.Store(nil)
-	c.mu.Unlock()
-}
-
 // insert publishes a new index under key; the caller must hold mu.
 func (c *idxCache) insert(key string, idx *Index) {
 	old := c.load()
@@ -74,11 +67,13 @@ func (c *idxCache) insert(key string, idx *Index) {
 	c.p.Store(&m)
 }
 
-// Index returns a hash index over cols, building it on first use. The index
-// stays valid across subsequent Insert calls on the relation. It panics if
-// any column is out of range. Concurrent readers of an immutable relation
-// (or snapshot) may call Index concurrently: warm hits are lock-free, and
-// a cold build is serialized internally.
+// Index returns a hash index over cols, building it on first use in this
+// generation. Inserts through a handle no snapshot shares keep it current;
+// one through a shared handle leaves it to the snapshots and starts a new
+// generation (see detach). It panics if any column is out of range.
+// Concurrent readers of an immutable relation (or snapshot) may call Index
+// concurrently: warm hits are lock-free, and a cold build is serialized
+// internally.
 func (r *Relation) Index(cols []int) *Index {
 	var buf [keyBufLen]byte
 	key := colsKey(buf[:0], cols)

@@ -77,11 +77,17 @@ func encode(dst []byte, t Tuple, cols []int) []byte {
 // Contains, Rows, Index, Lookup — are safe for concurrent use on a
 // relation nobody is mutating, which is what lets concurrent queries and
 // the Separable evaluator's per-class workers share one snapshot.
+//
+// Indexes belong to a storage generation, not to a handle: snapshots of an
+// unmodified relation share its index cache by pointer, so an index is
+// built once however many queries probe it. The first mutation through a
+// handle whose storage is shared starts a new generation with an empty
+// cache (see detach); an unshared handle maintains its indexes in place.
 type Relation struct {
 	arity int
 	rows  []Tuple
 	set   map[string]struct{}
-	idx   idxCache
+	idx   *idxCache // shared with snapshots, like rows and set
 	// cold, when non-nil, is an immutable sorted tuple tier (a segment
 	// file's rows) underneath the in-RAM overlay: rows/set then hold only
 	// tuples inserted since the last rebase, and every read merges both
@@ -104,7 +110,7 @@ func New(arity int) *Relation {
 	if arity < 0 {
 		panic(fmt.Sprintf("rel: negative arity %d", arity))
 	}
-	return &Relation{arity: arity, set: make(map[string]struct{})}
+	return &Relation{arity: arity, set: make(map[string]struct{}), idx: new(idxCache)}
 }
 
 // FromTuples builds a relation of the given arity from tuples, ignoring
@@ -160,20 +166,22 @@ func (r *Relation) Empty() bool { return r.Len() == 0 }
 // holds exactly r's current tuples and never changes, sharing storage with
 // r until either side mutates (copy-on-write). Snapshots are what make
 // concurrent queries safe: each query evaluates against its own snapshot
-// handles (with private lazy indexes), while writers
-// keep mutating the original. Taking a snapshot mutates r's bookkeeping,
-// so it must be serialized with writers by the caller — the engine does
-// this under its writer lock.
+// handles while writers keep mutating the original. The snapshot shares
+// r's lazy index cache, so an index any handle of this generation built
+// (or builds later) serves every other handle of it. Taking a snapshot
+// mutates r's bookkeeping, so it must be serialized with writers by the
+// caller — the engine does this under its writer lock.
 func (r *Relation) Snapshot() *Relation {
 	r.shared = true
-	return &Relation{arity: r.arity, rows: r.rows, set: r.set, cold: r.cold, shared: true}
+	return &Relation{arity: r.arity, rows: r.rows, set: r.set, idx: r.idx, cold: r.cold, shared: true}
 }
 
 // detach un-aliases storage shared with a snapshot before a mutation: the
 // rows slice and tuple-set map are copied (tuples themselves are immutable
-// and stay shared), leaving every previously taken snapshot frozen.
-// Existing indexes describe tuple content, not storage identity, so they
-// remain valid and are kept.
+// and stay shared), leaving every previously taken snapshot frozen. The
+// shared index cache stays with those snapshots, still describing their
+// frozen content, and r starts the new generation with an empty cache
+// that rebuilds lazily.
 func (r *Relation) detach() {
 	if !r.shared {
 		return
@@ -184,7 +192,7 @@ func (r *Relation) detach() {
 	for k := range r.set {
 		set[k] = struct{}{}
 	}
-	r.rows, r.set = rows, set
+	r.rows, r.set, r.idx = rows, set, new(idxCache)
 	r.shared = false
 }
 
@@ -230,9 +238,9 @@ func (r *Relation) InsertAll(other *Relation) int {
 	return n
 }
 
-// Delete removes t and reports whether it was present. Existing indexes
-// are maintained. Row order is not preserved (the last row takes the
-// deleted row's slot).
+// Delete removes t and reports whether it was present. Indexes of this
+// generation are maintained, as in Insert. Row order is not preserved
+// (the last row takes the deleted row's slot).
 func (r *Relation) Delete(t Tuple) bool {
 	if len(t) != r.arity {
 		return false

@@ -82,39 +82,10 @@ func TestSnapshotOfSnapshotAndMultipleSnapshots(t *testing.T) {
 	}
 }
 
-func TestSnapshotIndexesArePrivate(t *testing.T) {
-	r := New(2)
-	r.Insert(tup(1, 10))
-	r.Insert(tup(2, 20))
-	// Build an index on the master before snapshotting.
-	r.Index([]int{0})
-
-	snap := r.Snapshot()
-	if snap.idx.load() != nil {
-		t.Fatal("snapshot inherited the master's index map")
-	}
-	// Lazy index building on the snapshot must not touch the master, and
-	// lookups must see the frozen content.
-	rows := snap.Index([]int{0}).Lookup([]Value{1})
-	if len(rows) != 1 || !rows[0].Equal(tup(1, 10)) {
-		t.Fatalf("snapshot index lookup = %v", rows)
-	}
-	r.Insert(tup(1, 11))
-	rows = snap.Index([]int{0}).Lookup([]Value{1})
-	if len(rows) != 1 {
-		t.Fatalf("snapshot index sees %d rows for key 1 after master insert, want 1", len(rows))
-	}
-	// The master's index keeps maintaining itself across the detach.
-	rows = r.Index([]int{0}).Lookup([]Value{1})
-	if len(rows) != 2 {
-		t.Fatalf("master index sees %d rows for key 1, want 2", len(rows))
-	}
-}
-
 func TestSnapshotConcurrentReadersWhileMasterMutates(t *testing.T) {
 	// The race detector is the real assertion here: N readers hammer
-	// private snapshots (Contains and Index both mutate per-handle
-	// scratch/lazy state) while the master keeps inserting and deleting.
+	// snapshots of one generation (Index builds into their shared lazy
+	// cache) while the master keeps inserting and deleting.
 	r := New(2)
 	for v := Value(0); v < 50; v++ {
 		r.Insert(tup(v, v+1))
