@@ -68,18 +68,23 @@ crash-smoke:
 # stress repeats the concurrent-serving tests under the race detector,
 # runs the forced-vs-background checkpoint race 20 times, repeats the
 # relation snapshot tests (the index cache snapshots share with the live
-# handle, racing readers and writers; a few seconds) 20 times, and replays
-# the parser fuzz seed corpus. It is slower than tier-1 and meant for
-# changes that touch the engine's locking, admission, checkpoints, view
-# repair, or relation storage.
+# handle, racing readers and writers) and the row-table model tests (the
+# open-addressing table against a map model, and runs that wrap the table's
+# end) 20 times, a few seconds, and replays the parser and relation fuzz
+# seed corpora. It is slower than tier-1 and meant for changes that touch
+# the engine's locking, admission, checkpoints, view repair, or relation
+# storage.
 stress:
 	go test -race -run Concurrent -count=5 ./...
 	go test -race -count=20 -run TestCheckpointRacesBackgroundCheckpoint .
-	go test -race -count=20 -run 'TestSnapshot' ./internal/rel/
-	go test -run 'Fuzz' ./internal/parser/
+	go test -race -count=20 -run 'TestSnapshot|TestTable|FuzzRelationOps' ./internal/rel/
+	go test -run 'Fuzz' ./internal/parser/ ./internal/rel/
 
-# fuzz runs each parser fuzzer for a short budget of new inputs.
+# fuzz runs each parser fuzzer, and the relation-ops fuzzer (Insert, Delete,
+# Snapshot, Index and thaw against a map model), for a short budget of new
+# inputs.
 fuzz:
 	go test -fuzz FuzzProgram -fuzztime 30s ./internal/parser/
 	go test -fuzz FuzzQuery -fuzztime 15s ./internal/parser/
 	go test -fuzz FuzzFacts -fuzztime 15s ./internal/parser/
+	go test -fuzz FuzzRelationOps -fuzztime 30s ./internal/rel/

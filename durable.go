@@ -299,10 +299,9 @@ func (s coldRecoverSink) InstallSymbols(names []string) error {
 	s.e.mu.Lock()
 	defer s.e.mu.Unlock()
 	tab := s.e.db.SymbolTable()
-	for i, name := range names {
-		if got := tab.Intern(name); int(got) != i {
-			return fmt.Errorf("sepdl: recovering segment symbols: %q interned as %d, want %d", name, got, i)
-		}
+	if i := tab.InternAll(names); i >= 0 {
+		got, _ := tab.Lookup(names[i])
+		return fmt.Errorf("sepdl: recovering segment symbols: %q interned as %d, want %d", names[i], got, i)
 	}
 	return nil
 }

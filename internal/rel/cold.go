@@ -100,11 +100,7 @@ func (r *Relation) thaw() {
 	rows := make([]Tuple, 0, len(base)+len(r.rows))
 	rows = append(rows, base...)
 	rows = append(rows, r.rows...)
-	set := make(map[string]struct{}, len(rows))
-	var buf [keyBufLen]byte
-	for _, t := range rows {
-		set[string(encode(buf[:0], t, nil))] = struct{}{}
-	}
-	r.rows, r.set, r.idx, r.cold, r.shared = rows, set, new(idxCache), nil, false
+	thawed := FromRows(r.arity, rows)
+	r.rows, r.set, r.idx, r.cold, r.shared = thawed.rows, thawed.set, thawed.idx, nil, false
 	r.all.Store(nil)
 }

@@ -6,11 +6,14 @@ import (
 	"sync/atomic"
 )
 
-// Index is a hash index over a subset of a relation's columns. Indexes are
-// built lazily by Relation.Index, once per storage generation, and shared
-// by every snapshot of it. A built Index is immutable once its generation
-// is shared and safe for concurrent Lookup — the isolation contract every
-// snapshot provides.
+// Index is a hash index over a subset of a relation's columns: a table
+// (see table) maps each key's hash to a 1-based position in keys, the flat
+// key values (len(cols) per bucket), and in buckets, the matching tuples in
+// insertion order. A bucket emptied by deletes keeps its key and slot until
+// the index is rebuilt. Indexes are built lazily by Relation.Index, once
+// per storage generation, and shared by every snapshot of it. A built
+// Index is immutable once its generation is shared and safe for concurrent
+// Lookup — the isolation contract every snapshot provides.
 //
 // On a cold relation there are two builds. When cols is a leading prefix
 // (0, 1, ..., k-1), the order-preserving key encoding makes the matching
@@ -22,9 +25,18 @@ import (
 // the hash join needs the build side resident anyway.
 type Index struct {
 	cols    []int
-	buckets map[string][]Tuple
+	tab     table
+	keys    []Value
+	buckets [][]Tuple
+	live    int      // non-empty buckets
 	cold    ColdBase // non-nil for a bound-prefix index over a cold relation
 }
+
+// keyBufLen sizes the stack buffer Relation.Index builds its cache key in
+// (see colsKey): 16 columns fit without a heap allocation, wider column
+// lists spill transparently. A per-call buffer (instead of a scratch field)
+// keeps Index safe for any number of concurrent readers of one snapshot.
+const keyBufLen = 64
 
 // colsKey appends a fixed-width binary encoding of the column list to dst
 // and returns it. It replaces the old fmt.Sprintf/strings.Join rendering:
@@ -100,23 +112,17 @@ func (r *Relation) buildIndex(cols []int, key string) *Index {
 			return idx
 		}
 	}
-	// Presize the bucket map from the relation's cardinality: the row
-	// count is an upper bound on distinct keys, so the build — the hash
-	// join's build side — never rehashes mid-construction.
-	var idx *Index
+	idx := &Index{cols: append([]int(nil), cols...)}
+	rows := r.rows
 	if r.cold != nil && leadingPrefix(cols) {
 		// Bound-prefix over cold data: bucket only the overlay and range-
 		// scan the segment at probe time. The base stays on disk.
-		idx = &Index{cols: append([]int(nil), cols...), cold: r.cold.base, buckets: make(map[string][]Tuple, len(r.rows))}
-		for _, t := range r.rows {
-			idx.add(t)
-		}
+		idx.cold = r.cold.base
 	} else {
-		rows := r.Rows()
-		idx = &Index{cols: append([]int(nil), cols...), buckets: make(map[string][]Tuple, len(rows))}
-		for _, t := range rows {
-			idx.add(t)
-		}
+		rows = r.Rows()
+	}
+	for _, t := range rows {
+		idx.add(t)
 	}
 	r.idx.insert(key, idx)
 	return idx
@@ -134,23 +140,57 @@ func leadingPrefix(cols []int) bool {
 	return true
 }
 
+// key returns the key values of the bucket at 1-based position pos.
+func (idx *Index) key(pos int) Tuple {
+	k := len(idx.cols)
+	return idx.keys[(pos-1)*k : pos*k]
+}
+
+// find looks up the bucket of t's key: the table slot and 1-based bucket
+// position, or position 0 and the free slot that ended the probe.
+func (idx *Index) find(t Tuple) (h uint32, slot, pos int) {
+	h = hashCols(t, idx.cols)
+	slot, pos = idx.tab.find(h, func(p int) bool {
+		for i, v := range idx.key(p) {
+			if t[idx.cols[i]] != v {
+				return false
+			}
+		}
+		return true
+	})
+	return h, slot, pos
+}
+
 func (idx *Index) add(t Tuple) {
-	var buf [keyBufLen]byte
-	k := encode(buf[:0], t, idx.cols)
-	idx.buckets[string(k)] = append(idx.buckets[string(k)], t)
+	h, slot, pos := idx.find(t)
+	if pos == 0 {
+		for _, c := range idx.cols {
+			idx.keys = append(idx.keys, t[c])
+		}
+		idx.buckets = append(idx.buckets, nil)
+		pos = len(idx.buckets)
+		idx.tab.put(slot, h, pos)
+	}
+	if len(idx.buckets[pos-1]) == 0 {
+		idx.live++
+	}
+	idx.buckets[pos-1] = append(idx.buckets[pos-1], t)
 }
 
 func (idx *Index) remove(t Tuple) {
-	var buf [keyBufLen]byte
-	k := string(encode(buf[:0], t, idx.cols))
-	bucket := idx.buckets[k]
+	_, _, pos := idx.find(t)
+	if pos == 0 {
+		return
+	}
+	bucket := idx.buckets[pos-1]
 	for i, row := range bucket {
 		if row.Equal(t) {
 			last := len(bucket) - 1
 			bucket[i] = bucket[last]
-			idx.buckets[k] = bucket[:last]
+			idx.buckets[pos-1] = bucket[:last]
 			if last == 0 {
-				delete(idx.buckets, k)
+				idx.buckets[pos-1] = nil
+				idx.live--
 			}
 			return
 		}
@@ -159,10 +199,10 @@ func (idx *Index) remove(t Tuple) {
 
 // Lookup returns the tuples whose indexed columns equal vals, which must
 // have one value per indexed column. The returned slice must not be
-// modified. The probe key is built in a per-call buffer, so concurrent
-// readers of one index never interfere. On a bound-prefix cold index the
-// matching cold range is drained into a fresh slice per call — callers
-// that can consume incrementally should prefer Scan, which streams it.
+// modified. The probe only reads the index, so concurrent readers of one
+// index never interfere. On a bound-prefix cold index the matching cold
+// range is drained into a fresh slice per call — callers that can consume
+// incrementally should prefer Scan, which streams it.
 func (idx *Index) Lookup(vals []Value) []Tuple {
 	bucket := idx.bucket(vals)
 	if idx.cold == nil {
@@ -182,13 +222,13 @@ func (idx *Index) bucket(vals []Value) []Tuple {
 	if len(vals) != len(idx.cols) {
 		panic(fmt.Sprintf("rel: index lookup with %d values for %d columns", len(vals), len(idx.cols)))
 	}
-	var buf [keyBufLen]byte
-	key := buf[:0]
-	for _, v := range vals {
-		key = append(key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+	_, pos := idx.tab.find(hashVals(vals), func(p int) bool { return idx.key(p).Equal(vals) })
+	if pos == 0 {
+		return nil
 	}
-	return idx.buckets[string(key)]
+	return idx.buckets[pos-1]
 }
 
-// Buckets reports the number of distinct key combinations in the index.
-func (idx *Index) Buckets() int { return len(idx.buckets) }
+// Buckets reports the number of distinct key combinations in the index
+// that still hold tuples.
+func (idx *Index) Buckets() int { return idx.live }

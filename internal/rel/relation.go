@@ -2,11 +2,14 @@
 // fixed-arity relations of interned-symbol tuples with set semantics, lazy
 // hash indexes keyed by column subsets, and the relational operators the
 // evaluation algorithms need (selection, projection, join, union,
-// difference).
+// difference). Relations and indexes find tuples and keys through one
+// open-addressing table of positions (table.go) that hashes values
+// directly with a per-process seed; no tuple is encoded into a key.
 package rel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -45,35 +48,13 @@ func (t Tuple) Equal(u Tuple) bool {
 	return true
 }
 
-// keyBufLen sizes the stack buffers tuple encodings are built in: 16
-// columns fit without a heap allocation, wider tuples spill transparently.
-// Per-call buffers (instead of a scratch field on the relation or index)
-// are what make the read paths — Contains, Index, Lookup — safe for any
-// number of concurrent readers of one snapshot.
-const keyBufLen = 64
-
-// encode appends a fixed-width binary encoding of the values at cols (all
-// columns when cols is nil) to dst and returns it. The encoding is
-// injective for a fixed column list, which is all the set and index maps
-// need.
-func encode(dst []byte, t Tuple, cols []int) []byte {
-	if cols == nil {
-		for _, v := range t {
-			dst = append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-		}
-		return dst
-	}
-	for _, c := range cols {
-		v := t[c]
-		dst = append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	return dst
-}
-
-// Relation is a set of same-arity tuples with optional hash indexes.
-// The zero value is unusable; construct with New. Relations are not safe
-// for concurrent mutation; point-in-time isolation for concurrent readers
-// is provided by Snapshot's copy-on-write scheme. The read paths —
+// Relation is a set of same-arity tuples with optional hash indexes. Rows
+// live in one slice in insertion order; set, an open-addressing table of
+// 1-based row positions keyed by each tuple's hash (see table), makes
+// membership, insertion and deletion O(1) without encoding tuples into
+// keys. The zero value is unusable; construct with New. Relations are not
+// safe for concurrent mutation; point-in-time isolation for concurrent
+// readers is provided by Snapshot's copy-on-write scheme. The read paths —
 // Contains, Rows, Index, Lookup — are safe for concurrent use on a
 // relation nobody is mutating, which is what lets concurrent queries and
 // the Separable evaluator's per-class workers share one snapshot.
@@ -86,7 +67,7 @@ func encode(dst []byte, t Tuple, cols []int) []byte {
 type Relation struct {
 	arity int
 	rows  []Tuple
-	set   map[string]struct{}
+	set   table     // row positions by tuple hash; shared with snapshots
 	idx   *idxCache // shared with snapshots, like rows and set
 	// cold, when non-nil, is an immutable sorted tuple tier (a segment
 	// file's rows) underneath the in-RAM overlay: rows/set then hold only
@@ -110,7 +91,16 @@ func New(arity int) *Relation {
 	if arity < 0 {
 		panic(fmt.Sprintf("rel: negative arity %d", arity))
 	}
-	return &Relation{arity: arity, set: make(map[string]struct{}), idx: new(idxCache)}
+	return &Relation{arity: arity, idx: new(idxCache)}
+}
+
+// find looks t up among the overlay rows: its hash, and the table slot and
+// 1-based row position that hold it, or position 0 and the free slot that
+// ended the probe (see table.find).
+func (r *Relation) find(t Tuple) (h uint32, slot, pos int) {
+	h = hashVals(t)
+	slot, pos = r.set.find(h, func(p int) bool { return r.rows[p-1].Equal(t) })
+	return h, slot, pos
 }
 
 // FromTuples builds a relation of the given arity from tuples, ignoring
@@ -130,17 +120,14 @@ func FromTuples(arity int, tuples []Tuple) *Relation {
 // sets without copying every tuple.
 func FromRows(arity int, rows []Tuple) *Relation {
 	r := New(arity)
-	var buf [keyBufLen]byte
 	for _, t := range rows {
 		if len(t) != r.arity {
 			panic(fmt.Sprintf("rel: arity-%d row in arity-%d FromRows", len(t), r.arity))
 		}
-		key := encode(buf[:0], t, nil)
-		if _, ok := r.set[string(key)]; ok {
-			continue
+		if h, slot, pos := r.find(t); pos == 0 {
+			r.rows = append(r.rows, t)
+			r.set.put(slot, h, len(r.rows))
 		}
-		r.set[string(key)] = struct{}{}
-		r.rows = append(r.rows, t)
 	}
 	return r
 }
@@ -177,22 +164,18 @@ func (r *Relation) Snapshot() *Relation {
 }
 
 // detach un-aliases storage shared with a snapshot before a mutation: the
-// rows slice and tuple-set map are copied (tuples themselves are immutable
-// and stay shared), leaving every previously taken snapshot frozen. The
-// shared index cache stays with those snapshots, still describing their
-// frozen content, and r starts the new generation with an empty cache
-// that rebuilds lazily.
+// rows slice and the row table's slots are copied, one flat copy each
+// (tuples themselves are immutable and stay shared), leaving every
+// previously taken snapshot frozen. The shared index cache stays with
+// those snapshots, still describing their frozen content, and r starts
+// the new generation with an empty cache that rebuilds lazily.
 func (r *Relation) detach() {
 	if !r.shared {
 		return
 	}
-	rows := make([]Tuple, len(r.rows))
-	copy(rows, r.rows)
-	set := make(map[string]struct{}, len(r.set))
-	for k := range r.set {
-		set[k] = struct{}{}
-	}
-	r.rows, r.set, r.idx = rows, set, new(idxCache)
+	r.rows = slices.Clone(r.rows)
+	r.set.slots = slices.Clone(r.set.slots)
+	r.idx = new(idxCache)
 	r.shared = false
 }
 
@@ -202,9 +185,8 @@ func (r *Relation) Insert(t Tuple) bool {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("rel: inserting arity-%d tuple into arity-%d relation", len(t), r.arity))
 	}
-	var buf [keyBufLen]byte
-	key := encode(buf[:0], t, nil)
-	if _, ok := r.set[string(key)]; ok {
+	h, slot, pos := r.find(t)
+	if pos != 0 {
 		return false
 	}
 	if r.cold != nil {
@@ -215,8 +197,8 @@ func (r *Relation) Insert(t Tuple) bool {
 	}
 	r.detach()
 	c := t.Clone()
-	r.set[string(key)] = struct{}{}
 	r.rows = append(r.rows, c)
+	r.set.put(slot, h, len(r.rows))
 	for _, idx := range r.idx.load() {
 		idx.add(c)
 	}
@@ -240,48 +222,47 @@ func (r *Relation) InsertAll(other *Relation) int {
 
 // Delete removes t and reports whether it was present. Indexes of this
 // generation are maintained, as in Insert. Row order is not preserved
-// (the last row takes the deleted row's slot).
+// (the last row takes the deleted row's position, and its table entry is
+// repointed there).
 func (r *Relation) Delete(t Tuple) bool {
 	if len(t) != r.arity {
 		return false
 	}
-	var buf [keyBufLen]byte
-	key := string(encode(buf[:0], t, nil))
-	if _, ok := r.set[key]; !ok {
+	_, slot, pos := r.find(t)
+	if pos == 0 {
 		if r.cold == nil || !r.cold.base.Contains(t) {
 			return false
 		}
 		// The tuple lives in the cold tier: materialize it into the
 		// overlay first (see thaw), then delete through the normal path.
 		r.thaw()
+		_, slot, pos = r.find(t)
 	}
 	if r.cold != nil {
 		r.all.Store(nil)
 	}
 	r.detach()
-	delete(r.set, key)
-	for i, row := range r.rows {
-		if row.Equal(t) {
-			last := len(r.rows) - 1
-			r.rows[i] = r.rows[last]
-			r.rows = r.rows[:last]
-			break
-		}
+	r.set.remove(slot)
+	if last := len(r.rows); pos != last {
+		moved := r.rows[last-1]
+		r.rows[pos-1] = moved
+		s, _ := r.set.find(hashVals(moved), func(p int) bool { return p == last })
+		r.set.repoint(s, pos)
 	}
+	r.rows = r.rows[:len(r.rows)-1]
 	for _, idx := range r.idx.load() {
 		idx.remove(t)
 	}
 	return true
 }
 
-// Contains reports whether t is present. The membership key is built in a
-// per-call buffer, so concurrent readers of one relation never interfere.
+// Contains reports whether t is present. The probe only reads the row
+// table, so concurrent readers of one relation never interfere.
 func (r *Relation) Contains(t Tuple) bool {
 	if len(t) != r.arity {
 		return false
 	}
-	var buf [keyBufLen]byte
-	if _, ok := r.set[string(encode(buf[:0], t, nil))]; ok {
+	if _, _, pos := r.find(t); pos != 0 {
 		return true
 	}
 	return r.cold != nil && r.cold.base.Contains(t)

@@ -50,6 +50,32 @@ func (t *Table) Intern(name string) Value {
 	return v
 }
 
+// InternAll interns names in order under one lock and returns the index of
+// the first name whose id differs from its position in names, or -1 when
+// every name's id equals its position — the check a table restored from a
+// recorded symbol list needs. Names after a mismatch are not interned. An
+// empty table is presized for names.
+func (t *Table) InternAll(names []string) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.names) == 0 {
+		t.byName = make(map[string]Value, len(names))
+		t.names = make([]string, 0, len(names))
+	}
+	for i, name := range names {
+		v, ok := t.byName[name]
+		if !ok {
+			v = Value(len(t.names))
+			t.byName[name] = v
+			t.names = append(t.names, name)
+		}
+		if int(v) != i {
+			return i
+		}
+	}
+	return -1
+}
+
 // Lookup returns the Value for name and whether it has been interned.
 func (t *Table) Lookup(name string) (Value, bool) {
 	t.mu.RLock()

@@ -91,3 +91,41 @@ func TestQuickDistinctStringsDistinctIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestInternAllDense(t *testing.T) {
+	tab := New()
+	if i := tab.InternAll([]string{"a", "b", "c"}); i != -1 {
+		t.Fatalf("InternAll = %d, want -1", i)
+	}
+	for i, n := range []string{"a", "b", "c"} {
+		if v, ok := tab.Lookup(n); !ok || int(v) != i {
+			t.Errorf("Lookup(%q) = %d, %v; want %d", n, v, ok, i)
+		}
+	}
+	// Re-installing the same list over a table that already holds it is a
+	// no-op that still matches.
+	if i := tab.InternAll([]string{"a", "b"}); i != -1 || tab.Len() != 3 {
+		t.Fatalf("InternAll again = %d (Len %d), want -1 (Len 3)", i, tab.Len())
+	}
+}
+
+func TestInternAllDuplicateName(t *testing.T) {
+	tab := New()
+	if i := tab.InternAll([]string{"a", "b", "a", "c"}); i != 2 {
+		t.Fatalf("InternAll = %d, want 2 (the repeated name)", i)
+	}
+	if _, ok := tab.Lookup("c"); ok {
+		t.Error("InternAll interned a name after the mismatch")
+	}
+}
+
+func TestInternAllPreInternedWrongID(t *testing.T) {
+	tab := New()
+	tab.Intern("b")
+	if i := tab.InternAll([]string{"a", "b"}); i != 0 {
+		t.Fatalf("InternAll = %d, want 0", i)
+	}
+	if v, _ := tab.Lookup("a"); v != 1 {
+		t.Fatalf("a interned as %d, want 1", v)
+	}
+}

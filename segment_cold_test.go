@@ -163,3 +163,19 @@ func TestColdStorageWritesAfterRebase(t *testing.T) {
 		t.Fatalf("post-compaction query = %q", got)
 	}
 }
+
+// TestInstallSymbolsMismatch pins the recovery refusal when the engine's
+// symbol table cannot take the ids a segment recorded: a name already
+// interned at another id must fail InstallSymbols with the offending name.
+func TestInstallSymbolsMismatch(t *testing.T) {
+	e := New()
+	e.db.SymbolTable().Intern("b")
+	err := coldRecoverSink{recoverSink{e}}.InstallSymbols([]string{"a", "b"})
+	want := `sepdl: recovering segment symbols: "a" interned as 1, want 0`
+	if err == nil || err.Error() != want {
+		t.Fatalf("InstallSymbols = %v, want %q", err, want)
+	}
+	if err := (coldRecoverSink{recoverSink{New()}}).InstallSymbols([]string{"a", "b"}); err != nil {
+		t.Fatalf("InstallSymbols on an empty table = %v", err)
+	}
+}
