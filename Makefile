@@ -70,21 +70,24 @@ crash-smoke:
 # relation snapshot tests (the index cache snapshots share with the live
 # handle, racing readers and writers) and the row-table model tests (the
 # open-addressing table against a map model, and runs that wrap the table's
-# end) 20 times, a few seconds, and replays the parser and relation fuzz
-# seed corpora. It is slower than tier-1 and meant for changes that touch
-# the engine's locking, admission, checkpoints, view repair, or relation
-# storage.
+# end) 20 times, a few seconds, and replays the parser, relation and segment
+# scan fuzz seed corpora. It is slower than tier-1 and meant for changes
+# that touch the engine's locking, admission, checkpoints, view repair, or
+# relation or segment storage.
 stress:
 	go test -race -run Concurrent -count=5 ./...
 	go test -race -count=20 -run TestCheckpointRacesBackgroundCheckpoint .
 	go test -race -count=20 -run 'TestSnapshot|TestTable|FuzzRelationOps' ./internal/rel/
-	go test -run 'Fuzz' ./internal/parser/ ./internal/rel/
+	go test -run 'Fuzz' ./internal/parser/ ./internal/rel/ ./internal/segment/
 
-# fuzz runs each parser fuzzer, and the relation-ops fuzzer (Insert, Delete,
-# Snapshot, Index and thaw against a map model), for a short budget of new
-# inputs.
+# fuzz runs each parser fuzzer, the relation-ops fuzzer (Insert, Delete,
+# Snapshot, Index and thaw against a map model), and the segment scan fuzzer
+# (prefix scans, Remaining and Contains over a built segment against a
+# sorted model, under a disabled, a one-byte and a warm block cache), for a
+# short budget of new inputs.
 fuzz:
 	go test -fuzz FuzzProgram -fuzztime 30s ./internal/parser/
 	go test -fuzz FuzzQuery -fuzztime 15s ./internal/parser/
 	go test -fuzz FuzzFacts -fuzztime 15s ./internal/parser/
 	go test -fuzz FuzzRelationOps -fuzztime 30s ./internal/rel/
+	go test -fuzz FuzzSegmentScan -fuzztime 30s ./internal/segment/

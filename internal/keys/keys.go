@@ -52,10 +52,17 @@ func DecodeTuple(b []byte, arity int) (rel.Tuple, error) {
 		return nil, fmt.Errorf("keys: row truncated: %d bytes, want %d", len(b), arity*Width)
 	}
 	t := make(rel.Tuple, arity)
-	for i := range t {
-		t[i] = rel.Value(binary.BigEndian.Uint32(b[i*Width:]))
-	}
+	DecodeValues(t, b)
 	return t, nil
+}
+
+// DecodeValues decodes len(dst) values from the front of b, Width
+// big-endian bytes each: a single row, or a whole block of rows laid end
+// to end. It panics if b holds fewer than len(dst)*Width bytes.
+func DecodeValues(dst []rel.Value, b []byte) {
+	for i := range dst {
+		dst[i] = rel.Value(binary.BigEndian.Uint32(b[i*Width:]))
+	}
 }
 
 // Compare orders two tuples of the same arity column-major, matching

@@ -62,6 +62,39 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeValuesRoundTrip: a block of rows encoded back to back with
+// AppendTuple decodes with one DecodeValues call into the same values, in
+// row-major order, and a short buffer panics rather than reading garbage.
+func TestDecodeValuesRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	const rows, arity = 37, 3
+	var enc []byte
+	var want []rel.Value
+	for i := 0; i < rows; i++ {
+		tp := make(rel.Tuple, arity)
+		for j := range tp {
+			tp[j] = rel.Value(rng.Int31())
+		}
+		tp[i%arity] = 1<<31 - 1 // every column sees the top of the range
+		enc = AppendTuple(enc, tp)
+		want = append(want, tp...)
+	}
+	got := make([]rel.Value, rows*arity)
+	DecodeValues(got, enc)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("value %d (row %d col %d) = %d, want %d", i, i/arity, i%arity, got[i], want[i])
+		}
+	}
+	DecodeValues(nil, nil) // zero values from an empty buffer is fine
+	defer func() {
+		if recover() == nil {
+			t.Fatal("DecodeValues over a short buffer did not panic")
+		}
+	}()
+	DecodeValues(make([]rel.Value, 2), enc[:7])
+}
+
 // TestPrefixRunIsContiguous: after Sort, the tuples matching a bound
 // prefix occupy one contiguous run, and ComparePrefix brackets it.
 func TestPrefixRunIsContiguous(t *testing.T) {

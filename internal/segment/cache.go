@@ -10,7 +10,8 @@ import (
 
 // Cache is the byte-budgeted LRU of decoded data blocks, shared by every
 // open Set of a codec: the disk-warm working set. Keys are (set id, block
-// offset); charged size is the decoded footprint, not the on-disk bytes.
+// offset); a block is held as one flat, pointer-free value array and
+// charged 4 B per value, equal to the block's on-disk payload.
 // A budget <= 0 disables retention (every probe is a miss), which is what
 // the disk-cold benchmark mode uses. Counters are atomic so Stats can be
 // read without stalling readers.
@@ -32,16 +33,17 @@ type cacheKey struct {
 
 type cacheEntry struct {
 	key  cacheKey
-	rows []rel.Tuple
-	size int64
+	vals []rel.Value
 }
 
-// NewCache returns a cache with the given decoded-byte budget.
+func (e *cacheEntry) size() int64 { return int64(len(e.vals)) * rel.ValueBytes }
+
+// NewCache returns a cache with the given byte budget.
 func NewCache(budget int64) *Cache {
 	return &Cache{budget: budget, ll: list.New(), items: make(map[cacheKey]*list.Element)}
 }
 
-func (c *Cache) get(set uint64, off int64) ([]rel.Tuple, bool) {
+func (c *Cache) get(set uint64, off int64) ([]rel.Value, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[cacheKey{set, off}]
@@ -51,10 +53,10 @@ func (c *Cache) get(set uint64, off int64) ([]rel.Tuple, bool) {
 	}
 	c.hits.Add(1)
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).rows, true
+	return el.Value.(*cacheEntry).vals, true
 }
 
-func (c *Cache) put(set uint64, off int64, rows []rel.Tuple, size int64) {
+func (c *Cache) put(set uint64, off int64, vals []rel.Value) {
 	if c.budget <= 0 {
 		return
 	}
@@ -64,8 +66,9 @@ func (c *Cache) put(set uint64, off int64, rows []rel.Tuple, size int64) {
 	if _, ok := c.items[key]; ok {
 		return // a racing reader decoded it first
 	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, rows: rows, size: size})
-	c.bytes += size
+	ent := &cacheEntry{key: key, vals: vals}
+	c.items[key] = c.ll.PushFront(ent)
+	c.bytes += ent.size()
 	for c.bytes > c.budget {
 		back := c.ll.Back()
 		if back == nil || back == c.ll.Front() {
@@ -74,7 +77,7 @@ func (c *Cache) put(set uint64, off int64, rows []rel.Tuple, size int64) {
 		e := back.Value.(*cacheEntry)
 		c.ll.Remove(back)
 		delete(c.items, e.key)
-		c.bytes -= e.size
+		c.bytes -= e.size()
 	}
 }
 
@@ -88,7 +91,7 @@ func (c *Cache) dropSet(set uint64) {
 		if e.key.set == set {
 			c.ll.Remove(el)
 			delete(c.items, e.key)
-			c.bytes -= e.size
+			c.bytes -= e.size()
 		}
 		el = next
 	}

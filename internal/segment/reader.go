@@ -139,10 +139,14 @@ func (s *Set) parseIndex(idx []byte, idxOff int64) error {
 		if crc32.Checksum(payload, castagnoli) != m.crc {
 			return fmt.Errorf("segment: %s: symbol block checksum mismatch", s.path)
 		}
-		br := &reader{b: payload}
-		for i := uint32(0); i < m.count; i++ {
-			n := br.uvarint()
-			s.syms = append(s.syms, string(br.take(int(n))))
+		// Every name is a substring of one string per block: recovery
+		// allocates once per block, not once per symbol.
+		blob, br := string(payload), &reader{b: payload}
+		for i := uint32(0); i < m.count && br.err == nil; i++ {
+			n := int(br.uvarint())
+			if br.take(n); br.err == nil {
+				s.syms = append(s.syms, blob[br.off-n:br.off])
+			}
 		}
 		if br.err != nil {
 			return fmt.Errorf("segment: %s: %v", s.path, br.err)
@@ -214,12 +218,13 @@ func (s *Set) Close() error {
 	return err
 }
 
-// readBlock fetches, CRC-checks, and decodes one data block, consulting
-// the shared cache first.
-func (s *Set) readBlock(pm *predMeta, bi int) ([]rel.Tuple, error) {
+// readBlock fetches, CRC-checks, and decodes one data block into a flat
+// row-major value array (row i is row(vals, arity, i)), consulting the
+// shared cache first.
+func (s *Set) readBlock(pm *predMeta, bi int) ([]rel.Value, error) {
 	m := &pm.blocks[bi]
-	if rows, ok := s.cache.get(s.id, m.off); ok {
-		return rows, nil
+	if vals, ok := s.cache.get(s.id, m.off); ok {
+		return vals, nil
 	}
 	payload := make([]byte, m.len)
 	if _, err := s.f.ReadAt(payload, m.off); err != nil {
@@ -229,34 +234,30 @@ func (s *Set) readBlock(pm *predMeta, bi int) ([]rel.Tuple, error) {
 	if crc32.Checksum(payload, castagnoli) != m.crc {
 		return nil, fmt.Errorf("segment: %s: block at %d: checksum mismatch", s.path, m.off)
 	}
-	width := pm.arity * keys.Width
-	if width == 0 || int(m.count)*width != len(payload) {
+	if pm.arity == 0 || int(m.count)*pm.arity*keys.Width != len(payload) {
 		return nil, fmt.Errorf("segment: %s: block at %d: %d bytes for %d arity-%d rows", s.path, m.off, len(payload), m.count, pm.arity)
 	}
-	rows := make([]rel.Tuple, m.count)
-	backing := make([]rel.Value, int(m.count)*pm.arity)
-	for i := range rows {
-		t := backing[i*pm.arity : (i+1)*pm.arity : (i+1)*pm.arity]
-		for j := range t {
-			off := i*width + j*keys.Width
-			t[j] = rel.Value(uint32(payload[off])<<24 | uint32(payload[off+1])<<16 | uint32(payload[off+2])<<8 | uint32(payload[off+3]))
-		}
-		rows[i] = rel.Tuple(t)
-	}
-	size := int64(len(backing))*4 + int64(len(rows))*24
-	s.cache.put(s.id, m.off, rows, size)
-	return rows, nil
+	vals := make([]rel.Value, int(m.count)*pm.arity)
+	keys.DecodeValues(vals, payload)
+	s.cache.put(s.id, m.off, vals)
+	return vals, nil
 }
 
 // mustBlock is readBlock for cursor pull paths, which have no error
 // channel: a failed read panics, and the engine's query-boundary recovery
 // turns the panic into an internal-error result for that query alone.
-func (s *Set) mustBlock(pm *predMeta, bi int) []rel.Tuple {
-	rows, err := s.readBlock(pm, bi)
+func (s *Set) mustBlock(pm *predMeta, bi int) []rel.Value {
+	vals, err := s.readBlock(pm, bi)
 	if err != nil {
 		panic(err)
 	}
-	return rows
+	return vals
+}
+
+// row is row i of a flat arity-a block. The full slice expression caps
+// it, so appending to a yielded tuple cannot overwrite the next row.
+func row(vals []rel.Value, a, i int) rel.Tuple {
+	return rel.Tuple(vals[i*a : (i+1)*a : (i+1)*a])
 }
 
 // Table is the rel.ColdBase view of one predicate inside a Set.
@@ -284,11 +285,12 @@ func (t *Table) Contains(tp rel.Tuple) bool {
 	if bi == len(blocks) || keys.Compare(blocks[bi].first, tp) > 0 {
 		return false
 	}
-	rows := t.s.mustBlock(t.pm, bi)
-	ri := sort.Search(len(rows), func(i int) bool {
-		return keys.Compare(rows[i], tp) >= 0
+	vals, a := t.s.mustBlock(t.pm, bi), t.pm.arity
+	n := len(vals) / a
+	ri := sort.Search(n, func(i int) bool {
+		return keys.Compare(row(vals, a, i), tp) >= 0
 	})
-	return ri < len(rows) && keys.Compare(rows[ri], tp) == 0
+	return ri < n && keys.Compare(row(vals, a, ri), tp) == 0
 }
 
 // Scan returns a cursor over the tuples whose leading columns equal
@@ -332,42 +334,40 @@ func (c *unitCursor) Remaining() int { return c.n - c.served }
 type rangeCursor struct {
 	t      *Table
 	prefix []rel.Value
-	bi, hi int // block window [bi, hi)
-	rows   []rel.Tuple
-	pos    int
-	rem    int // upper bound on rows left (boundary blocks overcount)
+	bi, hi int         // blocks [bi, hi) are still to be loaded
+	vals   []rel.Value // the loaded block, flat
+	off    int         // offset in vals of the next row
+	rem    int         // upper bound on rows left (boundary blocks overcount)
 	served int
 }
 
 func (c *rangeCursor) Next() (rel.Tuple, bool) {
+	a := c.t.pm.arity
 	for {
-		if c.rows == nil {
-			if c.bi >= c.hi {
-				c.rem = c.served // exhausted: the bound is now exact
-				return nil, false
-			}
-			c.rows = c.t.s.mustBlock(c.t.pm, c.bi)
-			c.pos = 0
-			if len(c.prefix) > 0 {
-				// Skip straight to the range start within the block.
-				c.pos = sort.Search(len(c.rows), func(i int) bool {
-					return keys.ComparePrefix(c.rows[i], c.prefix) >= 0
-				})
-			}
-		}
-		if c.pos < len(c.rows) {
-			tp := c.rows[c.pos]
+		if end := c.off + a; end <= len(c.vals) {
+			tp := rel.Tuple(c.vals[c.off:end:end])
 			if len(c.prefix) > 0 && keys.ComparePrefix(tp, c.prefix) != 0 {
-				c.bi, c.rows = c.hi, nil // past the run: exhausted for good
+				c.bi, c.vals = c.hi, nil // past the run: exhausted for good
 				c.rem = c.served
 				return nil, false
 			}
-			c.pos++
+			c.off = end
 			c.served++
 			return tp, true
 		}
+		if c.bi >= c.hi {
+			c.rem = c.served // exhausted: the bound is now exact
+			return nil, false
+		}
+		// Every load advances bi, so an empty block cannot stall the loop.
+		c.vals, c.off = c.t.s.mustBlock(c.t.pm, c.bi), 0
 		c.bi++
-		c.rows = nil
+		if len(c.prefix) > 0 {
+			// Skip straight to the range start within the block.
+			c.off = a * sort.Search(len(c.vals)/a, func(i int) bool {
+				return keys.ComparePrefix(row(c.vals, a, i), c.prefix) >= 0
+			})
+		}
 	}
 }
 
