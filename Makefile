@@ -48,8 +48,8 @@ bench:
 bench-verify:
 	cd benchmark && go vet ./... && go test -race ./...
 
-# serve-smoke boots a real sepdld process, answers a query and a prepared
-# batch over HTTP, SIGTERMs it mid-load, and asserts 503 + Retry-After
+# serve-smoke boots a real sepdld process, answers a query and a batch
+# over HTTP, SIGTERMs it mid-load, and asserts 503 + Retry-After
 # shedding during the drain window plus a clean exit 0.
 serve-smoke:
 	go run ./cmd/servesmoke

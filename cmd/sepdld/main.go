@@ -2,9 +2,9 @@
 // process whose plan and closure caches stay warm across requests, with
 // the overload behaviour a shared endpoint needs — admission control
 // surfacing as 503 + Retry-After, per-request budgets as 429/408,
-// per-client token-bucket quotas, server-side prepared handles with an
-// idle reaper, Prometheus /metrics, and graceful drain on SIGTERM
-// (finish in-flight, reject new with 503, exit 0).
+// per-client token-bucket quotas, Prometheus /metrics, and graceful drain
+// on SIGTERM (finish in-flight, reject new with 503, exit 0). The server
+// keeps no per-client state between requests beyond the quota buckets.
 //
 // Usage:
 //
@@ -20,7 +20,7 @@
 // partial database. -program/-facts only bootstrap an empty data dir;
 // recovered state wins on later restarts.
 //
-// Endpoints: POST /v1/{query,batch,prepare,execute,close,facts,load};
+// Endpoints: POST /v1/{query,batch,facts,load};
 // GET /healthz, /readyz, /metrics. See internal/server for wire formats.
 //
 // On SIGTERM or SIGINT the server drains: /readyz flips to 503 so load
@@ -84,9 +84,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 
 		quotaRPS   = fs.Float64("quota-rps", 0, "per-client requests/second (X-Sepdl-Client or remote IP); 0 disables quotas")
 		quotaBurst = fs.Int("quota-burst", 0, "per-client burst allowance; 0 = 2x quota-rps")
-
-		preparedTTL = fs.Duration("prepared-ttl", 5*time.Minute, "idle lifetime of a prepared handle before the reaper closes it")
-		maxPrepared = fs.Int("max-prepared", 1024, "cap on live prepared handles")
 
 		maxBody      = fs.Int64("max-body", 1<<20, "cap on request body bytes")
 		retryAfter   = fs.Duration("retry-after", time.Second, "backoff hint on 503 responses")
@@ -171,12 +168,9 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		MaxBytes:        *maxBytes,
 		QuotaRPS:        *quotaRPS,
 		QuotaBurst:      *quotaBurst,
-		PreparedTTL:     *preparedTTL,
-		MaxPrepared:     *maxPrepared,
 		MaxBodyBytes:    *maxBody,
 		RetryAfter:      *retryAfter,
 	})
-	defer srv.Close()
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

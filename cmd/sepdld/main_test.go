@@ -3,11 +3,13 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -76,8 +78,7 @@ func listenAddr(t *testing.T, out *syncWriter) string {
 }
 
 // TestServeQueryDrainExit drives the full lifecycle in-process: boot,
-// answer a query and a prepared execute over real HTTP, SIGTERM, drain,
-// exit 0.
+// answer a query and a batch over real HTTP, SIGTERM, drain, exit 0.
 func TestServeQueryDrainExit(t *testing.T) {
 	rules, facts := writeFixture(t)
 	var stdout, stderr syncWriter
@@ -101,28 +102,24 @@ func TestServeQueryDrainExit(t *testing.T) {
 		t.Fatalf("query: %d %s", resp.StatusCode, body)
 	}
 
-	// Prepared round trip.
-	resp, err = http.Post(base+"/v1/prepare", "application/json",
-		strings.NewReader(`{"form": "path(v0, Y)?"}`))
+	// One batch: two constants of the same form in one seeded fixpoint.
+	resp, err = http.Post(base+"/v1/batch", "application/json",
+		strings.NewReader(`{"queries": ["path(v0, Y)?", "path(v5, Y)?"]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
-	_, rest, ok := strings.Cut(string(body), `"handle":"`)
-	if !ok {
-		t.Fatalf("prepare response: %s", body)
+	var batch struct {
+		Results []struct {
+			Rows [][]string `json:"rows"`
+		} `json:"results"`
 	}
-	handle, _, _ := strings.Cut(rest, `"`)
-	resp, err = http.Post(base+"/v1/execute", "application/json",
-		strings.NewReader(`{"handle": "`+handle+`", "param_sets": [["v0"], ["v5"]]}`))
-	if err != nil {
-		t.Fatal(err)
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &batch) != nil || len(batch.Results) != 2 {
+		t.Fatalf("batch: %d %s", resp.StatusCode, body)
 	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"results"`)) {
-		t.Fatalf("execute: %d %s", resp.StatusCode, body)
+	if !slices.ContainsFunc(batch.Results[0].Rows, func(r []string) bool { return slices.Contains(r, "v10") }) {
+		t.Fatalf("batch v0 answer missing chain end v10: %s", body)
 	}
 
 	// SIGTERM: drain and exit clean.
@@ -146,16 +143,24 @@ func TestServeQueryDrainExit(t *testing.T) {
 }
 
 func TestUsageErrors(t *testing.T) {
-	var stdout, stderr syncWriter
-	sig := make(chan os.Signal)
-	if code := run(nil, &stdout, &stderr, sig); code != 2 {
-		t.Fatalf("no -program: exit = %d", code)
+	cases := []struct {
+		args   []string
+		code   int
+		stderr string
+	}{
+		{nil, 2, "-program is required"},
+		{[]string{"-program", "no-such-file.dl"}, 1, "no-such-file.dl"},
+		// A retired flag is a usage error, never silently ignored.
+		{[]string{"-prepared-ttl", "1m"}, 2, "flag provided but not defined: -prepared-ttl"},
 	}
-	if !strings.Contains(stderr.String(), "-program is required") {
-		t.Fatalf("stderr: %s", stderr.String())
-	}
-	if code := run([]string{"-program", "no-such-file.dl"}, &stdout, &stderr, sig); code != 1 {
-		t.Fatalf("missing file: exit = %d", code)
+	for _, tc := range cases {
+		var stdout, stderr syncWriter
+		if code := run(tc.args, &stdout, &stderr, make(chan os.Signal)); code != tc.code {
+			t.Errorf("%q: exit = %d, want %d", tc.args, code, tc.code)
+		}
+		if !strings.Contains(stderr.String(), tc.stderr) {
+			t.Errorf("%q: stderr lacks %q:\n%s", tc.args, tc.stderr, stderr.String())
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Command servesmoke is the end-to-end smoke test behind make serve-smoke:
 // it boots a real sepdld process on a loopback port, answers a query and a
-// prepared batch over HTTP, then SIGTERMs the server mid-load and asserts
+// batch over HTTP, then SIGTERMs the server mid-load and asserts
 // a clean drain — exit 0, the drain report on stdout, in-flight requests
 // answered, new ones shed with 503 + Retry-After.
 //
@@ -12,6 +12,7 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -19,6 +20,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -108,26 +110,27 @@ func smoke(bin string, stdout io.Writer) error {
 		return fmt.Errorf("query answer missing chain end: %s", body)
 	}
 
-	// One prepared batch: prepare, cut the handle out of the response,
-	// execute two parameter sets in one seeded fixpoint.
-	body, err = post(base+"/v1/prepare", `{"form": "path(v0, Y)?"}`)
+	// One batch: two constants of the same form in one seeded fixpoint.
+	body, err = post(base+"/v1/batch", `{"queries": ["path(v0, Y)?", "path(v25, Y)?"]}`)
 	if err != nil {
-		return fmt.Errorf("prepare: %w", err)
+		return fmt.Errorf("batch: %w", err)
 	}
-	_, rest, ok := strings.Cut(body, `"handle":"`)
-	if !ok {
-		return fmt.Errorf("prepare response has no handle: %s", body)
+	var batch struct {
+		Results []struct {
+			Rows [][]string `json:"rows"`
+		} `json:"results"`
 	}
-	handle, _, _ := strings.Cut(rest, `"`)
-	body, err = post(base+"/v1/execute",
-		`{"handle": "`+handle+`", "param_sets": [["v0"], ["v25"]]}`)
-	if err != nil {
-		return fmt.Errorf("execute: %w", err)
+	if err := json.Unmarshal([]byte(body), &batch); err != nil {
+		return fmt.Errorf("batch response not JSON: %v: %s", err, body)
 	}
-	if !strings.Contains(body, `"results"`) {
-		return fmt.Errorf("execute response has no results: %s", body)
+	if len(batch.Results) != 2 {
+		return fmt.Errorf("batch returned %d results, want 2: %s", len(batch.Results), body)
 	}
-	fmt.Fprintln(stdout, "servesmoke: query and prepared batch answered")
+	end := fmt.Sprintf("v%d", chain)
+	if !slices.ContainsFunc(batch.Results[0].Rows, func(r []string) bool { return slices.Contains(r, end) }) {
+		return fmt.Errorf("batch v0 answer missing chain end %s: %s", end, body)
+	}
+	fmt.Fprintln(stdout, "servesmoke: query and batch answered")
 
 	// Background load, then SIGTERM mid-flight. After the drain flips,
 	// every response must be a clean outcome: 200 (admitted before the

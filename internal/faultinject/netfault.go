@@ -146,6 +146,8 @@ func MalformedJSON() [][]byte {
 		[]byte(`{"query": ["p(X)?"]}`),
 		[]byte(`"just a string"`),
 		[]byte(`{"query": "p(X)?"} trailing garbage {`),
+		[]byte(`{"query": "p(X)?"}}`),
+		[]byte(`{"query": "p(X)?"}]`),
 		[]byte("\x00\x01\x02\xff\xfe"),
 		[]byte(`{"deadline_ms": "soon"}`),
 		deep,

@@ -34,10 +34,7 @@ func newChaosServer(t *testing.T, e *sepdl.Engine, readTO, writeTO time.Duration
 	ts.Config.ReadTimeout = readTO
 	ts.Config.WriteTimeout = writeTO
 	ts.Start()
-	t.Cleanup(func() {
-		ts.Close()
-		s.Close()
-	})
+	t.Cleanup(ts.Close)
 	return s, ts
 }
 

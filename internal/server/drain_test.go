@@ -25,10 +25,10 @@ func TestDrainMidLoad(t *testing.T) {
 
 	const workers = 8
 	var (
-		wg        sync.WaitGroup
-		stop      atomic.Bool
-		ok200     atomic.Int64
-		shed503   atomic.Int64
+		wg         sync.WaitGroup
+		stop       atomic.Bool
+		ok200      atomic.Int64
+		shed503    atomic.Int64
 		unexpected atomic.Int64
 	)
 	for i := 0; i < workers; i++ {
@@ -115,24 +115,35 @@ func TestDrainMidLoad(t *testing.T) {
 	}
 }
 
-// TestDrainRacesPreparedHandle pins the satellite case: a handle prepared
-// before drain must fail Run with the typed drain error — promptly, not
-// by hanging or panicking.
-func TestDrainRacesPreparedHandle(t *testing.T) {
+// TestDrainShedsEveryEndpoint: once draining, every /v1 endpoint sheds
+// at the HTTP layer with the typed drain 503 + Retry-After, before any
+// request reaches the engine.
+func TestDrainShedsEveryEndpoint(t *testing.T) {
 	leakcheck.Check(t)
 	s, ts := newTestServer(t, newTestEngine(t, 10), Config{})
-
-	_, _, v := post(t, ts.URL+"/v1/prepare", `{"form": "path(v0, Y)?"}`)
-	handle := v["handle"].(string)
-
 	s.StartDrain()
 
-	// The execute is shed at the HTTP layer before it touches the handle.
-	code, _, v := post(t, ts.URL+"/v1/execute", `{"handle": "`+handle+`", "params": []}`)
-	if code != http.StatusServiceUnavailable || errClass(t, v) != "drain" {
-		t.Fatalf("execute during drain: %d %v", code, v)
+	cases := []struct{ path, body string }{
+		{"/v1/query", `{"query": "path(v0, Y)?"}`},
+		{"/v1/batch", `{"queries": ["path(v0, Y)?", "path(v5, Y)?"]}`},
+		{"/v1/facts", `{"facts": "e(v10, v11)."}`},
+		{"/v1/load", `{"program": "reach(Y) :- path(v0, Y)."}`},
 	}
-	if got := s.Engine().Stats().InFlight; got != 0 {
-		t.Fatalf("InFlight = %d", got)
+	for _, tc := range cases {
+		t.Run(tc.path, func(t *testing.T) {
+			code, hdr, v := post(t, ts.URL+tc.path, tc.body)
+			if code != http.StatusServiceUnavailable || errClass(t, v) != "drain" {
+				t.Fatalf("%s during drain: %d %v", tc.path, code, v)
+			}
+			if hdr.Get("Retry-After") == "" {
+				t.Fatalf("%s drain rejection carries no Retry-After", tc.path)
+			}
+			if got := s.Engine().Stats().InFlight; got != 0 {
+				t.Fatalf("InFlight = %d", got)
+			}
+		})
+	}
+	if n := s.Engine().NumFacts(); n != 10 {
+		t.Fatalf("NumFacts = %d after shed writes, want 10", n)
 	}
 }

@@ -36,8 +36,6 @@ import (
 //	                                segment-backed checkpoints)
 //	sepdld_http_requests_total{endpoint,code}  responses sent
 //	sepdld_quota_rejections_total   requests shed by per-client quotas
-//	sepdld_prepared_handles         gauge: live prepared handles
-//	sepdld_prepared_reaped_total    handles expired by the idle reaper
 //	sepdld_quota_clients            gauge: live quota buckets
 //	sepdld_draining                 gauge: 1 once StartDrain was called
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -110,8 +108,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Unlock()
 
 	counter("sepdld_quota_rejections_total", "Requests shed by per-client quotas.", quotaRejects)
-	gauge("sepdld_prepared_handles", "Live prepared handles.", int64(s.prepared.len()))
-	counter("sepdld_prepared_reaped_total", "Prepared handles expired by the idle reaper.", s.prepared.reapedCount())
 	gauge("sepdld_quota_clients", "Live per-client quota buckets.", int64(s.quotas.len()))
 	draining := int64(0)
 	if s.Draining() {

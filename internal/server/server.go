@@ -5,15 +5,15 @@
 // (caps) or 408 (deadlines) via the shared internal/errcode table,
 // per-client token-bucket quotas shed hostile clients before they reach
 // the engine, and drain mode turns SIGTERM into "finish in-flight, reject
-// new, exit clean".
+// new, exit clean". Beyond the quota buckets the server keeps no state
+// between requests: the engine's plan cache is what compiles a repeated
+// query form once, and /v1/batch runs many constants of one form in one
+// seeded fixpoint.
 //
 // Endpoints (all /v1 bodies are JSON; responses carry application/json):
 //
 //	POST /v1/query    one query                       {"query": "p(a, X)?", ...}
 //	POST /v1/batch    many queries, one fixpoint      {"queries": [...], ...}
-//	POST /v1/prepare  compile a form, get a handle    {"form": "p(a, X)?", ...}
-//	POST /v1/execute  run a prepared handle           {"handle": "...", "params": [...]} or {"param_sets": [[...], ...]}
-//	POST /v1/close    release a prepared handle       {"handle": "..."}
 //	POST /v1/facts    ingest ground facts             {"facts": "e(a, b). e(b, c)."}
 //	POST /v1/load     append program rules            {"program": "p(X,Y) :- e(X,Y)."}
 //	GET  /healthz     liveness (200 while the process runs)
@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -55,11 +56,6 @@ type Config struct {
 	// X-Sepdl-Client header, falling back to the remote IP.
 	QuotaRPS   float64
 	QuotaBurst int
-	// PreparedTTL is how long an idle prepared handle lives before the
-	// reaper closes it (default 5m); MaxPrepared bounds live handles
-	// (default 1024).
-	PreparedTTL time.Duration
-	MaxPrepared int
 	// MaxBodyBytes bounds request bodies (default 1 MiB).
 	MaxBodyBytes int64
 	// RetryAfter is the backoff hint attached to 503 overload and drain
@@ -73,12 +69,6 @@ func (c *Config) applyDefaults() {
 	if c.QuotaBurst <= 0 {
 		c.QuotaBurst = int(2 * c.QuotaRPS)
 	}
-	if c.PreparedTTL == 0 {
-		c.PreparedTTL = 5 * time.Minute
-	}
-	if c.MaxPrepared <= 0 {
-		c.MaxPrepared = 1024
-	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
 	}
@@ -91,14 +81,13 @@ func (c *Config) applyDefaults() {
 }
 
 // Server is the HTTP handler wrapping one Engine. Construct with New,
-// serve via ServeHTTP (it implements http.Handler), drain with
-// StartDrain, and Close when done to stop the handle reaper.
+// serve via ServeHTTP (it implements http.Handler) and drain with
+// StartDrain.
 type Server struct {
-	eng      *sepdl.Engine
-	cfg      Config
-	mux      *http.ServeMux
-	prepared *preparedReg
-	quotas   *quotas
+	eng    *sepdl.Engine
+	cfg    Config
+	mux    *http.ServeMux
+	quotas *quotas
 
 	mu           sync.Mutex
 	httpCodes    map[string]uint64 // "endpoint|status" → responses sent
@@ -113,15 +102,11 @@ func New(eng *sepdl.Engine, cfg Config) *Server {
 		eng:       eng,
 		cfg:       cfg,
 		mux:       http.NewServeMux(),
-		prepared:  newPreparedReg(cfg.PreparedTTL, cfg.MaxPrepared, cfg.now),
 		quotas:    newQuotas(cfg.QuotaRPS, cfg.QuotaBurst, cfg.now),
 		httpCodes: make(map[string]uint64),
 	}
 	s.mux.Handle("/v1/query", s.apiHandler("/v1/query", s.handleQuery))
 	s.mux.Handle("/v1/batch", s.apiHandler("/v1/batch", s.handleBatch))
-	s.mux.Handle("/v1/prepare", s.apiHandler("/v1/prepare", s.handlePrepare))
-	s.mux.Handle("/v1/execute", s.apiHandler("/v1/execute", s.handleExecute))
-	s.mux.Handle("/v1/close", s.apiHandler("/v1/close", s.handleClose))
 	s.mux.Handle("/v1/facts", s.apiHandler("/v1/facts", s.handleFacts))
 	s.mux.Handle("/v1/load", s.apiHandler("/v1/load", s.handleLoad))
 	s.mux.Handle("/healthz", s.plainHandler("/healthz", s.handleHealthz))
@@ -145,12 +130,10 @@ func (s *Server) Draining() bool { return s.eng.Draining() }
 // Engine returns the wrapped engine (for smoke tools and tests).
 func (s *Server) Engine() *sepdl.Engine { return s.eng }
 
-// PreparedHandles returns the number of live prepared handles.
-func (s *Server) PreparedHandles() int { return s.prepared.len() }
-
-// Close stops the prepared-handle reaper. It does not drain; call
-// StartDrain first for a graceful stop.
-func (s *Server) Close() { s.prepared.shutdown() }
+// Close is a no-op: the server owns no goroutine or resource to release.
+// It stays only for callers that still invoke it; call StartDrain for a
+// graceful stop.
+func (s *Server) Close() {}
 
 // apiHandler wraps a /v1 endpoint with the serving-layer checks every
 // request must pass, in shed-cheapest-first order: method, drain, quota,
@@ -208,8 +191,8 @@ func clientKey(r *http.Request) string {
 	return host
 }
 
-// queryOpts are the per-request evaluation options shared by query,
-// batch, prepare, and execute bodies.
+// queryOpts are the per-request evaluation options shared by query and
+// batch bodies.
 type queryOpts struct {
 	Strategy   string `json:"strategy,omitempty"`
 	Relaxed    bool   `json:"relaxed,omitempty"`
@@ -330,7 +313,7 @@ type errorJSON struct {
 
 type errorBody struct {
 	// Class is the errcode class ("overload", "resource", ...) or a
-	// server-local one ("quota", "unknown_handle", "method_not_allowed").
+	// server-local one ("quota", "body_too_large", "method_not_allowed").
 	Class   string `json:"class"`
 	Message string `json:"message"`
 	// RetryAfterMS mirrors the Retry-After header with millisecond
@@ -376,23 +359,26 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
-				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit), 0)
-			return false
+	err := dec.Decode(v)
+	if err == nil {
+		// Only EOF may follow the value. dec.More is not enough: it reports
+		// false before a stray '}' or ']'.
+		if _, err = dec.Token(); err == io.EOF {
+			return true
 		}
-		s.writeError(w, http.StatusBadRequest, string(errcode.BadRequest),
-			fmt.Sprintf("malformed request body: %v", err), 0)
+		if err == nil {
+			err = errors.New("trailing data after JSON body")
+		}
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		s.writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
+			fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit), 0)
 		return false
 	}
-	if dec.More() {
-		s.writeError(w, http.StatusBadRequest, string(errcode.BadRequest),
-			"trailing data after JSON body", 0)
-		return false
-	}
-	return true
+	s.writeError(w, http.StatusBadRequest, string(errcode.BadRequest),
+		fmt.Sprintf("malformed request body: %v", err), 0)
+	return false
 }
 
 type queryRequest struct {
@@ -445,95 +431,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		out.Results[i] = toResultJSON(res)
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-type prepareRequest struct {
-	Form string `json:"form"`
-	queryOpts
-}
-
-type prepareResponse struct {
-	Handle    string `json:"handle"`
-	NumParams int    `json:"num_params"`
-	// ExpiresAfterMS is the idle TTL after which the reaper closes the
-	// handle; each execute resets the clock.
-	ExpiresAfterMS int64 `json:"expires_after_ms"`
-}
-
-func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
-	var req prepareRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if req.Form == "" {
-		s.writeError(w, http.StatusBadRequest, string(errcode.BadRequest), `missing "form"`, 0)
-		return
-	}
-	p, err := s.eng.Prepare(req.Form, s.options(req.queryOpts)...)
-	if err != nil {
-		s.writeEngineError(w, err)
-		return
-	}
-	id, err := s.prepared.add(p, req.Form)
-	if err != nil {
-		s.writeError(w, http.StatusTooManyRequests, "handle_limit", err.Error(), s.cfg.RetryAfter)
-		return
-	}
-	writeJSON(w, http.StatusOK, prepareResponse{
-		Handle: id, NumParams: p.NumParams(), ExpiresAfterMS: s.cfg.PreparedTTL.Milliseconds(),
-	})
-}
-
-type executeRequest struct {
-	Handle string `json:"handle"`
-	// Params runs the form once; ParamSets runs a batch in one fixpoint.
-	Params    []string   `json:"params,omitempty"`
-	ParamSets [][]string `json:"param_sets,omitempty"`
-}
-
-func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
-	var req executeRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	p, ok := s.prepared.get(req.Handle)
-	if !ok {
-		s.writeError(w, http.StatusNotFound, "unknown_handle",
-			fmt.Sprintf("no prepared handle %q (closed, expired, or never issued)", req.Handle), 0)
-		return
-	}
-	switch {
-	case req.ParamSets != nil:
-		results, err := p.RunBatch(r.Context(), req.ParamSets...)
-		if err != nil {
-			s.writeEngineError(w, err)
-			return
-		}
-		out := batchResponse{Results: make([]resultJSON, len(results))}
-		for i, res := range results {
-			out.Results[i] = toResultJSON(res)
-		}
-		writeJSON(w, http.StatusOK, out)
-	default:
-		res, err := p.Run(r.Context(), req.Params...)
-		if err != nil {
-			s.writeEngineError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, toResultJSON(res))
-	}
-}
-
-type closeRequest struct {
-	Handle string `json:"handle"`
-}
-
-func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
-	var req closeRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]bool{"closed": s.prepared.close(req.Handle)})
 }
 
 type factsRequest struct {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -46,20 +47,17 @@ func newTestEngine(t testing.TB, n int, opts ...sepdl.EngineOption) *sepdl.Engin
 }
 
 // newTestServer wires an engine into a Server and an httptest listener,
-// with cleanup ordered so the server is fully down before any leakcheck
+// closed on cleanup so the listener is down before any leakcheck
 // registered earlier in the test runs.
 func newTestServer(t testing.TB, e *sepdl.Engine, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(e, cfg)
 	ts := httptest.NewServer(s)
-	t.Cleanup(func() {
-		ts.Close()
-		s.Close()
-	})
+	t.Cleanup(ts.Close)
 	return s, ts
 }
 
-// fakeClock is a manual clock for quota and reaper determinism.
+// fakeClock is a manual clock for quota determinism.
 type fakeClock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -98,6 +96,22 @@ func post(t testing.TB, url string, body string) (int, http.Header, map[string]a
 		}
 	}
 	return resp.StatusCode, resp.Header, v
+}
+
+// sortedRows renders a result document's rows as sorted comma-joined
+// strings, so answers from different endpoints compare as sets.
+func sortedRows(t testing.TB, res map[string]any) []string {
+	t.Helper()
+	var out []string
+	for _, r := range res["rows"].([]any) {
+		var cells []string
+		for _, c := range r.([]any) {
+			cells = append(cells, c.(string))
+		}
+		out = append(out, strings.Join(cells, ","))
+	}
+	slices.Sort(out)
+	return out
 }
 
 // errClass digs the error class out of a parsed error document.
@@ -191,25 +205,36 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 }
 
+// TestBatchEndpoint runs many constants of one form in one seeded
+// fixpoint and checks every answer against the same query sent alone.
 func TestBatchEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, newTestEngine(t, 10), Config{})
-	code, _, v := post(t, ts.URL+"/v1/batch",
-		`{"queries": ["path(v0, Y)?", "path(v4, Y)?", "path(v9, Y)?"]}`)
+	queries := []string{"path(v0, Y)?", "path(v4, Y)?", "path(v9, Y)?"}
+	body, _ := json.Marshal(map[string][]string{"queries": queries})
+	code, _, v := post(t, ts.URL+"/v1/batch", string(body))
 	if code != http.StatusOK {
 		t.Fatalf("status = %d: %v", code, v)
 	}
 	results := v["results"].([]any)
-	if len(results) != 3 {
-		t.Fatalf("got %d results", len(results))
+	if len(results) != len(queries) {
+		t.Fatalf("got %d results, want %d", len(results), len(queries))
 	}
 	wantRows := []int{10, 6, 1}
 	for i, r := range results {
 		rm := r.(map[string]any)
-		if got := len(rm["rows"].([]any)); got != wantRows[i] {
-			t.Errorf("result %d: %d rows, want %d", i, got, wantRows[i])
+		code, _, single := post(t, ts.URL+"/v1/query", fmt.Sprintf(`{"query": %q}`, queries[i]))
+		if code != http.StatusOK {
+			t.Fatalf("query %s: %d %v", queries[i], code, single)
 		}
-		if bs := rm["stats"].(map[string]any)["batch_size"]; bs != float64(3) {
-			t.Errorf("result %d: batch_size = %v, want 3", i, bs)
+		got, want := sortedRows(t, rm), sortedRows(t, single)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: batch rows %v, /v1/query rows %v", queries[i], got, want)
+		}
+		if len(got) != wantRows[i] {
+			t.Errorf("%s: %d rows, want %d", queries[i], len(got), wantRows[i])
+		}
+		if bs := rm["stats"].(map[string]any)["batch_size"]; bs != float64(len(queries)) {
+			t.Errorf("%s: batch_size = %v, want %d", queries[i], bs, len(queries))
 		}
 	}
 
@@ -220,87 +245,20 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 }
 
-func TestPreparedLifecycle(t *testing.T) {
-	s, ts := newTestServer(t, newTestEngine(t, 10), Config{})
-
-	code, _, v := post(t, ts.URL+"/v1/prepare", `{"form": "path(v0, Y)?"}`)
-	if code != http.StatusOK {
-		t.Fatalf("prepare: %d %v", code, v)
-	}
-	handle := v["handle"].(string)
-	if v["num_params"] != float64(1) {
-		t.Fatalf("num_params = %v", v["num_params"])
-	}
-	if s.PreparedHandles() != 1 {
-		t.Fatalf("PreparedHandles = %d", s.PreparedHandles())
-	}
-
-	code, _, v = post(t, ts.URL+"/v1/execute",
-		fmt.Sprintf(`{"handle": %q, "params": ["v4"]}`, handle))
-	if code != http.StatusOK || len(v["rows"].([]any)) != 6 {
-		t.Fatalf("execute: %d %v", code, v)
-	}
-
-	code, _, v = post(t, ts.URL+"/v1/execute",
-		fmt.Sprintf(`{"handle": %q, "param_sets": [["v0"], ["v8"]]}`, handle))
-	if code != http.StatusOK {
-		t.Fatalf("execute batch: %d %v", code, v)
-	}
-	if results := v["results"].([]any); len(results) != 2 {
-		t.Fatalf("batch results = %d", len(results))
-	}
-
-	code, _, v = post(t, ts.URL+"/v1/close", fmt.Sprintf(`{"handle": %q}`, handle))
-	if code != http.StatusOK || v["closed"] != true {
-		t.Fatalf("close: %d %v", code, v)
-	}
-	code, _, v = post(t, ts.URL+"/v1/execute",
-		fmt.Sprintf(`{"handle": %q, "params": ["v4"]}`, handle))
-	if code != http.StatusNotFound || errClass(t, v) != "unknown_handle" {
-		t.Fatalf("execute after close: %d %v", code, v)
-	}
-}
-
-func TestPreparedReaping(t *testing.T) {
-	clock := newFakeClock()
-	s, ts := newTestServer(t, newTestEngine(t, 5), Config{PreparedTTL: time.Minute, now: clock.now})
-
-	_, _, v := post(t, ts.URL+"/v1/prepare", `{"form": "path(v0, Y)?"}`)
-	stale := v["handle"].(string)
-	_, _, v = post(t, ts.URL+"/v1/prepare", `{"form": "path(v1, Y)?"}`)
-	fresh := v["handle"].(string)
-
-	// The fresh handle is touched inside the TTL; the stale one is not.
-	clock.advance(40 * time.Second)
-	if code, _, _ := post(t, ts.URL+"/v1/execute", fmt.Sprintf(`{"handle": %q, "params": ["v1"]}`, fresh)); code != http.StatusOK {
-		t.Fatalf("touch fresh: %d", code)
-	}
-	clock.advance(40 * time.Second)
-	if n := s.prepared.reap(); n != 1 {
-		t.Fatalf("reap removed %d handles, want 1", n)
-	}
-	if code, _, _ := post(t, ts.URL+"/v1/execute", fmt.Sprintf(`{"handle": %q, "params": ["v1"]}`, fresh)); code != http.StatusOK {
-		t.Fatalf("fresh handle reaped early: %d", code)
-	}
-	code, _, v := post(t, ts.URL+"/v1/execute", fmt.Sprintf(`{"handle": %q, "params": ["v0"]}`, stale))
-	if code != http.StatusNotFound || errClass(t, v) != "unknown_handle" {
-		t.Fatalf("stale handle survived: %d %v", code, v)
-	}
-	if got := s.prepared.reapedCount(); got != 1 {
-		t.Fatalf("reapedCount = %d", got)
-	}
-}
-
-func TestPreparedHandleLimit(t *testing.T) {
-	_, ts := newTestServer(t, newTestEngine(t, 5), Config{MaxPrepared: 2})
-	for i := 0; i < 2; i++ {
-		if code, _, v := post(t, ts.URL+"/v1/prepare", `{"form": "path(v0, Y)?"}`); code != http.StatusOK {
-			t.Fatalf("prepare %d: %d %v", i, code, v)
+// TestNoHandleEndpoints pins the stateless surface: no route issues,
+// runs or closes a server-side query handle.
+func TestNoHandleEndpoints(t *testing.T) {
+	_, ts := newTestServer(t, newTestEngine(t, 3), Config{})
+	for _, path := range []string{"/v1/prepare", "/v1/execute", "/v1/close"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(`{"form": "path(v0, Y)?"}`))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	code, _, v := post(t, ts.URL+"/v1/prepare", `{"form": "path(v0, Y)?"}`)
-	if code != http.StatusTooManyRequests || errClass(t, v) != "handle_limit" {
-		t.Fatalf("over-limit prepare: %d %v", code, v)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s = %d, want 404", path, resp.StatusCode)
+		}
 	}
 }
 
@@ -498,7 +456,6 @@ func TestHealthzReadyzMetrics(t *testing.T) {
 		"sepdl_store_segment_read_bytes_total 0",
 		`sepdld_http_requests_total{endpoint="/v1/query",code="200"} 2`,
 		`sepdld_http_requests_total{endpoint="/v1/query",code="429"} 1`,
-		"sepdld_prepared_handles 0",
 		"sepdld_draining 0",
 	}
 	for _, w := range wantSubstr {
