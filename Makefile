@@ -68,20 +68,24 @@ crash-smoke:
 # stress repeats the concurrent-serving tests under the race detector,
 # runs the forced-vs-background checkpoint race 20 times, repeats the
 # relation snapshot tests (the index cache snapshots share with the live
-# handle, racing readers and writers) and the row-table model tests (the
+# handle, racing readers and writers), the row-table model tests (the
 # open-addressing table against a map model, and runs that wrap the table's
-# end) 20 times, a few seconds, and replays the parser, relation and segment
-# scan fuzz seed corpora. It is slower than tier-1 and meant for changes
-# that touch the engine's locking, admission, checkpoints, view repair, or
-# relation or segment storage.
+# end), the flat-storage tests (nullary rows, FromRows copying, allocation
+# counts of inserts and scans) and the relation fuzz seeds (which also
+# check full and index scans, and that snapshot row views stay frozen
+# under live-handle writes) 20 times, a few seconds, and replays the
+# parser, relation and segment scan fuzz seed corpora. It is slower than
+# tier-1 and meant for changes that touch the engine's locking, admission,
+# checkpoints, view repair, or relation or segment storage.
 stress:
 	go test -race -run Concurrent -count=5 ./...
 	go test -race -count=20 -run TestCheckpointRacesBackgroundCheckpoint .
-	go test -race -count=20 -run 'TestSnapshot|TestTable|FuzzRelationOps' ./internal/rel/
+	go test -race -count=20 -run 'TestSnapshot|TestTable|TestZeroArity|TestFromRowsCopies|TestInsertAllocs|FuzzRelationOps' ./internal/rel/
 	go test -run 'Fuzz' ./internal/parser/ ./internal/rel/ ./internal/segment/
 
 # fuzz runs each parser fuzzer, the relation-ops fuzzer (Insert, Delete,
-# Snapshot, Index and thaw against a map model), and the segment scan fuzzer
+# Snapshot, Index and thaw against a map model, checking lookups, full and
+# index scans, and frozen snapshot rows), and the segment scan fuzzer
 # (prefix scans, Remaining and Contains over a built segment against a
 # sorted model, under a disabled, a one-byte and a warm block cache), for a
 # short budget of new inputs.

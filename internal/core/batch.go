@@ -200,7 +200,8 @@ func (e *evaluator) batchPartial(qs []ast.Atom, sel Selection, sinks []*eval.Ans
 func (e *evaluator) deliverBatch(res *rel.Relation, tagCols []int, driverCols []int, driverVals []rel.Tuple, outCols []int, sinks []*eval.AnswerSink) {
 	tagW := 1 + len(tagCols)
 	full := make(rel.Tuple, e.a.Arity)
-	for _, t := range res.Rows() {
+	for k := range res.Len() {
+		t := res.Row(k)
 		i := int(t[0])
 		for j, p := range driverCols {
 			full[p] = driverVals[i][j]

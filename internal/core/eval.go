@@ -224,7 +224,7 @@ func (e *evaluator) run(driverCols []int, phase1Class, excludePhase2 int, seeds 
 			var tag rel.Tuple
 			// Streaming sink: each emission lands in the reused row buffer
 			// and only tuples absent from the frozen seen set materialize
-			// (Insert clones). The ablation reproduces the old pipeline:
+			// (Insert copies). The ablation reproduces the old pipeline:
 			// a fresh allocation per emission, dedup deferred to the
 			// round-boundary difference.
 			sink := func(out rel.Tuple) {
@@ -238,7 +238,8 @@ func (e *evaluator) run(driverCols []int, phase1Class, excludePhase2 int, seeds 
 					next.Insert(row)
 				}
 			}
-			for _, t := range carry1.Rows() {
+			for i := range carry1.Len() {
+				t := carry1.Row(i)
 				tag = t[:tagW]
 				vals := t[tagW:]
 				for _, run := range runners {
@@ -294,7 +295,8 @@ func (e *evaluator) run(driverCols []int, phase1Class, excludePhase2 int, seeds 
 			}
 			carry2.Insert(append(append(initRow[:0], tag...), out...))
 		}
-		for _, t := range seen1.Rows() {
+		for i := range seen1.Len() {
+			t := seen1.Row(i)
 			tag = t[:tagW]
 			run.Apply(src, t[tagW:], sink)
 		}
@@ -397,7 +399,8 @@ func (e *evaluator) partial(q ast.Atom, sel Selection, sink *eval.AnswerSink) er
 // are overwritten by the tag.
 func (e *evaluator) deliver(res *rel.Relation, tagW int, tagCols []int, driverCols []int, driverVals rel.Tuple, outCols []int, sink *eval.AnswerSink) {
 	full := make(rel.Tuple, e.a.Arity)
-	for _, t := range res.Rows() {
+	for j := range res.Len() {
+		t := res.Row(j)
 		for i, p := range driverCols {
 			full[p] = driverVals[i]
 		}

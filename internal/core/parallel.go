@@ -121,9 +121,9 @@ type classReach struct {
 	sets   []*rel.Relation
 }
 
-// lookup returns the closure rows reachable from seed row t's class
-// projection.
-func (cr *classReach) lookup(t rel.Tuple, tagW int, colIdx []int) []rel.Tuple {
+// lookup returns the closure set reachable from seed row t's class
+// projection, or nil.
+func (cr *classReach) lookup(t rel.Tuple, tagW int, colIdx []int) *rel.Relation {
 	cv := make(rel.Tuple, len(colIdx))
 	for i, j := range colIdx {
 		cv[i] = t[tagW+j]
@@ -132,7 +132,7 @@ func (cr *classReach) lookup(t rel.Tuple, tagW int, colIdx []int) []rel.Tuple {
 	if !ok {
 		return nil
 	}
-	return cr.sets[idx].Rows()
+	return cr.sets[idx]
 }
 
 // classClosure computes one class's reachable set from every distinct seed
@@ -147,7 +147,8 @@ func (e *evaluator) classClosure(pc *phase2class, seeds *rel.Relation, tagW int,
 	k := len(pc.colIdx)
 	cr := &classReach{starts: make(map[string]int)}
 	var startVecs []rel.Tuple
-	for _, t := range seeds.Rows() {
+	for si := range seeds.Len() {
+		t := seeds.Row(si)
 		cv := make(rel.Tuple, k)
 		for i, j := range pc.colIdx {
 			cv[i] = t[tagW+j]
@@ -213,7 +214,8 @@ func (e *evaluator) classClosure(pc *phase2class, seeds *rel.Relation, tagW int,
 				next.Insert(row)
 			}
 		}
-		for _, t := range carry.Rows() {
+		for i := range carry.Len() {
+			t := carry.Row(i)
 			tag = t[:1]
 			for _, run := range runners {
 				run.Apply(src, t[1:], sink)
@@ -231,10 +233,12 @@ func (e *evaluator) classClosure(pc *phase2class, seeds *rel.Relation, tagW int,
 		e.bud.AddDerived(added, 1+k)
 	}
 
-	// Split the joint closure by tag into per-start sets (tuple storage is
-	// shared with the seen rows, which nothing mutates) and publish them.
+	// Split the joint closure by tag into per-start sets (FromRows copies
+	// the row views, which stay valid because nothing mutates seen) and
+	// publish them.
 	rowsByTag := make([][]rel.Tuple, len(missIdx))
-	for _, t := range seen.Rows() {
+	for i := range seen.Len() {
+		t := seen.Row(i)
 		mi := int(t[0])
 		rowsByTag[mi] = append(rowsByTag[mi], t[1:])
 	}
@@ -275,30 +279,39 @@ func (e *evaluator) runPhase2Product(p2 []phase2class, carry2, seen2 *rel.Relati
 	}
 
 	// Sequential product merge: every seed row crossed with one reachable
-	// vector per class. The tick keeps huge products cancellable.
+	// vector per class, assembled in one reused buffer (Insert copies).
+	// The tick keeps huge products cancellable.
 	tick := e.bud.TickFunc()
 	added := 0
-	for _, t := range carry2.Rows() {
-		row := t.Clone()
-		var rec func(ci int)
-		rec = func(ci int) {
-			if ci == len(p2) {
-				if tick != nil {
-					tick()
-				}
-				if seen2.Insert(row) {
-					added++
-				}
-				return
+	row := make(rel.Tuple, carry2.Arity())
+	var t rel.Tuple
+	var rec func(ci int)
+	rec = func(ci int) {
+		if ci == len(p2) {
+			if tick != nil {
+				tick()
 			}
-			pc := &p2[ci]
-			for _, rv := range closures[ci].lookup(t, tagW, pc.colIdx) {
-				for k, j := range pc.colIdx {
-					row[tagW+j] = rv[k]
-				}
-				rec(ci + 1)
+			if seen2.Insert(row) {
+				added++
 			}
+			return
 		}
+		pc := &p2[ci]
+		set := closures[ci].lookup(t, tagW, pc.colIdx)
+		if set == nil {
+			return
+		}
+		for ri := range set.Len() {
+			rv := set.Row(ri)
+			for k, j := range pc.colIdx {
+				row[tagW+j] = rv[k]
+			}
+			rec(ci + 1)
+		}
+	}
+	for i := range carry2.Len() {
+		t = carry2.Row(i)
+		copy(row, t)
 		rec(0)
 	}
 	e.col.AddInserted(added)
@@ -346,7 +359,8 @@ func (e *evaluator) runPhase2Loop(p2 []phase2class, carry2, seen2 *rel.Relation,
 				next.Insert(row)
 			}
 		}
-		for _, t := range carry2.Rows() {
+		for i := range carry2.Len() {
+			t := carry2.Row(i)
 			base = t
 			vals := t[tagW:]
 			for ci := range p2 {

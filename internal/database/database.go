@@ -92,11 +92,14 @@ func (db *Database) SetCold(pred string, arity int, base rel.ColdBase) error {
 	return nil
 }
 
-// OverlayBytes estimates the resident footprint of the in-RAM overlays —
-// the memtable size a durable engine compares against its flush budget.
-// Each overlay tuple costs its cells plus per-tuple slice/map overhead.
+// OverlayBytes is the memtable size a durable engine compares against its
+// flush budget: each overlay tuple is charged its cells plus a fixed
+// per-row flush charge. The charge is not the tuple's resident footprint
+// (rows are stored flat, at their cells alone, plus a row-table slot); it
+// is kept constant because it sets the flush cadence, and with it the
+// segment count, disk bytes per fact and recovery time.
 func (db *Database) OverlayBytes() int64 {
-	const tupleOverhead = 48 // slice header + set key + rows entry, roughly
+	const tupleOverhead = 48 // fixed per-row flush charge, in bytes
 	var n int64
 	for _, r := range db.rels {
 		n += int64(r.OverlayLen()) * (int64(r.Arity())*rel.ValueBytes + tupleOverhead)

@@ -259,22 +259,26 @@ func Answer(db *database.Database, q ast.Atom) (*rel.Relation, error) {
 		constCols = append(constCols, i)
 		constVals = append(constVals, v)
 	}
-	candidates := r.Rows()
-	if len(constCols) > 0 {
-		candidates = r.Index(constCols).Lookup(constVals)
-	}
 	row := make(rel.Tuple, len(vars))
-next:
-	for _, t := range candidates {
+	emit := func(t rel.Tuple) {
 		for i, arg := range q.Args {
 			if arg.IsVar() && t[varPos[arg.Name]] != t[i] {
-				continue next // repeated query variable mismatch
+				return // repeated query variable mismatch
 			}
 		}
 		for j, v := range vars {
 			row[j] = t[varPos[v]]
 		}
 		out.Insert(row)
+	}
+	if len(constCols) > 0 {
+		for _, t := range r.Index(constCols).Lookup(constVals) {
+			emit(t)
+		}
+	} else {
+		for i := range r.Len() {
+			emit(r.Row(i))
+		}
 	}
 	return out, nil
 }

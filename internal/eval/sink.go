@@ -12,6 +12,7 @@ import (
 // tuple by tuple (Separable, Counting, Henschen–Naqvi) share it.
 type AnswerSink struct {
 	out      *rel.Relation
+	row      rel.Tuple // projection buffer; Insert copies it
 	varPos   []int
 	consts   []int
 	constVal []rel.Value
@@ -36,6 +37,7 @@ func NewAnswerSink(q ast.Atom, syms *symtab.Table) *AnswerSink {
 		}
 	}
 	s.out = rel.New(len(s.varPos))
+	s.row = make(rel.Tuple, len(s.varPos))
 	return s
 }
 
@@ -52,11 +54,10 @@ func (s *AnswerSink) Add(full rel.Tuple) {
 			return
 		}
 	}
-	row := make(rel.Tuple, len(s.varPos))
 	for i, p := range s.varPos {
-		row[i] = full[p]
+		s.row[i] = full[p]
 	}
-	s.out.Insert(row)
+	s.out.Insert(s.row)
 }
 
 // Result returns the accumulated answer relation.

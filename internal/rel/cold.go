@@ -42,8 +42,8 @@ type coldState struct {
 }
 
 // rows materializes the base into RAM exactly once. Paths that need the
-// full row slice — non-prefix index builds, Rows(), checkpoint rendering —
-// pay this; the streaming executor never does.
+// full row slice — non-prefix index builds, Rows(), Row, thaw, checkpoint
+// rendering — pay this; the streaming executor never does.
 func (c *coldState) rows() []Tuple {
 	c.once.Do(func() {
 		out := make([]Tuple, 0, c.base.Len())
@@ -80,12 +80,12 @@ func (r *Relation) Cold() ColdBase {
 // OverlayRows returns only the in-RAM overlay rows — the tuples inserted
 // since the relation was rebased onto its cold base (all rows for a fully
 // resident relation). This is the memtable content a checkpoint flush
-// merges with the cold base into the next segment. Callers must not
-// modify the returned tuples.
-func (r *Relation) OverlayRows() []Tuple { return r.rows }
+// merges with the cold base into the next segment. The slice is fresh and
+// the caller's to reorder; the tuples are row views it must not modify.
+func (r *Relation) OverlayRows() []Tuple { return r.g.rows(r.arity) }
 
 // OverlayLen reports the number of overlay rows (see OverlayRows).
-func (r *Relation) OverlayLen() int { return len(r.rows) }
+func (r *Relation) OverlayLen() int { return r.g.n }
 
 // thaw materializes the cold base into the in-RAM overlay, turning r back
 // into a fully resident relation with identical content. It is the
@@ -97,10 +97,10 @@ func (r *Relation) OverlayLen() int { return len(r.rows) }
 // before the thaw keep the old cache.
 func (r *Relation) thaw() {
 	base := r.cold.rows()
-	rows := make([]Tuple, 0, len(base)+len(r.rows))
+	rows := make([]Tuple, 0, len(base)+r.g.n)
 	rows = append(rows, base...)
-	rows = append(rows, r.rows...)
+	rows = append(rows, r.g.rows(r.arity)...)
 	thawed := FromRows(r.arity, rows)
-	r.rows, r.set, r.idx, r.cold, r.shared = thawed.rows, thawed.set, thawed.idx, nil, false
+	r.g, r.cold, r.shared = thawed.g, nil, false
 	r.all.Store(nil)
 }

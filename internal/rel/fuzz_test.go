@@ -34,8 +34,11 @@ func (m relModel) clone() relModel {
 // FuzzRelationOps decodes bytes into Insert, Delete, Snapshot, Index and
 // cold-tuple Delete (thaw) ops on one relation and, after every op, checks
 // the live handle and every earlier snapshot against a map model: Len,
-// Contains over the whole value domain, sorted Rows, and — for every index
-// column set opened so far — Lookup of every key and Buckets.
+// Contains over the whole value domain, sorted Rows, a drained Scan, and —
+// for every index column set opened so far — Lookup and a drained
+// Index.Scan of every key, and Buckets. Before each live-handle Insert or
+// Delete it also takes a row view from the newest snapshot and checks
+// afterwards that the write left the view unchanged.
 //
 // Encoding: data[0] sizes the cold base (data[0]%16 tuples; 0 means a
 // fully resident relation); then each op is three bytes, op%6 and two
@@ -45,6 +48,10 @@ func FuzzRelationOps(f *testing.F) {
 	f.Add(wrapDeleteSeed())
 	f.Add([]byte{5, 0, 9, 9, 3, 0, 0, 2, 0, 0, 4, 1, 0, 0, 1, 2, 1, 9, 9, 3, 1, 0, 3, 2, 0})
 	f.Add([]byte{0, 3, 0, 0, 0, 1, 1, 0, 1, 2, 2, 0, 0, 1, 1, 1, 3, 1, 0, 0, 1, 2, 1, 1, 1})
+	// A cold base under three overlay rows and a non-prefix index (a
+	// private flat copy of base and overlay); deleting the first overlay
+	// row moves the last one, in the relation and in that copy.
+	f.Add([]byte{3, 0, 5, 5, 0, 6, 6, 0, 7, 7, 3, 1, 0, 1, 5, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 2048 {
 			return
@@ -72,6 +79,13 @@ func FuzzRelationOps(f *testing.F) {
 		for i := 1; i+2 < len(data); i += 3 {
 			x, y := rel.Value(data[i+1]%fuzzDomain), rel.Value(data[i+2]%fuzzDomain)
 			k := [2]rel.Value{x, y}
+			// A row view of the newest snapshot, which no write through
+			// the live handle may change.
+			var view, was rel.Tuple
+			if n := len(snaps); n > 0 && snaps[n-1].Len() > 0 {
+				view = snaps[n-1].Row(int(x) % snaps[n-1].Len())
+				was = view.Clone()
+			}
 			switch data[i] % 6 {
 			case 0, 5:
 				if got := r.Insert(rel.Tuple{x, y}); got == m.rows[k] {
@@ -94,6 +108,9 @@ func FuzzRelationOps(f *testing.F) {
 				}
 			}
 			op := (i - 1) / 3
+			if !view.Equal(was) {
+				t.Fatalf("op %d: a live-handle write changed snapshot row %v to %v", op, was, view)
+			}
 			checkHandle(t, op, "live", r, m, opened)
 			for j, s := range snaps {
 				checkHandle(t, op, "snapshot", s, models[j], opened)
@@ -136,6 +153,9 @@ func checkHandle(t *testing.T, op int, which string, r *rel.Relation, m relModel
 	if got := sortedRows(r.Rows()); !equalRows(got, want) {
 		t.Fatalf("op %d: %s Rows = %v, model %v", op, which, got, want)
 	}
+	if got := sortedRows(drainScan(r.Scan())); !equalRows(got, want) {
+		t.Fatalf("op %d: %s Scan = %v, model %v", op, which, got, want)
+	}
 	for ci, cols := range fuzzCols {
 		if !opened[ci] {
 			continue
@@ -165,9 +185,21 @@ func checkHandle(t *testing.T, op int, which string, r *rel.Relation, m relModel
 				if !equalRows(got, want) {
 					t.Fatalf("op %d: %s Index(%v).Lookup(%v) = %v, model %v", op, which, cols, vals, got, want)
 				}
+				if got := sortedRows(drainScan(idx.Scan(vals))); !equalRows(got, want) {
+					t.Fatalf("op %d: %s Index(%v).Scan(%v) = %v, model %v", op, which, cols, vals, got, want)
+				}
 			}
 		}
 	}
+}
+
+// drainScan collects every tuple s yields.
+func drainScan(s rel.Scan) []rel.Tuple {
+	var out []rel.Tuple
+	for t, ok := s.Next(); ok; t, ok = s.Next() {
+		out = append(out, t)
+	}
+	return out
 }
 
 // fuzzKey is k's index key under cols, padded to two values.

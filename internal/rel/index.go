@@ -2,18 +2,21 @@ package rel
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
 // Index is a hash index over a subset of a relation's columns: a table
 // (see table) maps each key's hash to a 1-based position in keys, the flat
-// key values (len(cols) per bucket), and in buckets, the matching tuples in
-// insertion order. A bucket emptied by deletes keeps its key and slot until
-// the index is rebuilt. Indexes are built lazily by Relation.Index, once
-// per storage generation, and shared by every snapshot of it. A built
-// Index is immutable once its generation is shared and safe for concurrent
-// Lookup — the isolation contract every snapshot provides.
+// key values (len(cols) per bucket), and in buckets, the 1-based positions
+// of the matching rows in src, in insertion order. Buckets are pointer-free
+// int32 lists; rows are read through src when a probe yields them. A
+// bucket emptied by deletes keeps its key and slot until the index is
+// rebuilt. Indexes are built lazily by Relation.Index, once per storage
+// generation, and shared by every snapshot of it. A built Index is
+// immutable once its generation is shared and safe for concurrent probes
+// — the isolation contract every snapshot provides.
 //
 // On a cold relation there are two builds. When cols is a leading prefix
 // (0, 1, ..., k-1), the order-preserving key encoding makes the matching
@@ -21,62 +24,59 @@ import (
 // the cold base and buckets only the in-RAM overlay: a probe is a range
 // scan of the segment merged with the overlay bucket, and the build never
 // pulls the base into RAM. Any other column set has no contiguous range,
-// so the build materializes the relation once and buckets everything —
-// the hash join needs the build side resident anyway.
+// so the build materializes the base once (shared by every generation),
+// copies its rows, then the overlay rows, into a private flat store and
+// buckets everything — the hash join needs the build side resident
+// anyway. Later overlay inserts and deletes are mirrored into that copy.
 type Index struct {
 	cols    []int
+	arity   int
 	tab     table
 	keys    []Value
-	buckets [][]Tuple
-	live    int      // non-empty buckets
-	cold    ColdBase // non-nil for a bound-prefix index over a cold relation
+	buckets [][]int32
+	live    int // non-empty buckets
+	// src holds the rows bucket positions refer to: the generation's
+	// store, or a private copy (own) whose first off rows are the cold
+	// base's and the rest mirror the overlay.
+	src  *store
+	own  bool
+	off  int
+	cold ColdBase // non-nil for a bound-prefix index over a cold relation
 }
 
-// keyBufLen sizes the stack buffer Relation.Index builds its cache key in
-// (see colsKey): 16 columns fit without a heap allocation, wider column
-// lists spill transparently. A per-call buffer (instead of a scratch field)
-// keeps Index safe for any number of concurrent readers of one snapshot.
-const keyBufLen = 64
-
-// colsKey appends a fixed-width binary encoding of the column list to dst
-// and returns it. It replaces the old fmt.Sprintf/strings.Join rendering:
-// the key is only ever a map key, so a 4-byte integer encoding (injective
-// for any realistic arity) avoids the per-call formatting allocations on
-// what is the entry ticket to every index probe in the join loops.
-func colsKey(dst []byte, cols []int) []byte {
-	for _, c := range cols {
-		dst = append(dst, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
-	}
-	return dst
-}
-
-// idxCache holds a relation's lazily built indexes. Reads go through an
-// atomic pointer to an immutable map, so any number of concurrent readers
-// can hit warm indexes without locking; building a missing index swaps in
-// a copied map under the mutex (copy-on-write). The zero value is ready to
-// use.
+// idxCache holds a relation's lazily built indexes. Relations carry one to
+// three, so the cache is a list matched by column list. Reads go through
+// an atomic pointer to an immutable slice, so any number of concurrent
+// readers can hit warm indexes without locking; building a missing index
+// swaps in a copied slice under the mutex (copy-on-write). The zero value
+// is ready to use.
 type idxCache struct {
 	mu sync.Mutex
-	p  atomic.Pointer[map[string]*Index]
+	p  atomic.Pointer[[]*Index]
 }
 
-// load returns the current index map (nil when no index exists yet).
-func (c *idxCache) load() map[string]*Index {
-	if m := c.p.Load(); m != nil {
-		return *m
+// load returns the current indexes (nil when none exists yet).
+func (c *idxCache) load() []*Index {
+	if p := c.p.Load(); p != nil {
+		return *p
 	}
 	return nil
 }
 
-// insert publishes a new index under key; the caller must hold mu.
-func (c *idxCache) insert(key string, idx *Index) {
-	old := c.load()
-	m := make(map[string]*Index, len(old)+1)
-	for k, v := range old {
-		m[k] = v
+// lookup returns the index over exactly cols, or nil.
+func (c *idxCache) lookup(cols []int) *Index {
+	for _, idx := range c.load() {
+		if slices.Equal(idx.cols, cols) {
+			return idx
+		}
 	}
-	m[key] = idx
-	c.p.Store(&m)
+	return nil
+}
+
+// insert publishes a new index; the caller must hold mu.
+func (c *idxCache) insert(idx *Index) {
+	l := append(slices.Clip(c.load()), idx)
+	c.p.Store(&l)
 }
 
 // Index returns a hash index over cols, building it on first use in this
@@ -87,44 +87,44 @@ func (c *idxCache) insert(key string, idx *Index) {
 // concurrently: warm hits are lock-free, and a cold build is serialized
 // internally.
 func (r *Relation) Index(cols []int) *Index {
-	var buf [keyBufLen]byte
-	key := colsKey(buf[:0], cols)
-	if m := r.idx.load(); m != nil {
-		if idx, ok := m[string(key)]; ok {
-			return idx
-		}
+	if idx := r.g.idx.lookup(cols); idx != nil {
+		return idx
 	}
-	return r.buildIndex(cols, string(key))
+	return r.buildIndex(cols)
 }
 
 // buildIndex constructs and publishes the index for cols under the cache
 // mutex, so two readers racing on a cold index build it once.
-func (r *Relation) buildIndex(cols []int, key string) *Index {
+func (r *Relation) buildIndex(cols []int) *Index {
 	for _, c := range cols {
 		if c < 0 || c >= r.arity {
 			panic(fmt.Sprintf("rel: index column %d out of range for arity %d", c, r.arity))
 		}
 	}
-	r.idx.mu.Lock()
-	defer r.idx.mu.Unlock()
-	if m := r.idx.load(); m != nil {
-		if idx, ok := m[key]; ok {
-			return idx
-		}
+	g := r.g
+	g.idx.mu.Lock()
+	defer g.idx.mu.Unlock()
+	if idx := g.idx.lookup(cols); idx != nil {
+		return idx
 	}
-	idx := &Index{cols: append([]int(nil), cols...)}
-	rows := r.rows
-	if r.cold != nil && leadingPrefix(cols) {
+	idx := &Index{cols: slices.Clone(cols), arity: r.arity, src: g}
+	switch {
+	case r.cold == nil:
+	case leadingPrefix(cols):
 		// Bound-prefix over cold data: bucket only the overlay and range-
 		// scan the segment at probe time. The base stays on disk.
 		idx.cold = r.cold.base
-	} else {
-		rows = r.Rows()
+	default:
+		base := r.cold.rows()
+		idx.src, idx.own, idx.off = &store{vals: make([]Value, 0, (len(base)+g.n)*r.arity)}, true, len(base)
+		for _, t := range base {
+			idx.add(t, 0)
+		}
 	}
-	for _, t := range rows {
-		idx.add(t)
+	for i := range g.n {
+		idx.add(g.row(i, r.arity), i+1)
 	}
-	r.idx.insert(key, idx)
+	g.idx.insert(idx)
 	return idx
 }
 
@@ -161,64 +161,92 @@ func (idx *Index) find(t Tuple) (h uint32, slot, pos int) {
 	return h, slot, pos
 }
 
-func (idx *Index) add(t Tuple) {
-	h, slot, pos := idx.find(t)
-	if pos == 0 {
+// add buckets row t at 1-based position pos. A private store appends t
+// itself and buckets it at its own next position instead.
+func (idx *Index) add(t Tuple, pos int) {
+	if idx.own {
+		idx.src.push(t)
+		pos = idx.src.n
+	}
+	h, slot, b := idx.find(t)
+	if b == 0 {
 		for _, c := range idx.cols {
 			idx.keys = append(idx.keys, t[c])
 		}
 		idx.buckets = append(idx.buckets, nil)
-		pos = len(idx.buckets)
-		idx.tab.put(slot, h, pos)
+		b = len(idx.buckets)
+		idx.tab.put(slot, h, b)
 	}
-	if len(idx.buckets[pos-1]) == 0 {
+	if len(idx.buckets[b-1]) == 0 {
 		idx.live++
 	}
-	idx.buckets[pos-1] = append(idx.buckets[pos-1], t)
+	idx.buckets[b-1] = append(idx.buckets[b-1], int32(pos))
 }
 
-func (idx *Index) remove(t Tuple) {
-	_, _, pos := idx.find(t)
-	if pos == 0 {
-		return
+// remove mirrors Relation.Delete: row t at position pos leaves its bucket,
+// and row moved, which the relation moves from position last into the
+// hole, is repointed in its bucket. It must run before the relation
+// overwrites the hole.
+func (idx *Index) remove(t Tuple, pos int, moved Tuple, last int) {
+	if idx.own {
+		pos, last = pos+idx.off, last+idx.off
 	}
-	bucket := idx.buckets[pos-1]
-	for i, row := range bucket {
-		if row.Equal(t) {
-			last := len(bucket) - 1
-			bucket[i] = bucket[last]
-			idx.buckets[pos-1] = bucket[:last]
-			if last == 0 {
-				idx.buckets[pos-1] = nil
+	if _, _, b := idx.find(t); b != 0 {
+		bucket := idx.buckets[b-1]
+		if i := slices.Index(bucket, int32(pos)); i >= 0 {
+			n := len(bucket) - 1
+			bucket[i] = bucket[n]
+			idx.buckets[b-1] = bucket[:n]
+			if n == 0 {
+				idx.buckets[b-1] = nil
 				idx.live--
 			}
-			return
 		}
+	}
+	if pos != last {
+		if _, _, b := idx.find(moved); b != 0 {
+			bucket := idx.buckets[b-1]
+			if i := slices.Index(bucket, int32(last)); i >= 0 {
+				bucket[i] = int32(pos)
+			}
+		}
+	}
+	if idx.own {
+		s := idx.src
+		copy(s.row(pos-1, idx.arity), s.row(last-1, idx.arity))
+		s.vals = s.vals[:len(s.vals)-idx.arity]
+		s.n--
 	}
 }
 
 // Lookup returns the tuples whose indexed columns equal vals, which must
-// have one value per indexed column. The returned slice must not be
-// modified. The probe only reads the index, so concurrent readers of one
-// index never interfere. On a bound-prefix cold index the matching cold
-// range is drained into a fresh slice per call — callers that can consume
-// incrementally should prefer Scan, which streams it.
+// have one value per indexed column, as a fresh slice of row views the
+// caller must not modify. The probe only reads the index, so concurrent
+// readers of one index never interfere. On a bound-prefix cold index the
+// matching cold range comes first. Callers that can consume
+// incrementally should prefer Scan, which allocates nothing on a resident
+// index and streams the cold range.
 func (idx *Index) Lookup(vals []Value) []Tuple {
 	bucket := idx.bucket(vals)
-	if idx.cold == nil {
-		return bucket
+	var out []Tuple
+	if idx.cold != nil {
+		cur := idx.cold.Scan(vals)
+		out = make([]Tuple, 0, cur.Remaining()+len(bucket))
+		for t, ok := cur.Next(); ok; t, ok = cur.Next() {
+			out = append(out, t)
+		}
+	} else if len(bucket) > 0 {
+		out = make([]Tuple, 0, len(bucket))
 	}
-	cur := idx.cold.Scan(vals)
-	out := make([]Tuple, 0, cur.Remaining()+len(bucket))
-	for t, ok := cur.Next(); ok; t, ok = cur.Next() {
-		out = append(out, t)
+	for _, p := range bucket {
+		out = append(out, idx.src.row(int(p)-1, idx.arity))
 	}
-	return append(out, bucket...)
+	return out
 }
 
-// bucket returns the overlay bucket for vals (every bucket on a fully
-// resident index).
-func (idx *Index) bucket(vals []Value) []Tuple {
+// bucket returns the row positions for vals in the in-RAM rows (every row
+// on a fully resident index).
+func (idx *Index) bucket(vals []Value) []int32 {
 	if len(vals) != len(idx.cols) {
 		panic(fmt.Sprintf("rel: index lookup with %d values for %d columns", len(vals), len(idx.cols)))
 	}

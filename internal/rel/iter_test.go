@@ -91,15 +91,3 @@ func TestIndexScan(t *testing.T) {
 		t.Fatal("bucket 2 lost tuples on reuse")
 	}
 }
-
-func TestScanOf(t *testing.T) {
-	s := ScanOf([]Tuple{{1}, {2}})
-	a, _ := s.Next()
-	b, _ := s.Next()
-	if a[0] != 1 || b[0] != 2 {
-		t.Fatalf("ScanOf order: %v, %v", a, b)
-	}
-	if _, ok := s.Next(); ok {
-		t.Fatal("exhausted ScanOf yielded")
-	}
-}

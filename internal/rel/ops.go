@@ -7,7 +7,8 @@ import "fmt"
 func (r *Relation) Project(cols []int) *Relation {
 	out := New(len(cols))
 	row := make(Tuple, len(cols))
-	for _, t := range r.Rows() {
+	for j := range r.Len() {
+		t := r.Row(j)
 		for i, c := range cols {
 			row[i] = t[c]
 		}
@@ -47,8 +48,8 @@ func (r *Relation) Difference(other *Relation) *Relation {
 		panic(fmt.Sprintf("rel: difference of arity %d and %d", r.arity, other.arity))
 	}
 	out := New(r.arity)
-	for _, t := range r.Rows() {
-		if !other.Contains(t) {
+	for i := range r.Len() {
+		if t := r.Row(i); !other.Contains(t) {
 			out.Insert(t)
 		}
 	}
@@ -76,7 +77,8 @@ func (r *Relation) Join(other *Relation, onR, onO []int) *Relation {
 	idx := other.Index(onO)
 	key := make([]Value, len(onR))
 	row := make(Tuple, r.arity+len(keep))
-	for _, t := range r.Rows() {
+	for j := range r.Len() {
+		t := r.Row(j)
 		for i, c := range onR {
 			key[i] = t[c]
 		}

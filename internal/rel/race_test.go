@@ -82,27 +82,33 @@ func TestConcurrentLazyIndexBuild(t *testing.T) {
 	}
 }
 
-// TestFromRowsSharesStorage checks the zero-copy constructor: tuples are
-// the same backing arrays, duplicates are dropped, and the result behaves
-// like a normal relation for probing.
-func TestFromRowsSharesStorage(t *testing.T) {
+// TestFromRowsCopies checks the bulk constructor: it copies the rows'
+// values, drops duplicates, and the result is independent of its source
+// and of the caller's row slices, and probes like a normal relation.
+func TestFromRowsCopies(t *testing.T) {
 	src := New(2)
 	src.Insert(Tuple{1, 2})
 	src.Insert(Tuple{3, 4})
-	rows := append([]Tuple{}, src.Rows()...)
+	rows := []Tuple{src.Row(0), src.Row(1), Tuple{5, 6}}
 	rows = append(rows, rows[0]) // duplicate
 
 	v := FromRows(2, rows)
-	if v.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", v.Len())
+	if v.Len() != 3 {
+		t.Fatalf("Len = %d, want 3", v.Len())
 	}
-	if &v.Rows()[0][0] != &src.Rows()[0][0] {
-		t.Fatal("FromRows cloned tuple storage")
+	if &v.Row(0)[0] == &src.Row(0)[0] {
+		t.Fatal("FromRows shares its source's storage")
 	}
-	if !v.Contains(Tuple{3, 4}) || v.Contains(Tuple{9, 9}) {
+	rows[2][0] = 9
+	src.Delete(Tuple{1, 2}) // moves {3, 4} into the source's first row
+	src.Insert(Tuple{7, 8})
+	if got := v.String(); got != "{(1,2) (3,4) (5,6)}" {
+		t.Fatalf("FromRows relation = %s after its sources changed", got)
+	}
+	if !v.Contains(Tuple{3, 4}) || v.Contains(Tuple{9, 6}) {
 		t.Fatal("Contains wrong on FromRows relation")
 	}
-	if got := v.Index([]int{1}).Lookup([]Value{4}); len(got) != 1 {
+	if got := v.Index([]int{1}).Lookup([]Value{4}); len(got) != 1 || !got[0].Equal(Tuple{3, 4}) {
 		t.Fatalf("Lookup on FromRows relation = %v", got)
 	}
 }

@@ -2,7 +2,9 @@
 // fixed-arity relations of interned-symbol tuples with set semantics, lazy
 // hash indexes keyed by column subsets, and the relational operators the
 // evaluation algorithms need (selection, projection, join, union,
-// difference). Relations and indexes find tuples and keys through one
+// difference). A relation stores its rows in one flat, pointer-free value
+// array and hands rows out as views into it; index buckets hold row
+// positions. Relations and indexes find tuples and keys through one
 // open-addressing table of positions (table.go) that hashes values
 // directly with a per-process seed; no tuple is encoded into a key.
 package rel
@@ -49,28 +51,36 @@ func (t Tuple) Equal(u Tuple) bool {
 }
 
 // Relation is a set of same-arity tuples with optional hash indexes. Rows
-// live in one slice in insertion order; set, an open-addressing table of
-// 1-based row positions keyed by each tuple's hash (see table), makes
-// membership, insertion and deletion O(1) without encoding tuples into
-// keys. The zero value is unusable; construct with New. Relations are not
-// safe for concurrent mutation; point-in-time isolation for concurrent
-// readers is provided by Snapshot's copy-on-write scheme. The read paths —
-// Contains, Rows, Index, Lookup — are safe for concurrent use on a
-// relation nobody is mutating, which is what lets concurrent queries and
-// the Separable evaluator's per-class workers share one snapshot.
+// live in one flat value array in insertion order, arity values per row
+// (see store); set, an open-addressing table of 1-based row positions
+// keyed by each tuple's hash (see table), makes membership, insertion and
+// deletion O(1) without encoding tuples into keys. An insert appends the
+// tuple's values: no per-row object is allocated, and the array holds no
+// pointers for the garbage collector to scan. The zero value is unusable;
+// construct with New. Relations are not safe for concurrent mutation;
+// point-in-time isolation for concurrent readers is provided by Snapshot's
+// copy-on-write scheme. The read paths — Contains, Row, Rows, Scan, Index,
+// Lookup — are safe for concurrent use on a relation nobody is mutating,
+// which is what lets concurrent queries and the Separable evaluator's
+// per-class workers share one snapshot.
+//
+// Rows are handed out as views into the value array (Row, Rows, Scan,
+// Lookup), never copies. A row handed out by an unshared handle is valid
+// until that handle's next mutation: only Delete overwrites a row in place
+// (the last row moves into the hole, and a later Insert reuses the freed
+// tail). A snapshot's rows never change.
 //
 // Indexes belong to a storage generation, not to a handle: snapshots of an
-// unmodified relation share its index cache by pointer, so an index is
-// built once however many queries probe it. The first mutation through a
-// handle whose storage is shared starts a new generation with an empty
-// cache (see detach); an unshared handle maintains its indexes in place.
+// unmodified relation share its store, index cache included, by pointer,
+// so an index is built once however many queries probe it. The first
+// mutation through a handle whose storage is shared starts a new
+// generation with an empty cache (see detach); an unshared handle
+// maintains its indexes in place.
 type Relation struct {
 	arity int
-	rows  []Tuple
-	set   table     // row positions by tuple hash; shared with snapshots
-	idx   *idxCache // shared with snapshots, like rows and set
+	g     *store // this handle's storage generation; shared with snapshots
 	// cold, when non-nil, is an immutable sorted tuple tier (a segment
-	// file's rows) underneath the in-RAM overlay: rows/set then hold only
+	// file's rows) underneath the in-RAM overlay: g then holds only
 	// tuples inserted since the last rebase, and every read merges both
 	// tiers. The coldState pointer is shared with snapshots.
 	cold *coldState
@@ -79,10 +89,47 @@ type Relation struct {
 	// never touched) when cold is nil, keeping the hot write path free of
 	// the atomic store.
 	all atomic.Pointer[[]Tuple]
-	// shared marks rows and set as aliased by at least one Snapshot; the
-	// next mutation through this handle copies them first (copy-on-write),
-	// so the aliased storage is frozen forever once a snapshot exists.
+	// shared marks g as aliased by at least one Snapshot; the next
+	// mutation through this handle copies it first (copy-on-write), so the
+	// aliased storage is frozen forever once a snapshot exists.
 	shared bool
+}
+
+// store is one storage generation of a relation's in-RAM rows, in one heap
+// object: the flat row values, the row table over them and the lazily
+// built indexes, whose buckets hold positions into vals.
+type store struct {
+	vals []Value // arity values per row, row-major
+	n    int     // rows; kept apart from len(vals), which nullary rows leave at 0
+	set  table   // 1-based row positions by tuple hash
+	idx  idxCache
+}
+
+// row returns a capped view of row i (0-based): appending to it cannot
+// overwrite the next row.
+func (s *store) row(i, arity int) Tuple {
+	o := i * arity
+	return s.vals[o : o+arity : o+arity]
+}
+
+// minRows is the row capacity a store's value array starts at, sparing the
+// small, short-lived relations of fixpoint rounds the first doublings.
+const minRows = 8
+
+// push appends t's values as a new last row.
+func (s *store) push(t Tuple) {
+	if cap(s.vals) == 0 {
+		s.vals = make([]Value, 0, minRows*len(t))
+	}
+	s.vals = append(s.vals, t...)
+	s.n++
+}
+
+// clone copies the values and the row table's slots into a new generation
+// with an empty index cache. Positions and hash tags are unchanged, so
+// nothing is rehashed.
+func (s *store) clone() *store {
+	return &store{vals: slices.Clone(s.vals), n: s.n, set: table{slots: slices.Clone(s.set.slots), n: s.set.n}}
 }
 
 // New returns an empty relation of the given arity. Arity zero is legal and
@@ -91,7 +138,7 @@ func New(arity int) *Relation {
 	if arity < 0 {
 		panic(fmt.Sprintf("rel: negative arity %d", arity))
 	}
-	return &Relation{arity: arity, idx: new(idxCache)}
+	return &Relation{arity: arity, g: new(store)}
 }
 
 // find looks t up among the overlay rows: its hash, and the table slot and
@@ -99,12 +146,13 @@ func New(arity int) *Relation {
 // ended the probe (see table.find).
 func (r *Relation) find(t Tuple) (h uint32, slot, pos int) {
 	h = hashVals(t)
-	slot, pos = r.set.find(h, func(p int) bool { return r.rows[p-1].Equal(t) })
+	vals, a := r.g.vals, r.arity
+	slot, pos = r.g.set.find(h, func(p int) bool { return Tuple(vals[(p-1)*a : p*a]).Equal(t) })
 	return h, slot, pos
 }
 
 // FromTuples builds a relation of the given arity from tuples, ignoring
-// duplicates. Tuples are cloned, so callers may reuse their slices.
+// duplicates. Values are copied, so callers may reuse their slices.
 func FromTuples(arity int, tuples []Tuple) *Relation {
 	r := New(arity)
 	for _, t := range tuples {
@@ -113,20 +161,20 @@ func FromTuples(arity int, tuples []Tuple) *Relation {
 	return r
 }
 
-// FromRows builds a relation over rows without cloning tuple storage: the
-// tuples are shared with the caller, which must treat them as immutable
-// (every tuple a Relation hands out already is). Duplicates are ignored.
-// The Separable evaluator uses it to split a joint closure into per-start
-// sets without copying every tuple.
+// FromRows builds a relation over rows, ignoring duplicates. It copies
+// the rows' values into the relation's own array, sized up front, so the
+// result is independent of rows. The Separable evaluator uses it to split
+// a joint closure into per-start sets.
 func FromRows(arity int, rows []Tuple) *Relation {
 	r := New(arity)
+	r.g.vals = make([]Value, 0, len(rows)*arity)
 	for _, t := range rows {
 		if len(t) != r.arity {
 			panic(fmt.Sprintf("rel: arity-%d row in arity-%d FromRows", len(t), r.arity))
 		}
 		if h, slot, pos := r.find(t); pos == 0 {
-			r.rows = append(r.rows, t)
-			r.set.put(slot, h, len(r.rows))
+			r.g.push(t)
+			r.g.set.put(slot, h, r.g.n)
 		}
 	}
 	return r
@@ -139,7 +187,7 @@ func (r *Relation) Arity() int { return r.arity }
 // deduplicate against the cold base, so the tiers are disjoint and the
 // count is a sum — no merge needed.
 func (r *Relation) Len() int {
-	n := len(r.rows)
+	n := r.g.n
 	if r.cold != nil {
 		n += r.cold.base.Len()
 	}
@@ -154,33 +202,32 @@ func (r *Relation) Empty() bool { return r.Len() == 0 }
 // r until either side mutates (copy-on-write). Snapshots are what make
 // concurrent queries safe: each query evaluates against its own snapshot
 // handles while writers keep mutating the original. The snapshot shares
-// r's lazy index cache, so an index any handle of this generation built
-// (or builds later) serves every other handle of it. Taking a snapshot
-// mutates r's bookkeeping, so it must be serialized with writers by the
-// caller — the engine does this under its writer lock.
+// r's store by pointer, index cache included, so an index any handle of
+// this generation built (or builds later) serves every other handle of
+// it. Taking a snapshot mutates r's bookkeeping, so it must be serialized
+// with writers by the caller — the engine does this under its writer
+// lock.
 func (r *Relation) Snapshot() *Relation {
 	r.shared = true
-	return &Relation{arity: r.arity, rows: r.rows, set: r.set, idx: r.idx, cold: r.cold, shared: true}
+	return &Relation{arity: r.arity, g: r.g, cold: r.cold, shared: true}
 }
 
-// detach un-aliases storage shared with a snapshot before a mutation: the
-// rows slice and the row table's slots are copied, one flat copy each
-// (tuples themselves are immutable and stay shared), leaving every
-// previously taken snapshot frozen. The shared index cache stays with
-// those snapshots, still describing their frozen content, and r starts
-// the new generation with an empty cache that rebuilds lazily.
+// detach un-aliases storage shared with a snapshot before a mutation: r
+// swaps in a copy of the store (one flat copy of the values, one of the
+// row table's slots), leaving every previously taken snapshot frozen on
+// the old one. The old store's index cache stays with those snapshots,
+// still describing their frozen content, and r starts the new generation
+// with an empty cache that rebuilds lazily.
 func (r *Relation) detach() {
 	if !r.shared {
 		return
 	}
-	r.rows = slices.Clone(r.rows)
-	r.set.slots = slices.Clone(r.set.slots)
-	r.idx = new(idxCache)
+	r.g = r.g.clone()
 	r.shared = false
 }
 
-// Insert adds t (cloned) and reports whether it was not already present.
-// It panics if t has the wrong arity.
+// Insert adds a copy of t's values and reports whether t was not already
+// present. It panics if t has the wrong arity.
 func (r *Relation) Insert(t Tuple) bool {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("rel: inserting arity-%d tuple into arity-%d relation", len(t), r.arity))
@@ -196,11 +243,11 @@ func (r *Relation) Insert(t Tuple) bool {
 		r.all.Store(nil)
 	}
 	r.detach()
-	c := t.Clone()
-	r.rows = append(r.rows, c)
-	r.set.put(slot, h, len(r.rows))
-	for _, idx := range r.idx.load() {
-		idx.add(c)
+	g := r.g
+	g.push(t)
+	g.set.put(slot, h, g.n)
+	for _, idx := range g.idx.load() {
+		idx.add(t, g.n)
 	}
 	return true
 }
@@ -212,8 +259,8 @@ func (r *Relation) InsertAll(other *Relation) int {
 		panic(fmt.Sprintf("rel: union of arity %d and %d", r.arity, other.arity))
 	}
 	n := 0
-	for _, t := range other.Rows() {
-		if r.Insert(t) {
+	for i := range other.Len() {
+		if r.Insert(other.Row(i)) {
 			n++
 		}
 	}
@@ -221,9 +268,9 @@ func (r *Relation) InsertAll(other *Relation) int {
 }
 
 // Delete removes t and reports whether it was present. Indexes of this
-// generation are maintained, as in Insert. Row order is not preserved
-// (the last row takes the deleted row's position, and its table entry is
-// repointed there).
+// generation are maintained, as in Insert. Row order is not preserved:
+// the last row moves into the deleted row's position, and its table entry
+// and index bucket entries are repointed there.
 func (r *Relation) Delete(t Tuple) bool {
 	if len(t) != r.arity {
 		return false
@@ -242,17 +289,21 @@ func (r *Relation) Delete(t Tuple) bool {
 		r.all.Store(nil)
 	}
 	r.detach()
-	r.set.remove(slot)
-	if last := len(r.rows); pos != last {
-		moved := r.rows[last-1]
-		r.rows[pos-1] = moved
-		s, _ := r.set.find(hashVals(moved), func(p int) bool { return p == last })
-		r.set.repoint(s, pos)
+	g := r.g
+	last := g.n
+	moved := g.row(last-1, r.arity)
+	// Indexes first: t may be a view of the row the move below overwrites.
+	for _, idx := range g.idx.load() {
+		idx.remove(t, pos, moved, last)
 	}
-	r.rows = r.rows[:len(r.rows)-1]
-	for _, idx := range r.idx.load() {
-		idx.remove(t)
+	g.set.remove(slot)
+	if pos != last {
+		s, _ := g.set.find(hashVals(moved), func(p int) bool { return p == last })
+		g.set.repoint(s, pos)
+		copy(g.row(pos-1, r.arity), moved)
 	}
+	g.vals = g.vals[:len(g.vals)-r.arity]
+	g.n--
 	return true
 }
 
@@ -268,30 +319,59 @@ func (r *Relation) Contains(t Tuple) bool {
 	return r.cold != nil && r.cold.base.Contains(t)
 }
 
-// Rows returns every tuple of the relation as one slice. On a fully
-// resident relation this is the backing slice in insertion order, at zero
-// cost; on a cold relation it materializes base rows (sorted) followed by
-// overlay rows, cached until the next mutation through this handle. The
-// streaming executor avoids this path — prefer Scan where a cursor will
-// do. Callers must not modify the returned tuples.
+// Row returns row i (0 <= i < Len()) in Rows order, as a view the caller
+// must not modify. On a fully resident relation it is free, which makes
+// "for i := range r.Len() { t := r.Row(i) ... }" the allocation-free way
+// to walk every row; on a cold relation the first call materializes the
+// cold base (as Rows does).
+func (r *Relation) Row(i int) Tuple {
+	if r.cold != nil {
+		base := r.cold.rows()
+		if i < len(base) {
+			return base[i]
+		}
+		i -= len(base)
+	}
+	return r.g.row(i, r.arity)
+}
+
+// Rows returns every tuple of the relation as one slice of row views. On a
+// fully resident relation the slice is built per call, in insertion order;
+// on a cold relation it holds base rows (sorted) followed by overlay rows,
+// cached until the next mutation through this handle. Hot loops should
+// walk Row or Scan instead. Callers must not modify the returned tuples.
 func (r *Relation) Rows() []Tuple {
 	if r.cold == nil {
-		return r.rows
+		return r.g.rows(r.arity)
 	}
 	if p := r.all.Load(); p != nil {
 		return *p
 	}
 	base := r.cold.rows()
-	out := make([]Tuple, 0, len(base)+len(r.rows))
+	out := make([]Tuple, 0, len(base)+r.g.n)
 	out = append(out, base...)
-	out = append(out, r.rows...)
+	out = append(out, r.g.rows(r.arity)...)
 	r.all.Store(&out)
 	return out
 }
 
+// rows returns a view of every row, in position order.
+func (s *store) rows(arity int) []Tuple {
+	out := make([]Tuple, s.n)
+	for i := range out {
+		out[i] = s.row(i, arity)
+	}
+	return out
+}
+
 // Clone returns a deep copy of the relation (indexes are not copied).
-// Cloning a cold relation materializes it: the clone is fully resident.
+// Cloning a resident relation copies its values and row table without
+// rehashing; cloning a cold relation materializes it: the clone is fully
+// resident.
 func (r *Relation) Clone() *Relation {
+	if r.cold == nil {
+		return &Relation{arity: r.arity, g: r.g.clone()}
+	}
 	out := New(r.arity)
 	for _, t := range r.Rows() {
 		out.Insert(t)
@@ -304,8 +384,8 @@ func (r *Relation) Equal(other *Relation) bool {
 	if r.arity != other.arity || r.Len() != other.Len() {
 		return false
 	}
-	for _, t := range r.Rows() {
-		if !other.Contains(t) {
+	for i := range r.Len() {
+		if !other.Contains(r.Row(i)) {
 			return false
 		}
 	}

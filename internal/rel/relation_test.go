@@ -30,6 +30,18 @@ func TestInsertClones(t *testing.T) {
 	if !r.Contains(tp(1, 2)) {
 		t.Fatal("relation aliased caller's tuple storage")
 	}
+	// Row views are capped: appending to one cannot overwrite the next
+	// row of the flat value array.
+	r.Insert(tp(3, 4))
+	s, b := r.Scan(), r.Index([]int{0}).Scan([]Value{1})
+	scanned, _ := s.Next()
+	probed, _ := b.Next()
+	for _, v := range []Tuple{r.Row(0), r.Rows()[0], scanned, probed, r.Index([]int{0}).Lookup([]Value{1})[0]} {
+		_ = append(v, 99, 99)
+	}
+	if !r.Row(1).Equal(tp(3, 4)) {
+		t.Fatalf("appending to a row view overwrote the next row: %v", r.Row(1))
+	}
 }
 
 func TestInsertWrongArityPanics(t *testing.T) {
@@ -68,6 +80,72 @@ func TestZeroArity(t *testing.T) {
 	}
 	if !r.Contains(tp()) || r.Len() != 1 {
 		t.Fatal("nullary relation broken after insert")
+	}
+	// Every read path yields exactly one empty tuple: the row count is
+	// kept apart from the (empty) value array.
+	drain := func(name string, s Scan) {
+		t.Helper()
+		n := 0
+		for tu, ok := s.Next(); ok; tu, ok = s.Next() {
+			if len(tu) != 0 {
+				t.Fatalf("%s yielded %v", name, tu)
+			}
+			n++
+		}
+		if n != 1 {
+			t.Fatalf("%s yielded %d tuples, want 1", name, n)
+		}
+	}
+	drain("Scan", r.Scan())
+	drain("Index(nil).Scan(nil)", r.Index(nil).Scan(nil))
+	if tu := r.Row(0); len(tu) != 0 {
+		t.Fatalf("Row(0) = %v", tu)
+	}
+	if rows := r.Rows(); len(rows) != 1 || len(rows[0]) != 0 {
+		t.Fatalf("Rows = %v", rows)
+	}
+	if !r.Delete(tp()) || r.Len() != 0 || r.Contains(tp()) {
+		t.Fatal("nullary relation broken after delete")
+	}
+	if s := r.Scan(); s.Remaining() != 0 {
+		t.Fatal("empty nullary relation scan yielded")
+	}
+}
+
+// TestInsertAllocs pins the flat row storage: inserting distinct rows
+// through one reused buffer allocates only as the value array, the row
+// table and the relation itself grow, never per row; and draining a scan
+// or an index probe of a resident relation allocates nothing.
+func TestInsertAllocs(t *testing.T) {
+	const n = 1000
+	row := make(Tuple, 2)
+	allocs := testing.AllocsPerRun(10, func() {
+		r := New(2)
+		for i := range n {
+			row[0], row[1] = Value(i), Value(i%7)
+			r.Insert(row)
+		}
+	})
+	if allocs > 32 {
+		t.Fatalf("%d distinct inserts allocate %v times, want at most 32", n, allocs)
+	}
+
+	r := New(2)
+	for i := range n {
+		r.Insert(Tuple{Value(i), Value(i % 7)})
+	}
+	idx := r.Index([]int{1})
+	key := []Value{3}
+	allocs = testing.AllocsPerRun(10, func() {
+		s := r.Scan()
+		for _, ok := s.Next(); ok; _, ok = s.Next() {
+		}
+		b := idx.Scan(key)
+		for _, ok := b.Next(); ok; _, ok = b.Next() {
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("draining Scan and Index.Scan allocates %v times, want 0", allocs)
 	}
 }
 
@@ -327,6 +405,17 @@ func TestDeleteMaintainsIndexes(t *testing.T) {
 	r.Insert(tp(2, 20))
 	if got := len(idx.Lookup([]Value{2})); got != 1 {
 		t.Fatalf("reinsert after delete: %d tuples", got)
+	}
+	// Deleting through a view of the relation's own first row: the last
+	// row moves into that storage, and the index must still drop the
+	// deleted key, not the moved one.
+	r.Insert(tp(3, 30))
+	r.Delete(r.Row(0))
+	if got := idx.Lookup([]Value{1}); len(got) != 0 {
+		t.Fatalf("deleted key still indexed: %v", got)
+	}
+	if got := idx.Lookup([]Value{3}); len(got) != 1 || !got[0].Equal(tp(3, 30)) {
+		t.Fatalf("moved row's bucket = %v, want [(3,30)]", got)
 	}
 }
 

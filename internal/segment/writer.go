@@ -145,7 +145,7 @@ func writeSymbols(w *segWriter, names []string, blockBytes int) []blockMeta {
 func writePred(w *segWriter, pred string, r *rel.Relation, blockBytes int) (*predMeta, error) {
 	arity := r.Arity()
 	pm := &predMeta{name: pred, arity: arity}
-	overlay := append([]rel.Tuple(nil), r.OverlayRows()...)
+	overlay := r.OverlayRows() // a fresh slice: sorted in place
 	keys.Sort(overlay)
 
 	var buf []byte
