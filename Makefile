@@ -71,21 +71,25 @@ crash-smoke:
 # handle, racing readers and writers), the row-table model tests (the
 # open-addressing table against a map model, and runs that wrap the table's
 # end), the flat-storage tests (nullary rows, FromRows copying, allocation
-# counts of inserts and scans) and the relation fuzz seeds (which also
-# check full and index scans, and that snapshot row views stay frozen
-# under live-handle writes) 20 times, a few seconds, and replays the
+# counts of inserts and scans), the window tests (read-only windows over a
+# row range that outlive appends which reallocate the rows and grow the row
+# table) and the relation fuzz seeds (which also check full and index
+# scans, that snapshot row views stay frozen under live-handle writes, and
+# windows and their index probes against the model's rows in position
+# order) 20 times, a few seconds, and replays the
 # parser, relation and segment scan fuzz seed corpora. It is slower than
 # tier-1 and meant for changes that touch the engine's locking, admission,
 # checkpoints, view repair, or relation or segment storage.
 stress:
 	go test -race -run Concurrent -count=5 ./...
 	go test -race -count=20 -run TestCheckpointRacesBackgroundCheckpoint .
-	go test -race -count=20 -run 'TestSnapshot|TestTable|TestZeroArity|TestFromRowsCopies|TestInsertAllocs|FuzzRelationOps' ./internal/rel/
+	go test -race -count=20 -run 'TestSnapshot|TestTable|TestZeroArity|TestFromRowsCopies|TestInsertAllocs|TestWindow|FuzzRelationOps' ./internal/rel/
 	go test -run 'Fuzz' ./internal/parser/ ./internal/rel/ ./internal/segment/
 
 # fuzz runs each parser fuzzer, the relation-ops fuzzer (Insert, Delete,
-# Snapshot, Index and thaw against a map model, checking lookups, full and
-# index scans, and frozen snapshot rows), and the segment scan fuzzer
+# Snapshot, Index, thaw and Window against a map model, checking lookups,
+# full and index scans, frozen snapshot rows, and windows' rows and
+# probes), and the segment scan fuzzer
 # (prefix scans, Remaining and Contains over a built segment against a
 # sorted model, under a disabled, a one-byte and a warm block cache), for a
 # short budget of new inputs.

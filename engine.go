@@ -734,7 +734,9 @@ type Stats struct {
 	BatchSize int
 	// PeakIntermediateBytes is the largest transient materialization any
 	// single fixpoint round or carry-loop step held outside the growing
-	// totals — under the streaming executor, just the round's delta. It is
+	// totals — under the streaming executor, just the round's delta,
+	// counted even though a semi-naive round appends it to the total and
+	// reads it as a window of it. It is
 	// not part of RelationSizes (the paper's Definition 4.2 measure counts
 	// named relations, not round scratch).
 	PeakIntermediateBytes int64

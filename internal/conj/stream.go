@@ -166,7 +166,7 @@ func (r *Runner) openScan(st *step, cur *stepCursor, rn *rel.Relation) {
 	if len(st.lookupCols) == 0 || r.p.noIndex {
 		cur.scan = rn.Scan()
 	} else {
-		cur.scan = rn.Index(st.lookupCols).Scan(cur.key)
+		cur.scan = rn.Probe(st.lookupCols, cur.key)
 	}
 }
 

@@ -33,10 +33,10 @@ type Options struct {
 	Budget *budget.Budget
 	// MaterializeRounds restores the pre-streaming round pipeline as an
 	// ablation: every rule emission is materialized into an intermediate
-	// round relation and the delta is computed by differencing against the
-	// totals afterwards, instead of streaming emissions through a
-	// RoundSink that materializes new tuples only. The answer is
-	// identical.
+	// round relation whose tuples absent from the totals are folded in at
+	// the round boundary, instead of streaming emissions through a
+	// RoundSink straight into the totals. The answer, the round structure
+	// and every relation size are identical.
 	MaterializeRounds bool
 }
 
@@ -48,9 +48,12 @@ type compiledRule struct {
 
 	// runner and row are reusable scratch: one pull-stream runner and one
 	// projected-head buffer per rule, reused across every round of the
-	// stratum.
+	// stratum. rels holds the relation each body atom reads, by atom
+	// index, set at each round start; src serves it to the runner.
 	runner *conj.Runner
 	row    rel.Tuple
+	rels   []*rel.Relation
+	src    conj.RelSource
 }
 
 // Run evaluates prog to fixpoint over db and returns a database view that
@@ -112,11 +115,6 @@ func Run(prog *ast.Program, db *database.Database, opts Options) (_ *database.Da
 // never read deltas).
 func runStratum(rules []ast.Rule, inStratum map[string]bool, view *database.Database, total map[string]*rel.Relation, opts Options) error {
 	intern := view.Syms.Intern
-	delta := make(map[string]*rel.Relation)
-	for p := range inStratum {
-		delta[p] = rel.New(total[p].Arity())
-	}
-
 	compiled := make([]compiledRule, 0, len(rules))
 	for _, r := range rules {
 		plan, err := conj.Compile(r.Body, nil, intern)
@@ -131,6 +129,7 @@ func runStratum(rules []ast.Rule, inStratum map[string]bool, view *database.Data
 		cr := compiledRule{rule: r, plan: plan, proj: proj}
 		cr.runner = plan.NewRunner()
 		cr.row = make(rel.Tuple, proj.Arity())
+		cr.rels = make([]*rel.Relation, len(r.Body))
 		for i, a := range r.Body {
 			if inStratum[a.Pred] && !a.Negated {
 				cr.idbOccs = append(cr.idbOccs, i)
@@ -138,50 +137,60 @@ func runStratum(rules []ast.Rule, inStratum map[string]bool, view *database.Data
 		}
 		compiled = append(compiled, cr)
 	}
-
-	baseSrc := conj.DBSource(view.Relation)
+	for i := range compiled {
+		rels := compiled[i].rels
+		compiled[i].src = func(atomIdx int, _ string) *rel.Relation { return rels[atomIdx] }
+	}
 
 	// runRule pulls the rule's satisfying bindings one at a time and
 	// streams each projected head straight into the round sink — nothing
 	// between the body's index scans and the sink is materialized.
-	runRule := func(cr *compiledRule, src conj.RelSource, into *RoundSink) {
-		s := cr.runner.Stream(src, nil)
+	runRule := func(cr *compiledRule, into *RoundSink) {
+		s := cr.runner.Stream(cr.src, nil)
 		for b, ok := s.Next(); ok; b, ok = s.Next() {
 			into.Add(cr.proj.Tuple(b, cr.row))
 		}
 	}
 
+	// The sinks append to the totals during a round, so rule bodies read
+	// windows instead: frozen, each in-stratum total as it stood when the
+	// round began, and delta, the rows the previous round appended.
 	sinks := make(map[string]*RoundSink, len(inStratum))
+	frozen := make(map[string]*rel.Relation, len(inStratum))
+	delta := make(map[string]*rel.Relation, len(inStratum))
 
-	// runRound evaluates one round into fresh sinks and folds each sink's
-	// delta into the stratum totals at the round boundary. Round 0 and
-	// naive rounds run every rule against the full relations; semi-naive
-	// rounds run each recursive rule once per IDB occurrence with the
-	// previous round's delta substituted there. It reports whether any
-	// total grew.
+	// runRound evaluates one round into fresh sinks. Round 0 and naive
+	// rounds run every rule against the frozen totals; semi-naive rounds
+	// run each recursive rule once per IDB occurrence with the previous
+	// round's delta substituted there. It reports whether any total grew.
 	runRound := func(fromDelta bool) bool {
 		opts.Budget.Round()
 		opts.Collector.AddIteration()
 		for p := range inStratum {
+			frozen[p] = total[p].Window(0, total[p].Len())
 			sinks[p] = NewRoundSink(total[p], opts.MaterializeRounds)
 		}
 		for i := range compiled {
 			cr := &compiled[i]
+			for j, a := range cr.rule.Body {
+				if f := frozen[a.Pred]; f != nil {
+					cr.rels[j] = f
+				} else {
+					cr.rels[j] = view.Relation(a.Pred)
+				}
+			}
 			into := sinks[cr.rule.Head.Pred]
 			if !fromDelta {
-				runRule(cr, baseSrc, into)
+				runRule(cr, into)
 				continue
 			}
 			// Exit rules (no IDB occurrence) cannot produce new facts
 			// after round 0.
 			for _, occ := range cr.idbOccs {
-				src := func(atomIdx int, pred string) *rel.Relation {
-					if atomIdx == occ {
-						return delta[pred]
-					}
-					return view.Relation(pred)
-				}
-				runRule(cr, src, into)
+				pred := cr.rule.Body[occ].Pred
+				cr.rels[occ] = delta[pred]
+				runRule(cr, into)
+				cr.rels[occ] = frozen[pred]
 			}
 		}
 
@@ -190,7 +199,7 @@ func runStratum(rules []ast.Rule, inStratum map[string]bool, view *database.Data
 		for p, s := range sinks {
 			d := s.Delta()
 			delta[p] = d
-			added := total[p].InsertAll(d)
+			added := d.Len()
 			opts.Collector.AddInserted(added)
 			opts.Budget.AddDerived(added, total[p].Arity())
 			interBytes += int64(s.IntermediateLen(d)) * int64(total[p].Arity()) * int64(rel.ValueBytes)

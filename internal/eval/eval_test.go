@@ -265,18 +265,24 @@ func TestIterationLimit(t *testing.T) {
 	}
 }
 
+// TestStatsCollected pins the round structure on a 5-edge chain: round k
+// derives the paths of length k+1, and a sixth round finds nothing new,
+// under semi-naive and naive iteration alike. A round whose bodies read
+// tuples derived earlier in the same round would finish in fewer rounds.
 func TestStatsCollected(t *testing.T) {
-	db := database.New()
-	mustLoad(t, db, `edge(a, b). edge(b, c). edge(c, d).`)
-	c := stats.New()
-	if _, err := Run(mustProgram(t, tcProg), db, Options{Collector: c}); err != nil {
-		t.Fatal(err)
-	}
-	if c.Sizes["path"] != 6 {
-		t.Fatalf("path peak size = %d, want 6 (%s)", c.Sizes["path"], c)
-	}
-	if c.Iterations < 3 {
-		t.Fatalf("iterations = %d", c.Iterations)
+	for _, naive := range []bool{false, true} {
+		db := database.New()
+		mustLoad(t, db, `edge(a, b). edge(b, c). edge(c, d). edge(d, e). edge(e, f).`)
+		c := stats.New()
+		if _, err := Run(mustProgram(t, tcProg), db, Options{Collector: c, Naive: naive}); err != nil {
+			t.Fatal(err)
+		}
+		if c.Sizes["path"] != 15 || c.Inserted != 15 {
+			t.Fatalf("naive=%v: path peak size = %d, inserted = %d, want 15 and 15 (%s)", naive, c.Sizes["path"], c.Inserted, c)
+		}
+		if c.Iterations != 6 {
+			t.Fatalf("naive=%v: iterations = %d, want 6", naive, c.Iterations)
+		}
 	}
 }
 

@@ -251,14 +251,18 @@ func (m *Materialized) propagate(pred string, delta *rel.Relation) {
 		delta *rel.Relation
 	}
 	queue := []work{{pred, delta}}
+	frozen := make(map[string]*rel.Relation, len(m.total))
 	for len(queue) > 0 {
 		m.bud.Round()
 		w := queue[0]
 		queue = queue[1:]
 		// One RoundSink per head predicate: emissions stream into it and
-		// only tuples absent from the maintained totals materialize. The
-		// totals are frozen until the fold below, so the membership check
-		// is exact.
+		// straight into the maintained totals. Rule bodies read the totals
+		// as they stood when this step began, frozen until the sinks'
+		// deltas are queued below; each delta is a window of its total.
+		for p, t := range m.total {
+			frozen[p] = t.Window(0, t.Len())
+		}
 		sinks := make(map[string]*RoundSink)
 		for _, oc := range m.occs[w.pred] {
 			cr := &m.rules[oc.rule]
@@ -272,6 +276,9 @@ func (m *Materialized) propagate(pred string, delta *rel.Relation) {
 			src := func(atomIdx int, p string) *rel.Relation {
 				if atomIdx == occAtom {
 					return w.delta
+				}
+				if f := frozen[p]; f != nil {
+					return f
 				}
 				return m.view.Relation(p)
 			}
@@ -288,7 +295,7 @@ func (m *Materialized) propagate(pred string, delta *rel.Relation) {
 			if d.Empty() {
 				continue
 			}
-			added := m.total[head].InsertAll(d)
+			added := d.Len()
 			m.col.AddInserted(added)
 			m.bud.AddDerived(added, m.total[head].Arity())
 			m.col.Observe(head, m.total[head].Len())

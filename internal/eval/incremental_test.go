@@ -7,6 +7,7 @@ import (
 
 	"sepdl/internal/database"
 	"sepdl/internal/parser"
+	"sepdl/internal/rel"
 	"sepdl/internal/stats"
 )
 
@@ -186,5 +187,32 @@ buys(X, Y) :- perfectFor(X, Y).
 				}
 			}
 		})
+	}
+}
+
+// TestIncrementalStepsReadFrozenTotals pins the worklist structure of an
+// insertion's propagation: p(a) derives q(a) in the first step, and r(a),
+// which needs q(a), only in the step that propagates q's delta. A step
+// whose later rule read the totals its own sinks are growing would derive
+// both in the first step, and hold two tuples at once.
+func TestIncrementalStepsReadFrozenTotals(t *testing.T) {
+	prog := mustProgram(t, `
+q(X) :- p(X).
+r(X) :- p(X) & q(X).
+`)
+	c := stats.New()
+	m, err := Materialize(prog, database.New(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iters := c.Iterations
+	if added, err := m.AddFact("p", "a"); err != nil || !added {
+		t.Fatalf("AddFact = %v, %v", added, err)
+	}
+	if di := c.Iterations - iters; di != 3 || c.Inserted != 2 {
+		t.Fatalf("propagation took %d steps inserting %d tuples, want 3 and 2", di, c.Inserted)
+	}
+	if got := c.PeakIntermediate(); got != rel.ValueBytes {
+		t.Fatalf("peak intermediate = %d bytes, want one unary tuple (%d)", got, rel.ValueBytes)
 	}
 }

@@ -64,31 +64,33 @@ func (s *AnswerSink) Add(full rel.Tuple) {
 func (s *AnswerSink) Result() *rel.Relation { return s.out }
 
 // RoundSink is the fixpoint evaluator's sole materialization point: rule
-// bodies stream their head tuples into it and only genuinely new tuples —
-// absent from the stratum's growing total — are materialized into the
-// round's delta. The total is frozen for the duration of a round (it is
-// only extended at the round boundary, by folding the delta in), so the
-// membership check is exact and the streamed delta is byte-for-byte the
-// relation the old materialize-then-difference pipeline produced, in the
-// same insertion order — without ever holding the round's full emission
-// multiset, whose duplicates dominate peak memory on dense inputs.
+// bodies stream their head tuples into it, and it inserts each one
+// straight into the stratum's total, which deduplicates it — one hash
+// probe per emission, one copy per new tuple. The round's delta is the
+// range of rows the round appended, read as a window of the total (see
+// rel.Relation.Window): the new tuples in emission order, the relation a
+// materialize-then-difference pipeline produces, without holding the
+// round's full emission multiset, whose duplicates dominate peak memory on
+// dense inputs. Since the total grows during the round, rule bodies must
+// read windows of the totals frozen at the round start, never the totals
+// themselves.
 //
 // The materialize flag (ablation, driven by Options.MaterializeRounds)
-// restores the old pipeline: every emission is inserted into an
-// intermediate relation and the delta is computed by differencing
-// afterwards.
+// restores the old pipeline inside the sink: every emission is inserted
+// into an intermediate relation, and Delta folds that relation's tuples
+// absent from the total into it.
 type RoundSink struct {
 	total   *rel.Relation
-	next    *rel.Relation
+	lo      int           // total's length when the round began
 	all     *rel.Relation // materializing ablation: the round's raw output
 	emitted int
 }
 
 // NewRoundSink starts a round's sink over the stratum total for one
-// predicate. The caller must not mutate total until Delta has been folded
-// in.
+// predicate. Nothing but the sink may write to total until Delta has been
+// read.
 func NewRoundSink(total *rel.Relation, materialize bool) *RoundSink {
-	s := &RoundSink{total: total, next: rel.New(total.Arity())}
+	s := &RoundSink{total: total, lo: total.Len()}
 	if materialize {
 		s.all = rel.New(total.Arity())
 	}
@@ -96,35 +98,35 @@ func NewRoundSink(total *rel.Relation, materialize bool) *RoundSink {
 }
 
 // Add streams one emitted head tuple into the round. The tuple may be a
-// reused buffer; it is cloned if and when it is materialized.
+// reused buffer; its values are copied if and when it is new.
 func (s *RoundSink) Add(t rel.Tuple) {
 	s.emitted++
 	if s.all != nil {
 		s.all.Insert(t)
 		return
 	}
-	if !s.total.Contains(t) {
-		s.next.Insert(t)
-	}
+	s.total.Insert(t)
 }
 
-// Delta returns the round's delta: the new tuples in emission order. Call
-// it once, at the round boundary.
+// Delta returns the round's delta: the new tuples in emission order, as a
+// window of the total over the rows the round appended. Call it once, at
+// the round boundary; the window is valid while the total only appends.
 func (s *RoundSink) Delta() *rel.Relation {
 	if s.all != nil {
-		return s.all.Difference(s.total)
+		s.total.InsertAll(s.all)
 	}
-	return s.next
+	return s.total.Window(s.lo, s.total.Len())
 }
 
 // Emitted reports the raw number of head tuples streamed into the sink —
 // the round's join fan-out, duplicates included.
 func (s *RoundSink) Emitted() int { return s.emitted }
 
-// IntermediateLen reports how many tuples the sink materialized outside
-// the totals: the streamed delta alone, or, under the ablation, the raw
-// round output on top of it. It feeds the peak-intermediate-bytes metric;
-// call it after Delta.
+// IntermediateLen reports how many tuples the round materialized, for the
+// peak-intermediate-bytes metric: the delta, or, under the ablation, the
+// raw round output on top of it. The delta counts although it is a window
+// of the total, so the metric measures a round's new tuples under both
+// pipelines. Call it after Delta.
 func (s *RoundSink) IntermediateLen(delta *rel.Relation) int {
 	n := delta.Len()
 	if s.all != nil {

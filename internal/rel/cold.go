@@ -82,10 +82,16 @@ func (r *Relation) Cold() ColdBase {
 // resident relation). This is the memtable content a checkpoint flush
 // merges with the cold base into the next segment. The slice is fresh and
 // the caller's to reorder; the tuples are row views it must not modify.
-func (r *Relation) OverlayRows() []Tuple { return r.g.rows(r.arity) }
+func (r *Relation) OverlayRows() []Tuple {
+	lo, hi := r.bounds()
+	return r.g.rows(lo, hi, r.arity)
+}
 
 // OverlayLen reports the number of overlay rows (see OverlayRows).
-func (r *Relation) OverlayLen() int { return r.g.n }
+func (r *Relation) OverlayLen() int {
+	lo, hi := r.bounds()
+	return hi - lo
+}
 
 // thaw materializes the cold base into the in-RAM overlay, turning r back
 // into a fully resident relation with identical content. It is the
@@ -99,7 +105,7 @@ func (r *Relation) thaw() {
 	base := r.cold.rows()
 	rows := make([]Tuple, 0, len(base)+r.g.n)
 	rows = append(rows, base...)
-	rows = append(rows, r.g.rows(r.arity)...)
+	rows = append(rows, r.g.rows(0, r.g.n, r.arity)...)
 	thawed := FromRows(r.arity, rows)
 	r.g, r.cold, r.shared = thawed.g, nil, false
 	r.all.Store(nil)

@@ -1,6 +1,7 @@
 package rel_test
 
 import (
+	"slices"
 	"testing"
 
 	"sepdl/internal/rel"
@@ -16,11 +17,14 @@ const fuzzDomain = 16
 var fuzzCols = [][]int{{0}, {1}, {1, 0}}
 
 // relModel is the map model a relation handle is checked against: its
-// tuples, and the cold base's tuples while the handle is still cold (nil
-// once a delete thawed it).
+// tuples, the cold base's tuples while the handle is still cold (nil once
+// a delete thawed it), order, the in-RAM rows in position order, and
+// baseOrder, the cold base's rows in key order.
 type relModel struct {
-	rows map[[2]rel.Value]bool
-	base map[[2]rel.Value]bool
+	rows      map[[2]rel.Value]bool
+	base      map[[2]rel.Value]bool
+	order     [][2]rel.Value
+	baseOrder [][2]rel.Value
 }
 
 func (m relModel) clone() relModel {
@@ -28,22 +32,35 @@ func (m relModel) clone() relModel {
 	for k := range m.rows {
 		rows[k] = true
 	}
-	return relModel{rows: rows, base: m.base}
+	return relModel{rows: rows, base: m.base, order: slices.Clone(m.order), baseOrder: m.baseOrder}
 }
 
-// FuzzRelationOps decodes bytes into Insert, Delete, Snapshot, Index and
-// cold-tuple Delete (thaw) ops on one relation and, after every op, checks
-// the live handle and every earlier snapshot against a map model: Len,
-// Contains over the whole value domain, sorted Rows, a drained Scan, and —
-// for every index column set opened so far — Lookup and a drained
-// Index.Scan of every key, and Buckets. Before each live-handle Insert or
-// Delete it also takes a row view from the newest snapshot and checks
-// afterwards that the write left the view unchanged.
+// fuzzWindow is a window of the live handle and the model rows it must
+// hold: the live rows lo..hi-1 when it was taken.
+type fuzzWindow struct {
+	w    *rel.Relation
+	want [][2]rel.Value
+}
+
+// FuzzRelationOps decodes bytes into Insert, Delete, Snapshot, Index,
+// cold-tuple Delete (thaw) and Window ops on one relation and, after every
+// op, checks the live handle and every earlier snapshot against a map
+// model: Len, Contains over the whole value domain, sorted Rows (in
+// position order, on a resident handle), a drained Scan, and — for every
+// index column set opened so far — Lookup, a drained Index.Scan and Probe
+// of every key, and Buckets. Before each live-handle Insert or Delete it
+// also takes a row view from the newest snapshot and checks afterwards
+// that the write left the view unchanged. Windows of the resident live
+// handle, at any (lo, hi), live until the next Delete; after every op each
+// is checked against the model's position-order rows lo..hi-1 of when it
+// was taken: Len, Contains over the domain, Row(i), a drained Scan, and
+// Probe of every key of every opened index.
 //
 // Encoding: data[0] sizes the cold base (data[0]%16 tuples; 0 means a
-// fully resident relation); then each op is three bytes, op%6 and two
+// fully resident relation); then each op is three bytes, op%7 and two
 // tuple values %16. Ops: 0 and 5 insert, 1 delete, 2 snapshot, 3 open the
-// index fuzzCols[x%3], 4 delete the x-th base tuple.
+// index fuzzCols[x%3], 4 delete the x-th base tuple, 6 take the window
+// x..y-1 (bounds mod Len()+1, swapped when x > y).
 func FuzzRelationOps(f *testing.F) {
 	f.Add(wrapDeleteSeed())
 	f.Add([]byte{5, 0, 9, 9, 3, 0, 0, 2, 0, 0, 4, 1, 0, 0, 1, 2, 1, 9, 9, 3, 1, 0, 3, 2, 0})
@@ -52,6 +69,12 @@ func FuzzRelationOps(f *testing.F) {
 	// private flat copy of base and overlay); deleting the first overlay
 	// row moves the last one, in the relation and in that copy.
 	f.Add([]byte{3, 0, 5, 5, 0, 6, 6, 0, 7, 7, 3, 1, 0, 1, 5, 5})
+	// Key 2's bucket holds rows 1, 3 and 4 (1-based); deleting row 2 moves
+	// row 4 into the hole, so the bucket must become 1, 2, 3 for Probe to
+	// cut it by binary search. Windows over it, and one taken before the
+	// delete, are then outgrown by inserts.
+	f.Add([]byte{0, 3, 0, 0, 0, 2, 0, 0, 1, 0, 0, 2, 1, 6, 1, 3, 0, 2, 2,
+		1, 1, 0, 6, 0, 2, 6, 1, 3, 0, 5, 5, 0, 2, 9, 3, 1, 0, 0, 4, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 2048 {
 			return
@@ -69,10 +92,15 @@ func FuzzRelationOps(f *testing.F) {
 		}
 		var r *rel.Relation
 		if baseRows != nil {
-			r = rel.NewCold(2, newSliceBase(baseRows))
+			base := newSliceBase(baseRows)
+			r = rel.NewCold(2, base)
+			for _, tu := range base.rows {
+				m.baseOrder = append(m.baseOrder, [2]rel.Value{tu[0], tu[1]})
+			}
 		} else {
 			r = rel.New(2)
 		}
+		var wins []fuzzWindow
 		snaps := []*rel.Relation{}
 		models := []relModel{}
 		opened := make([]bool, len(fuzzCols))
@@ -86,13 +114,17 @@ func FuzzRelationOps(f *testing.F) {
 				view = snaps[n-1].Row(int(x) % snaps[n-1].Len())
 				was = view.Clone()
 			}
-			switch data[i] % 6 {
+			switch data[i] % 7 {
 			case 0, 5:
 				if got := r.Insert(rel.Tuple{x, y}); got == m.rows[k] {
 					t.Fatalf("op %d: Insert(%v) = %v with the tuple present = %v", (i-1)/3, k, got, m.rows[k])
 				}
+				if !m.rows[k] {
+					m.order = append(m.order, k)
+				}
 				m.rows[k] = true
 			case 1:
+				wins = nil
 				m = modelDelete(t, r, m, k)
 			case 2:
 				if len(snaps) < 8 {
@@ -103,8 +135,17 @@ func FuzzRelationOps(f *testing.F) {
 				opened[int(x)%len(fuzzCols)] = true
 			case 4:
 				if len(baseRows) > 0 {
+					wins = nil
 					b := baseRows[int(x)%len(baseRows)]
 					m = modelDelete(t, r, m, [2]rel.Value{b[0], b[1]})
+				}
+			case 6:
+				if r.Cold() == nil && len(wins) < 8 {
+					lo, hi := int(x)%(r.Len()+1), int(y)%(r.Len()+1)
+					if lo > hi {
+						lo, hi = hi, lo
+					}
+					wins = append(wins, fuzzWindow{r.Window(lo, hi), slices.Clone(m.order[lo:hi])})
 				}
 			}
 			op := (i - 1) / 3
@@ -115,12 +156,66 @@ func FuzzRelationOps(f *testing.F) {
 			for j, s := range snaps {
 				checkHandle(t, op, "snapshot", s, models[j], opened)
 			}
+			for _, w := range wins {
+				checkWindow(t, op, w, opened)
+			}
 		}
 	})
 }
 
+// checkWindow checks a window against the rows it was cut to, in order.
+func checkWindow(t *testing.T, op int, fw fuzzWindow, opened []bool) {
+	t.Helper()
+	w, want := fw.w, fw.want
+	if w.Len() != len(want) {
+		t.Fatalf("op %d: window Len = %d, model %d", op, w.Len(), len(want))
+	}
+	in := map[[2]rel.Value]bool{}
+	rows := make([]rel.Tuple, len(want))
+	for i, k := range want {
+		in[k] = true
+		rows[i] = rel.Tuple{k[0], k[1]}
+		if !w.Row(i).Equal(rows[i]) {
+			t.Fatalf("op %d: window Row(%d) = %v, model %v", op, i, w.Row(i), k)
+		}
+	}
+	for a := rel.Value(0); a < fuzzDomain; a++ {
+		for b := rel.Value(0); b < fuzzDomain; b++ {
+			if k := [2]rel.Value{a, b}; w.Contains(rel.Tuple{a, b}) != in[k] {
+				t.Fatalf("op %d: window Contains(%v) = %v, model %v", op, k, !in[k], in[k])
+			}
+		}
+	}
+	if got := drainScan(w.Scan()); !slices.EqualFunc(got, rows, rel.Tuple.Equal) {
+		t.Fatalf("op %d: window Scan = %v, model %v", op, got, rows)
+	}
+	for ci, cols := range fuzzCols {
+		if !opened[ci] {
+			continue
+		}
+		exp := map[[2]rel.Value][]rel.Tuple{}
+		for i, k := range want {
+			key := fuzzKey(k, cols)
+			exp[key] = append(exp[key], rows[i])
+		}
+		for a := 0; a < fuzzDomain; a++ {
+			for b := 0; b < fuzzDomain; b++ {
+				if len(cols) == 1 && b > 0 {
+					break
+				}
+				key := [2]rel.Value{rel.Value(a), rel.Value(b)}
+				if got := drainScan(w.Probe(cols, key[:len(cols)])); !slices.EqualFunc(got, exp[key], rel.Tuple.Equal) {
+					t.Fatalf("op %d: window Probe(%v, %v) = %v, model %v", op, cols, key[:len(cols)], got, exp[key])
+				}
+			}
+		}
+	}
+}
+
 // modelDelete deletes k from r and from the model; deleting a tuple the
-// cold base still serves thaws the relation.
+// cold base still serves thaws the relation, whose rows are then the base
+// rows in key order followed by the overlay rows. The relation's last row
+// moves into the deleted row's position.
 func modelDelete(t *testing.T, r *rel.Relation, m relModel, k [2]rel.Value) relModel {
 	t.Helper()
 	if got := r.Delete(rel.Tuple{k[0], k[1]}); got != m.rows[k] {
@@ -128,6 +223,12 @@ func modelDelete(t *testing.T, r *rel.Relation, m relModel, k [2]rel.Value) relM
 	}
 	if m.base[k] && m.rows[k] {
 		m.base = nil
+		m.order = append(slices.Clone(m.baseOrder), m.order...)
+	}
+	if p := slices.Index(m.order, k); p >= 0 {
+		last := len(m.order) - 1
+		m.order[p] = m.order[last]
+		m.order = m.order[:last]
 	}
 	delete(m.rows, k)
 	return m
@@ -152,6 +253,13 @@ func checkHandle(t *testing.T, op int, which string, r *rel.Relation, m relModel
 	}
 	if got := sortedRows(r.Rows()); !equalRows(got, want) {
 		t.Fatalf("op %d: %s Rows = %v, model %v", op, which, got, want)
+	}
+	if r.Cold() == nil {
+		for i, k := range m.order {
+			if !r.Row(i).Equal(rel.Tuple{k[0], k[1]}) {
+				t.Fatalf("op %d: %s Row(%d) = %v, model %v", op, which, i, r.Row(i), k)
+			}
+		}
 	}
 	if got := sortedRows(drainScan(r.Scan())); !equalRows(got, want) {
 		t.Fatalf("op %d: %s Scan = %v, model %v", op, which, got, want)
@@ -187,6 +295,9 @@ func checkHandle(t *testing.T, op int, which string, r *rel.Relation, m relModel
 				}
 				if got := sortedRows(drainScan(idx.Scan(vals))); !equalRows(got, want) {
 					t.Fatalf("op %d: %s Index(%v).Scan(%v) = %v, model %v", op, which, cols, vals, got, want)
+				}
+				if got := sortedRows(drainScan(r.Probe(cols, vals))); !equalRows(got, want) {
+					t.Fatalf("op %d: %s Probe(%v, %v) = %v, model %v", op, which, cols, vals, got, want)
 				}
 			}
 		}

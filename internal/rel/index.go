@@ -10,8 +10,11 @@ import (
 // Index is a hash index over a subset of a relation's columns: a table
 // (see table) maps each key's hash to a 1-based position in keys, the flat
 // key values (len(cols) per bucket), and in buckets, the 1-based positions
-// of the matching rows in src, in insertion order. Buckets are pointer-free
-// int32 lists; rows are read through src when a probe yields them. A
+// of the matching rows in src, in ascending order. Buckets are pointer-free
+// int32 lists; rows are read through src when a probe yields them. Since
+// an insert appends the highest position, the rows a relation appended
+// after some row are a tail of every bucket, which is how Probe cuts a
+// bucket to a window by binary search. A
 // bucket emptied by deletes keeps its key and slot until the index is
 // rebuilt. Indexes are built lazily by Relation.Index, once per storage
 // generation, and shared by every snapshot of it. A built Index is
@@ -85,8 +88,18 @@ func (c *idxCache) insert(idx *Index) {
 // generation (see detach). It panics if any column is out of range.
 // Concurrent readers of an immutable relation (or snapshot) may call Index
 // concurrently: warm hits are lock-free, and a cold build is serialized
-// internally.
+// internally. It panics on a window, whose rows are a range of the index's:
+// probe a window through Probe.
 func (r *Relation) Index(cols []int) *Index {
+	if r.window {
+		panic("rel: Index of a window; use Probe")
+	}
+	return r.index(cols)
+}
+
+// index returns the generation's index over cols, building it on first
+// use. On a window it is the index of the whole store.
+func (r *Relation) index(cols []int) *Index {
 	if idx := r.g.idx.lookup(cols); idx != nil {
 		return idx
 	}
@@ -185,19 +198,20 @@ func (idx *Index) add(t Tuple, pos int) {
 
 // remove mirrors Relation.Delete: row t at position pos leaves its bucket,
 // and row moved, which the relation moves from position last into the
-// hole, is repointed in its bucket. It must run before the relation
-// overwrites the hole.
+// hole, is repointed in its bucket. Both buckets stay in ascending order:
+// last, the highest position, is the tail of moved's bucket, and pos is
+// shifted into its place. It must run before the relation overwrites the
+// hole.
 func (idx *Index) remove(t Tuple, pos int, moved Tuple, last int) {
 	if idx.own {
 		pos, last = pos+idx.off, last+idx.off
 	}
 	if _, _, b := idx.find(t); b != 0 {
 		bucket := idx.buckets[b-1]
-		if i := slices.Index(bucket, int32(pos)); i >= 0 {
-			n := len(bucket) - 1
-			bucket[i] = bucket[n]
-			idx.buckets[b-1] = bucket[:n]
-			if n == 0 {
+		if i, ok := slices.BinarySearch(bucket, int32(pos)); ok {
+			bucket = slices.Delete(bucket, i, i+1)
+			idx.buckets[b-1] = bucket
+			if len(bucket) == 0 {
 				idx.buckets[b-1] = nil
 				idx.live--
 			}
@@ -206,7 +220,9 @@ func (idx *Index) remove(t Tuple, pos int, moved Tuple, last int) {
 	if pos != last {
 		if _, _, b := idx.find(moved); b != 0 {
 			bucket := idx.buckets[b-1]
-			if i := slices.Index(bucket, int32(last)); i >= 0 {
+			if n := len(bucket) - 1; n >= 0 && bucket[n] == int32(last) {
+				i, _ := slices.BinarySearch(bucket[:n], int32(pos))
+				copy(bucket[i+1:], bucket[i:n])
 				bucket[i] = int32(pos)
 			}
 		}

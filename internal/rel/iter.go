@@ -1,5 +1,7 @@
 package rel
 
+import "slices"
+
 // Scan is a resumable cursor over tuple storage — the unit of streaming
 // the iterator executor pulls from. A Scan yields zero-copy row views:
 // the returned tuples alias the relation's flat value array (or, on a
@@ -76,16 +78,16 @@ func (s *Scan) Reset() {
 	}
 }
 
-// Scan returns a full-relation scan over the current rows. The cursor
-// captures the value array and row count (and cold tier) at call time:
-// tuples inserted afterwards are not yielded, which is exactly the
-// snapshot semantics the fixpoint rounds rely on (a round never sees its
-// own output).
+// Scan returns a full-relation scan over the current rows (a window's
+// rows, on a window). The cursor captures the value array and row count
+// (and cold tier) at call time: tuples inserted afterwards are not
+// yielded.
 func (r *Relation) Scan() Scan {
 	if r == nil {
 		return Scan{}
 	}
-	s := Scan{vals: r.g.vals, arity: r.arity, end: r.g.n}
+	lo, hi := r.bounds()
+	s := Scan{vals: r.g.vals[lo*r.arity : hi*r.arity], arity: r.arity, end: hi - lo}
 	if r.cold != nil {
 		s.cold = openCold(r.cold.base, nil)
 	}
@@ -105,9 +107,24 @@ func openCold(base ColdBase, prefix []Value) *coldScan {
 	return c
 }
 
+// Probe returns a cursor over r's tuples whose columns cols equal key:
+// Index(cols).Scan(key), except that on a window the index is the whole
+// store's and its bucket is cut by binary search to the window's rows.
+func (r *Relation) Probe(cols []int, key []Value) Scan {
+	idx := r.index(cols)
+	if !r.window {
+		return idx.Scan(key)
+	}
+	bucket := idx.bucket(key)
+	i, _ := slices.BinarySearch(bucket, r.lo+1)
+	j, _ := slices.BinarySearch(bucket[i:], r.hi+1)
+	bucket = bucket[i : i+j]
+	return Scan{vals: idx.src.vals, arity: r.arity, bucket: bucket, end: len(bucket)}
+}
+
 // Scan returns a cursor over the tuples matching vals — the probe side of
 // a hash join. On a fully resident index this yields zero-copy row views
-// of the bucket in insertion order; on a bound-prefix cold index it
+// of the bucket in row order; on a bound-prefix cold index it
 // streams the segment's key range first, then the overlay bucket.
 func (idx *Index) Scan(vals []Value) Scan {
 	bucket := idx.bucket(vals)

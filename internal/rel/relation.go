@@ -6,7 +6,11 @@
 // array and hands rows out as views into it; index buckets hold row
 // positions. Relations and indexes find tuples and keys through one
 // open-addressing table of positions (table.go) that hashes values
-// directly with a per-process seed; no tuple is encoded into a key.
+// directly with a per-process seed; no tuple is encoded into a key. A
+// Window is a read-only handle over a range of a relation's rows: the
+// fixpoint evaluators insert a round's tuples straight into the total and
+// read the round's delta, and the total as it stood when the round began,
+// as windows of it.
 package rel
 
 import (
@@ -76,6 +80,10 @@ func (t Tuple) Equal(u Tuple) bool {
 // mutation through a handle whose storage is shared starts a new
 // generation with an empty cache (see detach); an unshared handle
 // maintains its indexes in place.
+//
+// A window (see Window) shares its relation's store too, but reads only
+// the row range it was cut to. It is valid while its relation only
+// appends: a Delete may move a row into the range.
 type Relation struct {
 	arity int
 	g     *store // this handle's storage generation; shared with snapshots
@@ -93,6 +101,11 @@ type Relation struct {
 	// mutation through this handle copies it first (copy-on-write), so the
 	// aliased storage is frozen forever once a snapshot exists.
 	shared bool
+	// window marks a read-only handle over rows lo..hi-1 of g (see
+	// Window). The bounds are int32, like every row position, which keeps
+	// a Relation in its 48-byte allocation size class.
+	window bool
+	lo, hi int32
 }
 
 // store is one storage generation of a relation's in-RAM rows, in one heap
@@ -183,11 +196,40 @@ func FromRows(arity int, rows []Tuple) *Relation {
 // Arity returns the number of columns.
 func (r *Relation) Arity() int { return r.arity }
 
+// Window returns a read-only handle over rows lo..hi-1 (in Rows order,
+// 0 <= lo <= hi <= Len()) of a resident relation, or of the range of a
+// window. It shares r's store: r may keep inserting, and the window never
+// sees the rows r appends. Len, Row, Rows, Contains, Scan, Probe and the
+// operators built on them read only the window's rows; Insert, Delete,
+// Snapshot and Index panic on a window. A window is valid while r only
+// appends: a Delete through r moves its last row into the hole and may
+// move a row into, or out of, the window's range.
+func (r *Relation) Window(lo, hi int) *Relation {
+	if r.cold != nil {
+		panic("rel: Window on a cold relation")
+	}
+	if lo < 0 || lo > hi || hi > r.Len() {
+		panic(fmt.Sprintf("rel: Window(%d, %d) of a %d-row relation", lo, hi, r.Len()))
+	}
+	off, _ := r.bounds()
+	return &Relation{arity: r.arity, g: r.g, window: true, lo: int32(off + lo), hi: int32(off + hi)}
+}
+
+// bounds returns the range of g's rows this handle reads: lo..hi-1 of a
+// window, every row otherwise.
+func (r *Relation) bounds() (lo, hi int) {
+	if r.window {
+		return int(r.lo), int(r.hi)
+	}
+	return 0, r.g.n
+}
+
 // Len returns the number of distinct tuples across both tiers. Inserts
 // deduplicate against the cold base, so the tiers are disjoint and the
 // count is a sum — no merge needed.
 func (r *Relation) Len() int {
-	n := r.g.n
+	lo, hi := r.bounds()
+	n := hi - lo
 	if r.cold != nil {
 		n += r.cold.base.Len()
 	}
@@ -208,6 +250,9 @@ func (r *Relation) Empty() bool { return r.Len() == 0 }
 // with writers by the caller — the engine does this under its writer
 // lock.
 func (r *Relation) Snapshot() *Relation {
+	if r.window {
+		panic("rel: Snapshot of a window")
+	}
 	r.shared = true
 	return &Relation{arity: r.arity, g: r.g, cold: r.cold, shared: true}
 }
@@ -227,10 +272,10 @@ func (r *Relation) detach() {
 }
 
 // Insert adds a copy of t's values and reports whether t was not already
-// present. It panics if t has the wrong arity.
+// present. It panics if t has the wrong arity or r is a window.
 func (r *Relation) Insert(t Tuple) bool {
-	if len(t) != r.arity {
-		panic(fmt.Sprintf("rel: inserting arity-%d tuple into arity-%d relation", len(t), r.arity))
+	if len(t) != r.arity || r.window {
+		r.badWrite("inserting", t)
 	}
 	h, slot, pos := r.find(t)
 	if pos != 0 {
@@ -250,6 +295,14 @@ func (r *Relation) Insert(t Tuple) bool {
 		idx.add(t, g.n)
 	}
 	return true
+}
+
+// badWrite panics on a write through a window or of a wrong-arity tuple.
+func (r *Relation) badWrite(verb string, t Tuple) {
+	if r.window {
+		panic(fmt.Sprintf("rel: %s through a window", verb))
+	}
+	panic(fmt.Sprintf("rel: %s arity-%d tuple into arity-%d relation", verb, len(t), r.arity))
 }
 
 // InsertAll inserts every tuple of other into r and returns the number of
@@ -272,6 +325,9 @@ func (r *Relation) InsertAll(other *Relation) int {
 // the last row moves into the deleted row's position, and its table entry
 // and index bucket entries are repointed there.
 func (r *Relation) Delete(t Tuple) bool {
+	if r.window {
+		r.badWrite("deleting", t)
+	}
 	if len(t) != r.arity {
 		return false
 	}
@@ -314,7 +370,7 @@ func (r *Relation) Contains(t Tuple) bool {
 		return false
 	}
 	if _, _, pos := r.find(t); pos != 0 {
-		return true
+		return !r.window || int32(pos) > r.lo && int32(pos) <= r.hi
 	}
 	return r.cold != nil && r.cold.base.Contains(t)
 }
@@ -332,6 +388,12 @@ func (r *Relation) Row(i int) Tuple {
 		}
 		i -= len(base)
 	}
+	if r.window {
+		if uint(i) >= uint(r.hi-r.lo) {
+			panic(fmt.Sprintf("rel: row %d of a %d-row window", i, r.hi-r.lo))
+		}
+		i += int(r.lo)
+	}
 	return r.g.row(i, r.arity)
 }
 
@@ -342,7 +404,8 @@ func (r *Relation) Row(i int) Tuple {
 // walk Row or Scan instead. Callers must not modify the returned tuples.
 func (r *Relation) Rows() []Tuple {
 	if r.cold == nil {
-		return r.g.rows(r.arity)
+		lo, hi := r.bounds()
+		return r.g.rows(lo, hi, r.arity)
 	}
 	if p := r.all.Load(); p != nil {
 		return *p
@@ -350,16 +413,16 @@ func (r *Relation) Rows() []Tuple {
 	base := r.cold.rows()
 	out := make([]Tuple, 0, len(base)+r.g.n)
 	out = append(out, base...)
-	out = append(out, r.g.rows(r.arity)...)
+	out = append(out, r.g.rows(0, r.g.n, r.arity)...)
 	r.all.Store(&out)
 	return out
 }
 
-// rows returns a view of every row, in position order.
-func (s *store) rows(arity int) []Tuple {
-	out := make([]Tuple, s.n)
+// rows returns a view of rows lo..hi-1, in position order.
+func (s *store) rows(lo, hi, arity int) []Tuple {
+	out := make([]Tuple, hi-lo)
 	for i := range out {
-		out[i] = s.row(i, arity)
+		out[i] = s.row(lo+i, arity)
 	}
 	return out
 }
@@ -367,8 +430,11 @@ func (s *store) rows(arity int) []Tuple {
 // Clone returns a deep copy of the relation (indexes are not copied).
 // Cloning a resident relation copies its values and row table without
 // rehashing; cloning a cold relation materializes it: the clone is fully
-// resident.
+// resident. Cloning a window copies its rows into a relation of their own.
 func (r *Relation) Clone() *Relation {
+	if r.window {
+		return FromRows(r.arity, r.Rows())
+	}
 	if r.cold == nil {
 		return &Relation{arity: r.arity, g: r.g.clone()}
 	}

@@ -2,21 +2,28 @@ package sepdl
 
 // Streaming-executor equivalence: the streaming round pipeline must be
 // byte-identical to the materializing ablation on every corpus entry
-// under every strategy.
+// under every strategy, down to the round structure.
 
-import "testing"
+import (
+	"maps"
+	"testing"
+)
 
 // TestStreamingMaterializedEquivalence runs the integration corpus under
 // every served strategy twice — streaming (the default) and with
 // withMaterializedRounds() restoring the pre-iterator pipeline — and
-// requires byte-identical rendered results. Scope rejections must be
-// identical too: streaming may not change which queries a strategy
-// accepts.
+// requires byte-identical rendered results and the same round structure:
+// Stats.Iterations, Inserted and RelationSizes. A streaming round inserts
+// into the totals as it goes, so a rule body that read the growing totals
+// instead of the ones frozen at the round start would still find every
+// answer, but in fewer rounds. The closure cache is off, so the second
+// query of each pair evaluates too. Scope rejections must be identical:
+// streaming may not change which queries a strategy accepts.
 func TestStreamingMaterializedEquivalence(t *testing.T) {
 	for _, entry := range corpus {
 		entry := entry
 		t.Run(entry.name, func(t *testing.T) {
-			e := New()
+			e := New(WithClosureCache(-1))
 			if err := e.LoadProgram(entry.program); err != nil {
 				t.Fatal(err)
 			}
@@ -36,6 +43,11 @@ func TestStreamingMaterializedEquivalence(t *testing.T) {
 					}
 					if stream.String() != mat.String() {
 						t.Errorf("%s [%s]: streaming %s, materialized %s", query, s, stream, mat)
+					}
+					ss, ms := stream.Stats, mat.Stats
+					if ss.Iterations != ms.Iterations || ss.Inserted != ms.Inserted || !maps.Equal(ss.RelationSizes, ms.RelationSizes) {
+						t.Errorf("%s [%s]: streaming rounds=%d inserted=%d sizes=%v, materialized rounds=%d inserted=%d sizes=%v",
+							query, s, ss.Iterations, ss.Inserted, ss.RelationSizes, ms.Iterations, ms.Inserted, ms.RelationSizes)
 					}
 				}
 			}
