@@ -76,14 +76,19 @@ crash-smoke:
 # table) and the relation fuzz seeds (which also check full and index
 # scans, that snapshot row views stay frozen under live-handle writes, and
 # windows and their index probes against the model's rows in position
-# order) 20 times, a few seconds, and replays the
-# parser, relation and segment scan fuzz seed corpora. It is slower than
-# tier-1 and meant for changes that touch the engine's locking, admission,
-# checkpoints, view repair, or relation or segment storage.
+# order) 20 times, a few seconds, the incremental-maintenance tests (view
+# insertions and DRed deletions against recomputation, and the round
+# structure of an insertion; Go randomises map iteration, so the round
+# loop's sink order and DRed's marked order differ run to run) 20 times,
+# and replays the parser, relation and segment scan fuzz seed corpora. It
+# is slower than tier-1 and meant for changes that touch the engine's
+# locking, admission, checkpoints, view maintenance or repair, or relation
+# or segment storage.
 stress:
 	go test -race -run Concurrent -count=5 ./...
 	go test -race -count=20 -run TestCheckpointRacesBackgroundCheckpoint .
 	go test -race -count=20 -run 'TestSnapshot|TestTable|TestZeroArity|TestFromRowsCopies|TestInsertAllocs|TestWindow|FuzzRelationOps' ./internal/rel/
+	go test -race -count=20 -run 'MatchesRecompute|TestIncrementalStepsReadFrozenTotals|TestDelete' ./internal/eval/
 	go test -run 'Fuzz' ./internal/parser/ ./internal/rel/ ./internal/segment/
 
 # fuzz runs each parser fuzzer, the relation-ops fuzzer (Insert, Delete,

@@ -467,6 +467,42 @@ path(X, Y) :- edge(X, W) & path(W, Y).
 	})
 }
 
+// BenchmarkIncrementalDelete times DRed: one mid-chain edge deleted from
+// a materialized doubled chain, where every hub reaches the next through
+// two parallel paths. The deletion over-deletes every buys tuple upstream
+// of the cut and re-derives each one through the surviving path.
+func BenchmarkIncrementalDelete(b *testing.B) {
+	prog, err := parser.Program(`
+buys(X, Y) :- friend(X, W) & buys(W, Y).
+buys(X, Y) :- perfectFor(X, Y).
+`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const hubs = 256
+	db := database.New()
+	for i := 0; i+1 < hubs; i++ {
+		db.AddFact("friend", datagen.Name("a", i), datagen.Name("x", i))
+		db.AddFact("friend", datagen.Name("x", i), datagen.Name("a", i+1))
+		db.AddFact("friend", datagen.Name("a", i), datagen.Name("y", i))
+		db.AddFact("friend", datagen.Name("y", i), datagen.Name("a", i+1))
+	}
+	db.AddFact("perfectFor", datagen.Name("a", hubs-1), "g")
+	mid := datagen.Name("a", hubs/2)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m, err := eval.Materialize(prog, db, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if ok, err := m.DeleteFact("friend", mid, datagen.Name("x", hubs/2)); err != nil || !ok {
+			b.Fatalf("DeleteFact = %v, %v", ok, err)
+		}
+	}
+}
+
 // BenchmarkViewQueryThenAdd alternates View.Query and View.AddFact over a
 // 400-node chain's closure: the one path where sharing indexes with
 // snapshots trades. Each query's snapshot shares the maintained path

@@ -22,8 +22,9 @@
 // them as oracles, and the engine does not serve them.
 //
 // Beyond per-query strategies, Engine.Materialize returns an incrementally
-// maintained view (insertions propagate semi-naively, deletions via DRed),
-// and Engine.Why explains any derived fact with a derivation tree.
+// maintained view (insertions and DRed deletions are runs of the
+// semi-naive round loop seeded with the changed facts), and Engine.Why
+// explains any derived fact with a derivation tree.
 //
 // The Auto strategy (the default) runs the separability test and picks
 // Separable when it applies, falling back to Magic Sets for other selection

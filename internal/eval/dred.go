@@ -75,10 +75,11 @@ func (sc *supportCheck) derives(src conj.RelSource, t rel.Tuple) bool {
 }
 
 // DeleteFact removes a base fact and maintains the IDB relations with
-// delete-and-rederive (DRed): first every tuple whose known derivations
-// may involve the deleted fact is over-deleted, then tuples with an
-// alternative derivation from the remaining data are re-derived. Reports
-// whether the fact was present.
+// delete-and-rederive (DRed), as two seeded runs of the semi-naive round
+// loop: the first over-deletes, marking every tuple whose known
+// derivations may involve the deleted fact; the second re-derives,
+// starting from the marked tuples that keep a derivation from the
+// remaining data. Reports whether the fact was present.
 func (m *Materialized) DeleteFact(pred string, args ...string) (bool, error) {
 	if err := m.checkUsable(); err != nil {
 		return false, err
@@ -105,98 +106,51 @@ func (m *Materialized) DeleteFact(pred string, args ...string) (bool, error) {
 		return false, nil
 	}
 
-	// Phase 1: over-deletion, against the PRE-delete state (the base fact
-	// and marked IDB tuples stay visible to the other body atoms until
-	// marking finishes, so derivations using several doomed tuples are
-	// still found). Marking mutates nothing, so a budget abort here leaves
-	// the view fully consistent.
-	marked := make(map[string]*rel.Relation)
-	type work struct {
-		pred  string
-		delta *rel.Relation
+	// Phase 1: over-deletion, a run seeded with the deleted fact over the
+	// PRE-delete view (the base fact and marked IDB tuples stay visible to
+	// the other body atoms, so derivations using several doomed tuples are
+	// still found). It appends its marks to private relations; every
+	// marked tuple is already in its total, the view being a fixpoint.
+	// Marking mutates nothing the view serves, so a budget abort here
+	// leaves the view fully consistent.
+	marked := make(map[string]*rel.Relation, len(m.total))
+	for p, tot := range m.total {
+		marked[p] = rel.New(tot.Arity())
 	}
+	doomed := rel.New(len(t))
+	doomed.Insert(t)
 	if err := func() (err error) {
 		defer budget.Guard(&err)
-		seedDelta := rel.New(len(t))
-		seedDelta.Insert(t)
-		queue := []work{{pred, seedDelta}}
-		for len(queue) > 0 {
-			m.bud.Round()
-			w := queue[0]
-			queue = queue[1:]
-			for _, oc := range m.occs[w.pred] {
-				cr := &m.rules[oc.rule]
-				if cr.rule.Body[oc.atom].Negated {
-					continue // negation-free programs only (checked at Materialize)
-				}
-				head := cr.rule.Head.Pred
-				occAtom := oc.atom
-				src := func(atomIdx int, p string) *rel.Relation {
-					if atomIdx == occAtom {
-						return w.delta
-					}
-					return m.view.Relation(p)
-				}
-				newMarks := rel.New(cr.proj.Arity())
-				row := make(rel.Tuple, cr.proj.Arity())
-				s := cr.plan.Stream(src, nil)
-				// sepvet:ignore:budgetcheck — the pull loop ticks per candidate inside Stream.Next (the plan's tick hook is m.bud.TickFunc), and the enclosing worklist round calls m.bud.Round
-				for b, ok := s.Next(); ok; b, ok = s.Next() {
-					h := cr.proj.Tuple(b, row)
-					if !m.total[head].Contains(h) {
-						continue
-					}
-					if mk := marked[head]; mk != nil && mk.Contains(h) {
-						continue
-					}
-					if marked[head] == nil {
-						marked[head] = rel.New(len(h))
-					}
-					marked[head].Insert(h)
-					newMarks.Insert(h)
-				}
-				if !newMarks.Empty() {
-					queue = append(queue, work{head, newMarks})
-				}
-			}
-			m.col.AddIteration()
-		}
-		return nil
+		return m.stratum.run(m.view, marked, map[string]*rel.Relation{pred: doomed}, m.opts())
 	}(); err != nil {
 		return false, err
 	}
 
 	// Phases 2 and 3 mutate the view, so from here a budget abort marks it
 	// invalid (see mutating).
-	err := m.mutating(func() {
+	err := m.mutating(func() error {
 		// Phase 2: apply the deletions.
 		base.Delete(t)
 		for p, mk := range marked {
-			for _, row := range mk.Rows() {
-				m.total[p].Delete(row)
+			for i := range mk.Len() {
+				m.total[p].Delete(mk.Row(i))
 			}
-			m.col.Observe(p, m.total[p].Len())
 		}
 
-		// Phase 3: re-derive over-deleted tuples that still have a
-		// derivation from the remaining data; each re-insertion propagates
-		// like a normal insertion, which re-derives anything downstream of
-		// it (including other marked tuples).
-		// Directly re-derivable tuples are batched into one delta per
-		// predicate; the insertion propagation then re-derives everything
-		// downstream (including marked tuples that only became derivable
-		// again through these).
+		// Phase 3: re-insert the over-deleted tuples that still have a
+		// derivation from the remaining data, then run the loop seeded
+		// with them, which re-derives everything downstream (including
+		// marked tuples that only became derivable again through these).
 		src := func(_ int, p string) *rel.Relation { return m.view.Relation(p) }
+		seed := make(map[string]*rel.Relation)
 		for p, mk := range marked {
-			redelta := rel.New(m.total[p].Arity())
-			for _, row := range mk.Rows() {
-				if m.total[p].Contains(row) {
-					continue // already re-derived via an earlier propagation
-				}
+			tot := m.total[p]
+			n := tot.Len()
+			for i := range mk.Len() {
+				row := mk.Row(i)
 				for _, sc := range m.support[p] {
 					if sc.derives(src, row) {
-						m.total[p].Insert(row)
-						redelta.Insert(row)
+						tot.Insert(row)
 						// Re-derivation is real maintenance work: without
 						// this the churn of an over-delete/re-derive pass
 						// would be invisible to the tuple and byte budgets.
@@ -206,11 +160,9 @@ func (m *Materialized) DeleteFact(pred string, args ...string) (bool, error) {
 					}
 				}
 			}
-			if !redelta.Empty() {
-				m.propagate(p, redelta)
-			}
-			m.col.Observe(p, m.total[p].Len())
+			seed[p] = tot.Window(n, tot.Len())
 		}
+		return m.stratum.run(m.view, nil, seed, m.opts())
 	})
 	if err != nil {
 		return false, err

@@ -141,6 +141,17 @@ buys(X, Y) :- friend(X, W) & buys(W, Y).
 buys(X, Y) :- buys(X, W) & cheaper(Y, W).
 buys(X, Y) :- perfectFor(X, Y).
 `, []string{"friend", "cheaper", "perfectFor"}, "buys", 2},
+		// Two delta occurrences in one rule.
+		"nonlinear": {`
+path(X, Y) :- edge(X, Y).
+path(X, Y) :- path(X, W) & path(W, Y).
+`, []string{"edge"}, "path", 2},
+		// Two mutually recursive IDB predicates: re-derivation seeds both.
+		"mutual": {`
+a(X, Y) :- e(X, Y).
+a(X, Y) :- e(X, W) & b(W, Y).
+b(X, Y) :- f(X, W) & a(W, Y).
+`, []string{"e", "f"}, "a", 2},
 	}
 	rng := rand.New(rand.NewSource(13))
 	for name, cfg := range progs {

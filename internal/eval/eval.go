@@ -40,16 +40,23 @@ type Options struct {
 	MaterializeRounds bool
 }
 
+// stratum is one stratum's rules, compiled once and run any number of
+// times: a from-scratch fixpoint, or a maintenance pass seeded with
+// deltas (see run).
+type stratum struct {
+	rules []compiledRule
+	preds []string // the predicates the stratum's rules derive
+}
+
 type compiledRule struct {
-	rule    ast.Rule
-	plan    *conj.Plan
-	proj    *conj.Projector
-	idbOccs []int // body atom indexes whose predicate is IDB
+	rule ast.Rule
+	proj *conj.Projector
+	occs []int // positive relation atoms: the body positions a delta can fill
 
 	// runner and row are reusable scratch: one pull-stream runner and one
-	// projected-head buffer per rule, reused across every round of the
-	// stratum. rels holds the relation each body atom reads, by atom
-	// index, set at each round start; src serves it to the runner.
+	// projected-head buffer per rule, reused across every round and run.
+	// rels holds the relation each body atom reads, by atom index, set at
+	// each round start; src serves it to the runner.
 	runner *conj.Runner
 	row    rel.Tuple
 	rels   []*rel.Relation
@@ -78,22 +85,19 @@ func Run(prog *ast.Program, db *database.Database, opts Options) (_ *database.Da
 	if err != nil {
 		return nil, err
 	}
-	idb := prog.IDBPreds()
 
 	view := db.ShallowView()
-	total := make(map[string]*rel.Relation)
-	for p := range idb {
+	for p := range prog.IDBPreds() {
 		t := rel.New(arities[p])
 		if existing := db.Relation(p); existing != nil {
 			t.InsertAll(existing)
 		}
-		total[p] = t
 		view.Set(p, t)
 	}
 
-	for _, stratum := range strata {
-		inStratum := make(map[string]bool, len(stratum))
-		for _, p := range stratum {
+	for _, preds := range strata {
+		inStratum := make(map[string]bool, len(preds))
+		for _, p := range preds {
 			inStratum[p] = true
 		}
 		var rules []ast.Rule
@@ -102,76 +106,102 @@ func Run(prog *ast.Program, db *database.Database, opts Options) (_ *database.Da
 				rules = append(rules, r)
 			}
 		}
-		if err := runStratum(rules, inStratum, view, total, opts); err != nil {
+		s, err := compileStratum(rules, preds, view.Syms.Intern, opts.Budget)
+		if err != nil {
+			return nil, err
+		}
+		if err := s.run(view, nil, nil, opts); err != nil {
 			return nil, err
 		}
 	}
 	return view, nil
 }
 
-// runStratum runs one semi-naive fixpoint over the given rules. inStratum
-// names the predicates being computed; IDB predicates of lower strata are
-// already complete in view and act as base relations (their occurrences
-// never read deltas).
-func runStratum(rules []ast.Rule, inStratum map[string]bool, view *database.Database, total map[string]*rel.Relation, opts Options) error {
-	intern := view.Syms.Intern
-	compiled := make([]compiledRule, 0, len(rules))
+// compileStratum compiles rules, whose heads are among preds, for run. The
+// plans tick bud at join-inner-loop granularity.
+func compileStratum(rules []ast.Rule, preds []string, intern func(string) rel.Value, bud *budget.Budget) (*stratum, error) {
+	s := &stratum{rules: make([]compiledRule, 0, len(rules)), preds: preds}
 	for _, r := range rules {
 		plan, err := conj.Compile(r.Body, nil, intern)
 		if err != nil {
-			return fmt.Errorf("eval: rule %s: %w", r, err)
+			return nil, fmt.Errorf("eval: rule %s: %w", r, err)
 		}
 		proj, err := conj.NewProjector(r.Head, plan, intern)
 		if err != nil {
-			return fmt.Errorf("eval: rule %s: %w", r, err)
+			return nil, fmt.Errorf("eval: rule %s: %w", r, err)
 		}
-		plan.SetTick(opts.Budget.TickFunc())
-		cr := compiledRule{rule: r, plan: plan, proj: proj}
-		cr.runner = plan.NewRunner()
+		plan.SetTick(bud.TickFunc())
+		rels := make([]*rel.Relation, len(r.Body))
+		cr := compiledRule{rule: r, proj: proj, runner: plan.NewRunner(), rels: rels}
 		cr.row = make(rel.Tuple, proj.Arity())
-		cr.rels = make([]*rel.Relation, len(r.Body))
+		cr.src = func(atomIdx int, _ string) *rel.Relation { return rels[atomIdx] }
 		for i, a := range r.Body {
-			if inStratum[a.Pred] && !a.Negated {
-				cr.idbOccs = append(cr.idbOccs, i)
+			if !a.Negated && !ast.Builtin(a.Pred) {
+				cr.occs = append(cr.occs, i)
 			}
 		}
-		compiled = append(compiled, cr)
+		s.rules = append(s.rules, cr)
 	}
-	for i := range compiled {
-		rels := compiled[i].rels
-		compiled[i].src = func(atomIdx int, _ string) *rel.Relation { return rels[atomIdx] }
+	return s, nil
+}
+
+// run evaluates the stratum semi-naively to fixpoint. Rule bodies read
+// view, through windows frozen at each round start for the stratum's
+// predicates; head tuples stream into out[p], or, when out is nil, into
+// view's own relation for p. With a nil seed the first round runs every
+// rule in full. Otherwise the first round is a delta round over seed,
+// whose entries may name base predicates: a maintenance pass that starts
+// from the facts it changed. Every delta round runs each rule once per
+// positive body atom whose predicate has a delta, with that delta
+// substituted there.
+//
+// A run into a non-nil out (DRed's over-deletion marks) charges rounds and
+// join ticks but not derived tuples: it mutates nothing the view serves.
+func (s *stratum) run(view *database.Database, out, seed map[string]*rel.Relation, opts Options) error {
+	fixpoint := out == nil
+	if fixpoint {
+		out = make(map[string]*rel.Relation, len(s.preds))
+		for _, p := range s.preds {
+			out[p] = view.Relation(p)
+		}
+	}
+	// The sinks append during a round, so rule bodies read windows
+	// instead: frozen, each of the stratum's relations in view as it stood
+	// when the round began, and delta, the rows the previous round added.
+	sinks := make(map[string]*RoundSink, len(s.preds))
+	frozen := make(map[string]*rel.Relation, len(s.preds))
+	delta := make(map[string]*rel.Relation, len(s.preds))
+	for p, d := range seed {
+		if !d.Empty() {
+			delta[p] = d
+		}
+	}
+	if seed != nil && len(delta) == 0 {
+		return nil // nothing to propagate, and no round to charge
 	}
 
 	// runRule pulls the rule's satisfying bindings one at a time and
 	// streams each projected head straight into the round sink — nothing
 	// between the body's index scans and the sink is materialized.
 	runRule := func(cr *compiledRule, into *RoundSink) {
-		s := cr.runner.Stream(cr.src, nil)
-		for b, ok := s.Next(); ok; b, ok = s.Next() {
+		st := cr.runner.Stream(cr.src, nil)
+		for b, ok := st.Next(); ok; b, ok = st.Next() {
 			into.Add(cr.proj.Tuple(b, cr.row))
 		}
 	}
 
-	// The sinks append to the totals during a round, so rule bodies read
-	// windows instead: frozen, each in-stratum total as it stood when the
-	// round began, and delta, the rows the previous round appended.
-	sinks := make(map[string]*RoundSink, len(inStratum))
-	frozen := make(map[string]*rel.Relation, len(inStratum))
-	delta := make(map[string]*rel.Relation, len(inStratum))
-
-	// runRound evaluates one round into fresh sinks. Round 0 and naive
-	// rounds run every rule against the frozen totals; semi-naive rounds
-	// run each recursive rule once per IDB occurrence with the previous
-	// round's delta substituted there. It reports whether any total grew.
-	runRound := func(fromDelta bool) bool {
+	// runRound evaluates one round into fresh sinks, either every rule in
+	// full or the delta round, and reports whether any sink grew.
+	runRound := func(full bool) bool {
 		opts.Budget.Round()
 		opts.Collector.AddIteration()
-		for p := range inStratum {
-			frozen[p] = total[p].Window(0, total[p].Len())
-			sinks[p] = NewRoundSink(total[p], opts.MaterializeRounds)
+		for _, p := range s.preds {
+			r := view.Relation(p)
+			frozen[p] = r.Window(0, r.Len())
+			sinks[p] = NewRoundSink(out[p], opts.MaterializeRounds)
 		}
-		for i := range compiled {
-			cr := &compiled[i]
+		for i := range s.rules {
+			cr := &s.rules[i]
 			for j, a := range cr.rule.Body {
 				if f := frozen[a.Pred]; f != nil {
 					cr.rels[j] = f
@@ -180,46 +210,52 @@ func runStratum(rules []ast.Rule, inStratum map[string]bool, view *database.Data
 				}
 			}
 			into := sinks[cr.rule.Head.Pred]
-			if !fromDelta {
+			if full {
 				runRule(cr, into)
 				continue
 			}
-			// Exit rules (no IDB occurrence) cannot produce new facts
-			// after round 0.
-			for _, occ := range cr.idbOccs {
-				pred := cr.rule.Body[occ].Pred
-				cr.rels[occ] = delta[pred]
+			for _, occ := range cr.occs {
+				d := delta[cr.rule.Body[occ].Pred]
+				if d == nil {
+					continue
+				}
+				whole := cr.rels[occ]
+				cr.rels[occ] = d
 				runRule(cr, into)
-				cr.rels[occ] = frozen[pred]
+				cr.rels[occ] = whole
 			}
 		}
 
-		changed := false
+		clear(delta)
 		var interBytes int64
-		for p, s := range sinks {
-			d := s.Delta()
+		for p, sink := range sinks {
+			d := sink.Delta()
+			arity := out[p].Arity()
+			interBytes += int64(sink.IntermediateLen(d)) * int64(arity) * int64(rel.ValueBytes)
+			if d.Empty() {
+				continue
+			}
 			delta[p] = d
-			added := d.Len()
-			opts.Collector.AddInserted(added)
-			opts.Budget.AddDerived(added, total[p].Arity())
-			interBytes += int64(s.IntermediateLen(d)) * int64(total[p].Arity()) * int64(rel.ValueBytes)
-			if added > 0 {
-				changed = true
+			if fixpoint {
+				opts.Collector.AddInserted(d.Len())
+				opts.Budget.AddDerived(d.Len(), arity)
 			}
 		}
-		opts.Collector.ObserveIntermediate(interBytes)
-		for p := range inStratum {
-			opts.Collector.Observe(p, total[p].Len())
+		if fixpoint {
+			opts.Collector.ObserveIntermediate(interBytes)
+			for _, p := range s.preds {
+				opts.Collector.Observe(p, out[p].Len())
+			}
 		}
-		return changed
+		return len(delta) > 0
 	}
 
-	changed := runRound(false)
+	changed := runRound(seed == nil)
 	for round := 1; changed; round++ {
 		if opts.MaxIterations > 0 && round >= opts.MaxIterations {
 			return budget.RoundsExceeded(opts.Budget.Strategy(), round, opts.MaxIterations)
 		}
-		changed = runRound(!opts.Naive)
+		changed = runRound(opts.Naive)
 	}
 	return nil
 }

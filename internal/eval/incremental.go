@@ -5,30 +5,27 @@ import (
 
 	"sepdl/internal/ast"
 	"sepdl/internal/budget"
-	"sepdl/internal/conj"
 	"sepdl/internal/database"
 	"sepdl/internal/rel"
 	"sepdl/internal/stats"
 )
 
 // Materialized is an incrementally maintained fixpoint: the IDB relations
-// of a positive program, kept up to date as new base facts arrive. Each
-// insertion is propagated semi-naively (the new fact is a delta), so
-// maintenance cost is proportional to the new derivations, not to the
-// database.
-//
-// Insertions propagate directly; deletions are handled by DeleteFact's
-// delete-and-rederive (DRed) pass. Programs with negation are rejected:
-// a new fact can retract negation-derived tuples.
+// of a positive program, kept up to date as base facts arrive and leave.
+// Maintenance runs on Run's semi-naive round loop: an insertion is a run
+// seeded with the new fact as its only delta, so its cost is proportional
+// to the new derivations, not to the database. Deletions are DeleteFact's
+// delete-and-rederive (DRed) pass, two more seeded runs of the same loop.
+// Programs with negation are rejected: a new fact can retract
+// negation-derived tuples.
 type Materialized struct {
 	prog  *ast.Program
 	view  *database.Database
 	total map[string]*rel.Relation
 	base  map[string]*rel.Relation // EDB relations, owned by this view
-	// occs maps each predicate to the (rule, body position) pairs where it
-	// occurs, for delta-driven re-evaluation.
-	occs  map[string][]occurrence
-	rules []compiledRule
+	// stratum holds every rule, compiled once: a negation-free program's
+	// IDB predicates all fit in one stratum.
+	stratum *stratum
 	// support holds, per IDB predicate, one derivability check per rule
 	// (used by DeleteFact's re-derivation phase).
 	support map[string][]*supportCheck
@@ -37,11 +34,6 @@ type Materialized struct {
 	// broken records a budget abort that interrupted a maintenance pass
 	// mid-mutation; the view is then inconsistent and refuses further use.
 	broken error
-}
-
-type occurrence struct {
-	rule int
-	atom int
 }
 
 // Materialize evaluates prog over db once and returns a maintainable view.
@@ -87,29 +79,20 @@ func MaterializeBudget(prog *ast.Program, db *database.Database, col *stats.Coll
 		view:    fixed,
 		total:   make(map[string]*rel.Relation),
 		base:    base,
-		occs:    make(map[string][]occurrence),
 		support: make(map[string][]*supportCheck),
 		col:     col,
 		bud:     bud,
 	}
+	var preds []string
 	for p := range idb {
 		m.total[p] = fixed.Relation(p)
+		preds = append(preds, p)
 	}
 	intern := fixed.Syms.Intern
-	for ri, r := range prog.Rules {
-		plan, err := conj.Compile(r.Body, nil, intern)
-		if err != nil {
-			return nil, err
-		}
-		plan.SetTick(bud.TickFunc())
-		proj, err := conj.NewProjector(r.Head, plan, intern)
-		if err != nil {
-			return nil, err
-		}
-		m.rules = append(m.rules, compiledRule{rule: r, plan: plan, proj: proj})
-		for ai, b := range r.Body {
-			m.occs[b.Pred] = append(m.occs[b.Pred], occurrence{rule: ri, atom: ai})
-		}
+	if m.stratum, err = compileStratum(prog.Rules, preds, intern, bud); err != nil {
+		return nil, err
+	}
+	for _, r := range prog.Rules {
 		sc, err := newSupportCheck(r, intern)
 		if err != nil {
 			return nil, err
@@ -216,94 +199,30 @@ func (m *Materialized) AddFact(pred string, args ...string) (bool, error) {
 	if !r.Insert(t) {
 		return false, nil
 	}
-	delta := rel.New(len(t))
-	delta.Insert(t)
 	// The base fact is in; from here an abort leaves the IDB relations
 	// behind the base relations, so it poisons the view.
-	if err := m.mutating(func() { m.propagate(pred, delta) }); err != nil {
+	seed := map[string]*rel.Relation{pred: r.Window(r.Len()-1, r.Len())}
+	if err := m.mutating(func() error { return m.stratum.run(m.view, nil, seed, m.opts()) }); err != nil {
 		return false, err
 	}
 	return true, nil
 }
 
+// opts are the Options of every maintenance run.
+func (m *Materialized) opts() Options { return Options{Collector: m.col, Budget: m.bud} }
+
 // mutating runs a maintenance step that modifies the view, converting a
 // budget abort into an error and marking the view invalid (the step may
 // have been interrupted between mutations).
-func (m *Materialized) mutating(f func()) error {
+func (m *Materialized) mutating(f func() error) error {
 	err := func() (err error) {
 		defer budget.Guard(&err)
-		f()
-		return nil
+		return f()
 	}()
 	if err != nil {
 		m.broken = err
 	}
 	return err
-}
-
-// propagate pushes a delta for pred through every rule occurrence,
-// worklist-style, until no new IDB facts appear. Totals already include
-// each delta before its propagation, so derivations combining several new
-// facts are found when the later delta is processed.
-func (m *Materialized) propagate(pred string, delta *rel.Relation) {
-	type work struct {
-		pred  string
-		delta *rel.Relation
-	}
-	queue := []work{{pred, delta}}
-	frozen := make(map[string]*rel.Relation, len(m.total))
-	for len(queue) > 0 {
-		m.bud.Round()
-		w := queue[0]
-		queue = queue[1:]
-		// One RoundSink per head predicate: emissions stream into it and
-		// straight into the maintained totals. Rule bodies read the totals
-		// as they stood when this step began, frozen until the sinks'
-		// deltas are queued below; each delta is a window of its total.
-		for p, t := range m.total {
-			frozen[p] = t.Window(0, t.Len())
-		}
-		sinks := make(map[string]*RoundSink)
-		for _, oc := range m.occs[w.pred] {
-			cr := &m.rules[oc.rule]
-			head := cr.rule.Head.Pred
-			into := sinks[head]
-			if into == nil {
-				into = NewRoundSink(m.total[head], false)
-				sinks[head] = into
-			}
-			occAtom := oc.atom
-			src := func(atomIdx int, p string) *rel.Relation {
-				if atomIdx == occAtom {
-					return w.delta
-				}
-				if f := frozen[p]; f != nil {
-					return f
-				}
-				return m.view.Relation(p)
-			}
-			row := make(rel.Tuple, cr.proj.Arity())
-			s := cr.plan.Stream(src, nil)
-			for b, ok := s.Next(); ok; b, ok = s.Next() {
-				into.Add(cr.proj.Tuple(b, row))
-			}
-		}
-		var interBytes int64
-		for head, sink := range sinks {
-			d := sink.Delta()
-			interBytes += int64(sink.IntermediateLen(d)) * int64(m.total[head].Arity()) * int64(rel.ValueBytes)
-			if d.Empty() {
-				continue
-			}
-			added := d.Len()
-			m.col.AddInserted(added)
-			m.bud.AddDerived(added, m.total[head].Arity())
-			m.col.Observe(head, m.total[head].Len())
-			queue = append(queue, work{head, d})
-		}
-		m.col.ObserveIntermediate(interBytes)
-		m.col.AddIteration()
-	}
 }
 
 // Answer evaluates a query against the maintained view (index lookup and

@@ -138,7 +138,7 @@ buys(X, Y) :- perfectFor(X, Y).
 }
 
 // TestIncrementalMatchesRecompute drives random insert sequences through
-// both the incremental view and a from-scratch recomputation, on two
+// both the incremental view and a from-scratch recomputation, on four
 // programs, and requires identical IDB relations after every insertion.
 func TestIncrementalMatchesRecompute(t *testing.T) {
 	progs := map[string]string{
@@ -148,12 +148,25 @@ buys(X, Y) :- friend(X, W) & buys(W, Y).
 buys(X, Y) :- buys(X, W) & cheaper(Y, W).
 buys(X, Y) :- perfectFor(X, Y).
 `,
+		// Two delta occurrences in one rule.
+		"nonlinear": `
+path(X, Y) :- edge(X, Y).
+path(X, Y) :- path(X, W) & path(W, Y).
+`,
+		// Two mutually recursive IDB predicates.
+		"mutual": `
+a(X, Y) :- e(X, Y).
+a(X, Y) :- e(X, W) & b(W, Y).
+b(X, Y) :- f(X, W) & a(W, Y).
+`,
 	}
 	preds := map[string][][2]string{
 		"tc":         {{"edge", "2"}},
 		"buys2class": {{"friend", "2"}, {"cheaper", "2"}, {"perfectFor", "2"}},
+		"nonlinear":  {{"edge", "2"}},
+		"mutual":     {{"e", "2"}, {"f", "2"}},
 	}
-	idbOf := map[string]string{"tc": "path", "buys2class": "buys"}
+	idbOf := map[string]string{"tc": "path", "buys2class": "buys", "nonlinear": "path", "mutual": "a"}
 
 	rng := rand.New(rand.NewSource(3))
 	for name, src := range progs {
@@ -190,11 +203,12 @@ buys(X, Y) :- perfectFor(X, Y).
 	}
 }
 
-// TestIncrementalStepsReadFrozenTotals pins the worklist structure of an
-// insertion's propagation: p(a) derives q(a) in the first step, and r(a),
-// which needs q(a), only in the step that propagates q's delta. A step
-// whose later rule read the totals its own sinks are growing would derive
-// both in the first step, and hold two tuples at once.
+// TestIncrementalStepsReadFrozenTotals pins the round structure of an
+// insertion's propagation: p(a) derives q(a) in the first round, and r(a),
+// which needs q(a), only in the round that reads q's delta; the third
+// round finds nothing new. A round whose later rule read the totals its
+// own sinks are growing would derive both in the first round, and hold
+// two tuples at once.
 func TestIncrementalStepsReadFrozenTotals(t *testing.T) {
 	prog := mustProgram(t, `
 q(X) :- p(X).

@@ -393,6 +393,8 @@ func (r *Relation) Row(i int) Tuple {
 			panic(fmt.Sprintf("rel: row %d of a %d-row window", i, r.hi-r.lo))
 		}
 		i += int(r.lo)
+	} else if uint(i) >= uint(r.g.n) {
+		panic(fmt.Sprintf("rel: row %d of a %d-row relation", i, r.g.n))
 	}
 	return r.g.row(i, r.arity)
 }

@@ -390,6 +390,29 @@ func TestDelete(t *testing.T) {
 	}
 }
 
+// TestRowPastLen pins the bound on a resident relation's Row: a delete
+// leaves the freed row's values inside the array's capacity, and reading
+// past Len must panic instead of returning them.
+func TestRowPastLen(t *testing.T) {
+	r := New(2)
+	r.Insert(tp(7, 8))
+	r.Insert(tp(9, 10))
+	r.Delete(tp(9, 10))
+	if got := r.Row(0); !got.Equal(tp(7, 8)) {
+		t.Fatalf("Row(0) = %v, want [7 8]", got)
+	}
+	mustPanic(t, "Row past Len after a delete", func() { r.Row(1) })
+	mustPanic(t, "negative Row", func() { r.Row(-1) })
+
+	z := New(0)
+	mustPanic(t, "Row of an empty nullary relation", func() { z.Row(0) })
+	z.Insert(Tuple{})
+	if got := z.Row(0); len(got) != 0 {
+		t.Fatalf("nullary Row(0) = %v", got)
+	}
+	mustPanic(t, "Row past a nullary relation", func() { z.Row(1) })
+}
+
 func TestDeleteMaintainsIndexes(t *testing.T) {
 	r := FromTuples(2, []Tuple{tp(1, 10), tp(1, 11), tp(2, 20)})
 	idx := r.Index([]int{0})
