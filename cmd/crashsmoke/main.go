@@ -18,9 +18,10 @@
 //
 //	crashsmoke [-iterations 12] [-facts 400] [-dir DIR] [-memtable-bytes N] [-v]
 //
-// With -memtable-bytes > 0 the child runs over the segment-backed store:
-// the overlay budget forces background checkpoints that flush facts into
-// sorted segment files mid-ingest, so kills land before, during, and
+// With -memtable-bytes > 0 the overlay budget forces background
+// checkpoints that flush facts into sorted segment files mid-ingest (with
+// 0, a run this small never reaches the log-growth threshold and recovery
+// replays the log alone), so kills land before, during, and
 // after segment builds, and recovery must serve the surviving prefix
 // from whatever mix of cold segments and log tail the tear left behind.
 //
@@ -74,7 +75,7 @@ func main() {
 		dir        = flag.String("dir", "", "data directory (default: a temp dir)")
 		iterations = flag.Int("iterations", 12, "kill-recover-verify cycles")
 		facts      = flag.Int("facts", 400, "facts the child tries to ingest per run")
-		memtable   = flag.Int64("memtable-bytes", 0, "overlay budget triggering segment flushes (0: flat checkpoints only)")
+		memtable   = flag.Int64("memtable-bytes", 0, "overlay budget triggering segment flushes (0: checkpoints on log growth only)")
 		verbose    = flag.Bool("v", false, "log each iteration")
 	)
 	flag.Parse()

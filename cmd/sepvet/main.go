@@ -1,8 +1,7 @@
 // Command sepvet runs the repo's static-analysis suite (internal/lint)
-// over the module: six std-lib analyzers enforcing the engine's runtime
+// over the module: five std-lib analyzers enforcing the engine's runtime
 // invariants — budgetcheck (materializing loops consult the evaluation
 // budget), walorder (durable writes append+fsync before applying),
-// segorder (segment writers publish via tmp→fsync→rename→dir-fsync),
 // snapshotcheck (published snapshots are immutable), errcodecheck
 // (errors cross the HTTP/exit boundary through internal/errcode), and
 // leakreg (long-lived OS handles register with internal/leakcheck) —

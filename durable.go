@@ -82,24 +82,7 @@ func WithColdStorage(on bool) EngineOption {
 // release the log; a crash instead of a Close loses nothing acknowledged.
 func Open(dir string, opts ...EngineOption) (*Engine, error) {
 	e := New(opts...)
-	cacheBytes := e.blockCacheBytes
-	if cacheBytes == 0 {
-		cacheBytes = segment.DefaultCacheBytes
-	}
-	st, err := wal.Open(dir, wal.Options{
-		CheckpointBytes: e.ckptBytes,
-		NoSync:          e.noSync,
-		// The codec is attached even with cold storage off: existing
-		// segment-backed checkpoints must stay readable (Recover then
-		// replays them fact by fact instead of installing cold bases).
-		Checkpointer: segment.NewCodec(dir, cacheBytes, 0),
-		Tick: func() error {
-			if e.closed.Load() {
-				return ErrEngineClosed
-			}
-			return nil
-		},
-	})
+	st, err := e.openStore(dir, wal.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -108,6 +91,28 @@ func Open(dir string, opts ...EngineOption) (*Engine, error) {
 		return nil, err
 	}
 	return e, nil
+}
+
+// openStore opens the write-ahead log in dir with the segment codec
+// attached, both writing through o's fault hooks (zero in Open; tests
+// pass faultinject hooks). The codec is attached even with cold storage
+// off: checkpoints must stay readable, and Recover then replays them fact
+// by fact instead of installing cold bases.
+func (e *Engine) openStore(dir string, o wal.Options) (*wal.Store, error) {
+	cacheBytes := e.blockCacheBytes
+	if cacheBytes == 0 {
+		cacheBytes = segment.DefaultCacheBytes
+	}
+	o.CheckpointBytes = e.ckptBytes
+	o.NoSync = e.noSync
+	o.Checkpointer = segment.NewCodec(dir, cacheBytes, 0, o.Hooks)
+	o.Tick = func() error {
+		if e.closed.Load() {
+			return ErrEngineClosed
+		}
+		return nil
+	}
+	return wal.Open(dir, o)
 }
 
 // attach installs a recovered durable store as the engine's write-ahead
@@ -222,8 +227,8 @@ func (e *Engine) needCheckpointLocked() bool {
 // its segment-backed cold base, dropping the flushed rows from RAM while
 // keeping writes that landed after the rotation as the new overlay. The
 // database revision is NOT bumped: the content is identical, so plan and
-// closure caches stay warm. No-op for flat stores and with cold storage
-// off.
+// closure caches stay warm. No-op for stores without cold storage
+// (MemStore) and with cold storage off.
 func (e *Engine) rebaseCold() {
 	if e.coldOff {
 		return

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"sepdl/internal/faultinject"
 	"sepdl/internal/leakcheck"
+	"sepdl/internal/segment"
 	"sepdl/internal/wal"
 )
 
@@ -200,11 +202,7 @@ func TestDurableFaultedWritesInvisible(t *testing.T) {
 			d := faultinject.NewDisk()
 			tc.arm(d)
 			e := New()
-			st, err := wal.Open(dir, wal.Options{
-				BeforeWrite:    d.BeforeWrite,
-				BeforeSync:     d.BeforeSync,
-				BeforeTruncate: d.BeforeTruncate,
-			})
+			st, err := e.openStore(dir, wal.Options{Hooks: d.Hooks(), BeforeTruncate: d.BeforeTruncate})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -245,6 +243,126 @@ func TestDurableFaultedWritesInvisible(t *testing.T) {
 			}
 			if res, err := re.Query(`friend(b, X)?`); err != nil || res.Len() != 0 {
 				t.Errorf("faulted fact recovered: %v, %v", res, err)
+			}
+		})
+	}
+}
+
+// TestCheckpointFaultSweep injects a disk fault at every write and fsync
+// of one Engine.Checkpoint: the segment's chunks, the marker, both file
+// fsyncs and both directory fsyncs. Each write is failed, torn and
+// crashed in turn, each fsync failed. Checkpoint must return the injected
+// error, the engine must keep answering, and a reopen must answer exactly
+// like the pre-checkpoint oracle without rejecting any checkpoint as
+// damaged: a failed checkpoint leaves no marker naming an unfinished
+// segment.
+func TestCheckpointFaultSweep(t *testing.T) {
+	leakcheck.CheckResources(t)
+	// Enough facts that the segment streams in several write chunks.
+	var pad strings.Builder
+	for i := 0; i < 6000; i++ {
+		fmt.Fprintf(&pad, "pad(p%05d, q%05d).\n", i, i)
+	}
+	oracle := oracleWithFacts(t, len(durableFactSeq))
+	if err := oracle.LoadFacts(pad.String()); err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{`buys(a, Y)?`, `buys(X, g1)?`, `buys(z, Y)?`, `pad(p00042, Y)?`}
+
+	// ingest opens a durable engine in dir writing through hooks and loads
+	// the oracle's state; automatic checkpoints are off.
+	ingest := func(t *testing.T, dir string, hooks segment.Hooks) *Engine {
+		t.Helper()
+		e := New(WithCheckpointBytes(-1))
+		st, err := e.openStore(dir, wal.Options{Hooks: hooks})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.attach(st); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.LoadProgram(example11); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.LoadFacts(pad.String()); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range durableFactSeq {
+			if err := e.AddFact(f[0], f[1:]...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return e
+	}
+
+	// Record the writes and fsyncs of one fault-free checkpoint.
+	type write struct {
+		name     string
+		off, len int64
+	}
+	var writes []write
+	syncs, recording := 0, false
+	probe := ingest(t, t.TempDir(), segment.Hooks{
+		BeforeWrite: func(name string, off int64, p []byte) ([]byte, error) {
+			if recording {
+				writes = append(writes, write{filepath.Base(name), off, int64(len(p))})
+			}
+			return p, nil
+		},
+		BeforeSync: func(string) error {
+			if recording {
+				syncs++
+			}
+			return nil
+		},
+	})
+	recording = true
+	if err := probe.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	recording = false
+	probe.Close()
+	if len(writes) < 3 || syncs != 4 {
+		t.Fatalf("checkpoint made %d writes and %d fsyncs; want a multi-chunk segment, a marker and 4 fsyncs", len(writes), syncs)
+	}
+
+	type fault struct {
+		name string
+		arm  func(d *faultinject.Disk)
+	}
+	var faults []fault
+	for i, w := range writes {
+		faults = append(faults,
+			fault{fmt.Sprintf("write %d failure", i+1), func(d *faultinject.Disk) { d.FailWrite(d.Writes() + i + 1) }},
+			fault{fmt.Sprintf("write %d short", i+1), func(d *faultinject.Disk) { d.ShortWrite(d.Writes()+i+1, int(w.len/2)) }},
+			fault{fmt.Sprintf("write %d crash", i+1), func(d *faultinject.Disk) { d.Match = w.name; d.CrashAt(w.off + w.len/2) }},
+		)
+	}
+	for i := 0; i < syncs; i++ {
+		faults = append(faults, fault{fmt.Sprintf("fsync %d failure", i+1), func(d *faultinject.Disk) { d.FailSync(d.Syncs() + i + 1) }})
+	}
+	for _, f := range faults {
+		t.Run(f.name, func(t *testing.T) {
+			dir := t.TempDir()
+			d := faultinject.NewDisk()
+			e := ingest(t, dir, d.Hooks())
+			f.arm(d)
+			if err := e.Checkpoint(); !errors.Is(err, faultinject.ErrDisk) {
+				t.Fatalf("Checkpoint = %v, want ErrDisk", err)
+			}
+			assertEnginesAgree(t, "after failed checkpoint", e, oracle, queries)
+			e.Close()
+			re, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if n := re.Stats().WAL.CheckpointErrors; n != 0 {
+				t.Errorf("reopen rejected %d checkpoint(s) as damaged", n)
+			}
+			assertEnginesAgree(t, "reopen", re, oracle, queries)
+			if err := re.Checkpoint(); err != nil {
+				t.Errorf("checkpoint after reopen: %v", err)
 			}
 		})
 	}
@@ -529,5 +647,65 @@ func TestCheckpointRacesBackgroundCheckpoint(t *testing.T) {
 	defer re.Close()
 	if got := re.NumFacts(); got != n {
 		t.Errorf("NumFacts = %d after reopen, want %d", got, n)
+	}
+}
+
+// TestOpensCheckpointFixture: testdata/compat-ckpt2 is a data directory
+// that sepdl.Open wrote at commit 381b430: Example 1.1's program and the
+// first 32 facts of testdata/compat-ckpt2.facts, one Checkpoint, then a
+// log tail of four LoadFacts and three AddFact records holding the rest.
+// Opened by this build, with cold storage on and off, it must recover
+// every fact and answer every query under every served strategy exactly
+// like an in-RAM engine loaded with the same facts.
+func TestOpensCheckpointFixture(t *testing.T) {
+	leakcheck.CheckResources(t)
+	facts, err := os.ReadFile(filepath.Join("testdata", "compat-ckpt2.facts"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := New()
+	if err := oracle.LoadProgram(example11); err != nil {
+		t.Fatal(err)
+	}
+	if err := oracle.LoadFacts(string(facts)); err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{
+		`buys(p0, Y)?`, `buys(r5, Y)?`, `buys(X, g99)?`, `buys(X, "gift card")?`,
+		`buys(X, Y)?`, `friend(X, p10)?`, `idol(p4, Y)?`,
+	}
+	for _, cold := range []bool{true, false} {
+		t.Run(fmt.Sprintf("cold=%v", cold), func(t *testing.T) {
+			dir := t.TempDir()
+			ents, err := os.ReadDir(filepath.Join("testdata", "compat-ckpt2"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ent := range ents {
+				data, err := os.ReadFile(filepath.Join("testdata", "compat-ckpt2", ent.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, ent.Name()), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e, err := Open(dir, WithColdStorage(cold))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			st := e.Stats().WAL
+			if st.CheckpointErrors != 0 || st.RecoveredRecords != 7 {
+				t.Errorf("recovery stats: %d checkpoint errors, %d records replayed; want 0 and 7", st.CheckpointErrors, st.RecoveredRecords)
+			}
+			if e.NumFacts() != oracle.NumFacts() {
+				t.Errorf("recovered %d facts, want %d", e.NumFacts(), oracle.NumFacts())
+			}
+			if e.ProgramText() != oracle.ProgramText() {
+				t.Errorf("recovered program %q, want %q", e.ProgramText(), oracle.ProgramText())
+			}
+			assertEnginesAgree(t, "fixture", e, oracle, queries)
+		})
 	}
 }

@@ -1,8 +1,6 @@
 package database
 
 import (
-	"io"
-
 	"sepdl/internal/rel"
 	"sepdl/internal/symtab"
 )
@@ -26,9 +24,10 @@ import (
 // may run concurrently with appends, and Close may race a checkpoint.
 type Store interface {
 	// Recover replays the persisted history into sink in acknowledged
-	// order: first the newest valid checkpoint (as one LoadProgram plus
-	// chunked LoadFacts calls), then every log record after it. It must be
-	// called once, before any Append.
+	// order: first the newest valid checkpoint (its symbols and cold bases
+	// through ColdSink, or its facts one AddFact at a time for a sink
+	// without it, then its program), then every log record after it. It
+	// must be called once, before any Append.
 	Recover(sink RecoverSink) error
 
 	// AppendFact logs one AddFact. The record is durable when the call
@@ -54,9 +53,9 @@ type Store interface {
 	// WriteCheckpoint durably writes the state covering all segments below
 	// seq, then deletes the log segments and checkpoints it supersedes. It
 	// may run concurrently with appends to the post-Rotate segment. state
-	// must be an immutable snapshot taken at the Rotate instant; stores
-	// either render it flat (state.WriteFacts) or hand it to a segment
-	// codec that builds a queryable sorted structure from it.
+	// must be an immutable snapshot taken at the Rotate instant; the
+	// write-ahead log hands it to its segment codec, which writes it as a
+	// queryable sorted segment.
 	WriteCheckpoint(seq uint64, program string, state CheckpointState) error
 
 	// Stats returns the store's cumulative counters.
@@ -75,18 +74,16 @@ type RecoverSink interface {
 	ClearProgram() error
 }
 
-// CheckpointState is the read surface a checkpoint writer needs from the
+// CheckpointState is the read surface a segment build needs from the
 // engine's snapshot: the predicate directory, each relation (for sorted
-// enumeration of cold base + overlay), the symbol table (segment files
-// persist interned ids, so the id→name mapping must travel with them),
-// and the flat textual rendering legacy checkpoints use. The snapshot is
-// immutable, so all methods are safe to call off the engine's locks.
-// *Database implements it.
+// enumeration of cold base + overlay), and the symbol table (segment
+// files persist interned ids, so the id→name mapping must travel with
+// them). The snapshot is immutable, so all methods are safe to call off
+// the engine's locks. *Database implements it.
 type CheckpointState interface {
 	Preds() []string
 	Relation(pred string) *rel.Relation
 	SymbolTable() *symtab.Table
-	WriteFacts(w io.Writer) error
 }
 
 // ColdSink is the optional extension of RecoverSink a segment-aware

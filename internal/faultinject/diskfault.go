@@ -5,15 +5,19 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+
+	"sepdl/internal/segment"
 )
 
 // ErrDisk is the sentinel every injected disk fault wraps, so tests can
 // assert an error came from the harness and not from a real I/O failure.
 var ErrDisk = errors.New("faultinject: injected disk fault")
 
-// Disk injects failures into a write-ahead log's file operations through
-// the hook seam in internal/wal (Options.BeforeWrite / BeforeSync /
-// BeforeTruncate). It models the disk faults a durable store must survive:
+// Disk injects failures into a durable store's file operations through
+// the hook seams: segment.Hooks (each log append's write and fsync, and
+// every write and fsync of a checkpoint file's publish, its directory
+// fsync included; see Hooks) and internal/wal's Options.BeforeTruncate.
+// It models the disk faults a durable store must survive:
 //
 //   - FailWrite: the nth write fails outright, no bytes persisted.
 //   - ShortWrite: the nth write persists only a prefix, then fails — a
@@ -139,11 +143,16 @@ func (d *Disk) Crashed() bool {
 	return d.crashed
 }
 
+// Hooks returns the write and fsync hooks to hand a store and its codec.
+func (d *Disk) Hooks() segment.Hooks {
+	return segment.Hooks{BeforeWrite: d.BeforeWrite, BeforeSync: d.BeforeSync}
+}
+
 func (d *Disk) matches(name string) bool {
 	return d.Match == "" || strings.Contains(name, d.Match)
 }
 
-// BeforeWrite is the wal hook: it returns the bytes to persist (possibly
+// BeforeWrite is the write hook: it returns the bytes to persist (possibly
 // clipped or corrupted) and the error the write must report. Bytes
 // returned are persisted even when err is non-nil, modelling writes torn
 // by a fault.
@@ -184,7 +193,7 @@ func (d *Disk) BeforeWrite(name string, off int64, p []byte) ([]byte, error) {
 	return p, nil
 }
 
-// BeforeSync is the wal hook for fsync.
+// BeforeSync is the fsync hook.
 func (d *Disk) BeforeSync(name string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()

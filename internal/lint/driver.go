@@ -6,11 +6,10 @@
 // handling, and finding collection, so each analyzer is only the rule
 // itself. The analyzers (see All): budgetcheck (fixpoint loops must
 // consult the evaluation budget), walorder (the durable write path must
-// append+fsync before applying), segorder (segment writers follow the
-// tmp→fsync→rename→dir-fsync publish ordering), snapshotcheck (published
-// snapshots are immutable), errcodecheck (errors cross the HTTP/exit
-// boundary through the internal/errcode taxonomy), and leakreg
-// (long-lived OS handles register with internal/leakcheck).
+// append+fsync before applying), snapshotcheck (published snapshots are
+// immutable), errcodecheck (errors cross the HTTP/exit boundary through
+// the internal/errcode taxonomy), and leakreg (long-lived OS handles
+// register with internal/leakcheck).
 //
 // Package discovery is walk-based, not list-based: Check walks the module
 // root for every directory holding non-test Go files, skipping testdata
@@ -118,7 +117,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		Budgetcheck(),
 		Walorder(),
-		Segorder(),
 		Snapshotcheck(),
 		Errcodecheck(),
 		Leakreg(),

@@ -115,12 +115,12 @@ func TestValidateRejectsCorruptData(t *testing.T) {
 	leakcheck.CheckResources(t)
 	db, _ := buildDB(t, 13, map[string]int{"e": 2}, 120)
 	dir := t.TempDir()
-	c := NewCodec(dir, 1<<20, 256)
+	c := NewCodec(dir, 1<<20, 256, Hooks{})
 	defer c.Close()
-	if err := c.Write(2, db); err != nil {
+	if err := c.Write(2, "", db); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Validate(2); err != nil {
+	if _, err := c.Validate(2); err != nil {
 		t.Fatalf("intact Validate: %v", err)
 	}
 	// Rot one byte in the first data block (just past the head magic).
@@ -133,9 +133,9 @@ func TestValidateRejectsCorruptData(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c2 := NewCodec(dir, 1<<20, 256)
+	c2 := NewCodec(dir, 1<<20, 256, Hooks{})
 	defer c2.Close()
-	if err := c2.Validate(2); err == nil {
+	if _, err := c2.Validate(2); err == nil {
 		t.Fatal("Validate accepted a segment with a rotted data block")
 	}
 }

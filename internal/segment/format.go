@@ -1,6 +1,7 @@
-// Package segment implements the cold tier of the storage engine:
-// immutable sorted segment files built from checkpoints, plus the codec
-// that plugs them into the write-ahead log's checkpoint seam.
+// Package segment implements the checkpoints and the cold tier of the
+// storage engine: immutable sorted segment files built from checkpoints,
+// the marker file that commits each one, and the codec through which the
+// write-ahead log (internal/wal) writes, verifies and recovers them.
 //
 // A segment file holds one checkpoint's entire extensional database in a
 // queryable layout: for every predicate, all tuples in ascending
@@ -27,10 +28,10 @@
 // The index records, per symbol block and per predicate data block, its
 // offset, length, CRC32C, and row count, and per data block the first and
 // last row — enough to route a key-range scan to exactly the blocks it
-// intersects without touching the others. Writers follow the same
-// crash-safety discipline as the WAL's checkpoint files:
-// tmp → fsync → rename → directory fsync (enforced by sepvet's segorder
-// analyzer), so a crashed build leaves at most an ignorable *.tmp file.
+// intersects without touching the others. Segment and marker reach disk
+// through one function, publish: tmp → fsync → rename → directory fsync,
+// every write and fsync through the Hooks fault injection plugs into, so
+// a crashed build leaves at most an ignorable *.tmp file.
 package segment
 
 import (

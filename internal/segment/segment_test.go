@@ -312,19 +312,20 @@ func TestCacheCounters(t *testing.T) {
 }
 
 // TestCodecLifecycle: Write -> Validate -> Recover through a ColdSink,
-// then DropBelow removes superseded files.
+// then DropBelow removes superseded markers and segments.
 func TestCodecLifecycle(t *testing.T) {
 	leakcheck.CheckResources(t)
 	dir := t.TempDir()
 	db, oracle := buildDB(t, 5, map[string]int{"e": 2, "n": 1}, 200)
-	c := NewCodec(dir, 1<<20, 256)
+	c := NewCodec(dir, 1<<20, 256, Hooks{})
 	defer c.Close()
 
-	if err := c.Write(3, db); err != nil {
+	const prog = "p(X) :- e(X, X)."
+	if err := c.Write(3, prog, db); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	if err := c.Validate(3); err != nil {
-		t.Fatalf("Validate: %v", err)
+	if got, err := c.Validate(3); err != nil || got != prog {
+		t.Fatalf("Validate = %q, %v; want %q", got, err, prog)
 	}
 	sink := &coldSink{tables: map[string]rel.ColdBase{}}
 	if err := c.Recover(3, sink, nil); err != nil {
@@ -343,7 +344,7 @@ func TestCodecLifecycle(t *testing.T) {
 		}
 	}
 
-	// A plain sink (no ColdSink) gets a fact-by-fact textual replay.
+	// A plain sink (no ColdSink) gets a fact-by-fact replay.
 	total := 0
 	for _, rows := range oracle {
 		total += len(rows)
@@ -356,13 +357,17 @@ func TestCodecLifecycle(t *testing.T) {
 		t.Fatalf("flat replay delivered %d facts, want %d", flat.facts, total)
 	}
 
-	if err := c.Write(7, db); err != nil {
+	if err := c.Write(7, "", db); err != nil {
 		t.Fatalf("Write(7): %v", err)
 	}
 	c.DropBelow(7)
-	ents, _ := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
-	if len(ents) != 1 || !strings.Contains(ents[0], "seg-0000000000000007.seg") {
-		t.Fatalf("after DropBelow(7): %v, want only seq 7", ents)
+	ents, _ := filepath.Glob(filepath.Join(dir, "*"))
+	if len(ents) != 2 || !strings.HasSuffix(ents[0], "ckpt-0000000000000007.ckpt") ||
+		!strings.HasSuffix(ents[1], "seg-0000000000000007.seg") {
+		t.Fatalf("after DropBelow(7): %v, want only seq 7's marker and segment", ents)
+	}
+	if seqs, err := c.Checkpoints(); err != nil || fmt.Sprint(seqs) != "[7]" {
+		t.Fatalf("Checkpoints = %v, %v; want [7]", seqs, err)
 	}
 	st := c.Stats()
 	if st.SegmentFiles != 1 || st.SegmentBuilds != 2 || st.SegmentBuildErrors != 0 {
@@ -385,13 +390,13 @@ func TestCodecInstallMonotone(t *testing.T) {
 	dir := t.TempDir()
 	newer, oracle := buildDB(t, 5, map[string]int{"e": 2}, 200)
 	older, _ := buildDB(t, 6, map[string]int{"e": 2}, 20)
-	c := NewCodec(dir, 1<<20, 256)
+	c := NewCodec(dir, 1<<20, 256, Hooks{})
 	defer c.Close()
 
-	if err := c.Write(5, newer); err != nil {
+	if err := c.Write(5, "", newer); err != nil {
 		t.Fatalf("Write(5): %v", err)
 	}
-	if err := c.Write(4, older); err != nil {
+	if err := c.Write(4, "", older); err != nil {
 		t.Fatalf("Write(4): %v", err)
 	}
 	base, _, ok := c.ColdSet().Cold("e")

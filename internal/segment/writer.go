@@ -1,111 +1,58 @@
 package segment
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
-	"os"
-	"path/filepath"
 
 	"sepdl/internal/database"
 	"sepdl/internal/keys"
-	"sepdl/internal/leakcheck"
 	"sepdl/internal/rel"
 )
 
-// Build writes the checkpoint state as a segment file at path, following
-// the WAL's crash-safety discipline: the bytes are assembled in a *.tmp
-// sibling, fsynced, renamed over path, and the directory entry fsynced —
-// in that order, so a crash at any point leaves either no file or a
-// complete one, never a torn segment under the final name. On error the
-// tmp file is removed and nothing remains under path.
-func Build(path string, state database.CheckpointState, blockBytes int) (err error) {
+// Build writes the checkpoint state as a segment file at path through
+// publish (tmp → fsync → rename → directory fsync), so a crash leaves
+// either no file or a complete one under path.
+func Build(path string, state database.CheckpointState, blockBytes int) error {
+	return publish(path, Hooks{}, segmentBody(state, blockBytes))
+}
+
+// segmentBody returns publish's fill function for a segment holding state:
+// header, symbol blocks, data blocks per predicate, index, footer.
+func segmentBody(state database.CheckpointState, blockBytes int) func(w *segWriter) error {
 	if blockBytes <= 0 {
 		blockBytes = DefaultBlockBytes
 	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("segment: create %s: %w", tmp, err)
-	}
-	tok := leakcheck.OpenResource("segfile " + tmp)
-	defer func() {
-		if f != nil { // error path: release the handle and the tmp file
-			f.Close()
-			leakcheck.CloseResource(tok)
-			os.Remove(tmp)
+	return func(w *segWriter) error {
+		w.write([]byte(headMagic))
+		names := state.SymbolTable().Names()
+		symBlocks := writeSymbols(w, names, blockBytes)
+
+		var preds []*predMeta
+		for _, pred := range state.Preds() {
+			r := state.Relation(pred)
+			if r == nil {
+				continue
+			}
+			pm, err := writePred(w, pred, r, blockBytes)
+			if err != nil {
+				return err
+			}
+			preds = append(preds, pm)
 		}
-	}()
 
-	w := &segWriter{w: bufio.NewWriterSize(f, 1<<16)}
-	w.write([]byte(headMagic))
-
-	names := state.SymbolTable().Names()
-	symBlocks := writeSymbols(w, names, blockBytes)
-
-	var preds []*predMeta
-	for _, pred := range state.Preds() {
-		r := state.Relation(pred)
-		if r == nil {
-			continue
-		}
-		pm, perr := writePred(w, pred, r, blockBytes)
-		if perr != nil {
-			return perr
-		}
-		preds = append(preds, pm)
+		idx := encodeIndex(len(names), symBlocks, preds)
+		idxOff := w.off
+		w.write(idx)
+		var foot []byte
+		foot = appendU64(foot, uint64(idxOff))
+		foot = appendU32(foot, uint32(len(idx)))
+		foot = appendU32(foot, crc32.Checksum(idx, castagnoli))
+		foot = append(foot, tailMagic...)
+		w.write(foot)
+		return nil
 	}
-
-	idx := encodeIndex(len(names), symBlocks, preds)
-	idxOff := w.off
-	w.write(idx)
-	var foot []byte
-	foot = appendU64(foot, uint64(idxOff))
-	foot = appendU32(foot, uint32(len(idx)))
-	foot = appendU32(foot, crc32.Checksum(idx, castagnoli))
-	foot = append(foot, tailMagic...)
-	w.write(foot)
-
-	if w.err != nil {
-		return fmt.Errorf("segment: write %s: %w", tmp, w.err)
-	}
-	if err := w.w.Flush(); err != nil {
-		return fmt.Errorf("segment: flush %s: %w", tmp, err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("segment: sync %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		f = nil
-		os.Remove(tmp)
-		leakcheck.CloseResource(tok)
-		return fmt.Errorf("segment: close %s: %w", tmp, err)
-	}
-	f = nil
-	leakcheck.CloseResource(tok)
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("segment: rename %s: %w", tmp, err)
-	}
-	return syncDir(filepath.Dir(path))
-}
-
-// segWriter tracks the absolute file offset and the first write error.
-type segWriter struct {
-	w   *bufio.Writer
-	off int64
-	err error
-}
-
-func (w *segWriter) write(b []byte) {
-	if w.err != nil {
-		return
-	}
-	n, err := w.w.Write(b)
-	w.off += int64(n)
-	w.err = err
 }
 
 // writeSymbols chunks the interned names (in id order — ids are the
@@ -233,19 +180,4 @@ func encodeIndex(symCount int, symBlocks []blockMeta, preds []*predMeta) []byte 
 		}
 	}
 	return b
-}
-
-// syncDir fsyncs a directory so a just-renamed segment's entry is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("segment: open dir %s: %w", dir, err)
-	}
-	tok := leakcheck.OpenResource("segdir " + dir)
-	defer leakcheck.CloseResource(tok)
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("segment: sync dir %s: %w", dir, err)
-	}
-	return nil
 }

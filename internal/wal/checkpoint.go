@@ -1,183 +1,46 @@
 package wal
 
 import (
-	"bytes"
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"sepdl/internal/database"
-	"sepdl/internal/leakcheck"
 )
 
-// Checkpoint file format:
-//
-//	magic "sepdl-ckpt1\n" (flat) or "sepdl-ckpt2\n" (segment-backed)
-//	u32le progLen | program text
-//	u32le factLen | facts text (database/io.WriteFacts form; ckpt1 only)
-//	u32le crc32c over everything between magic and crc
-//
-// A ckpt1 file carries the whole database as parseable fact text. A
-// ckpt2 file carries only the program: its facts live in the segment
-// file of the same sequence (seg-%016d.seg, written by the Checkpointer
-// *before* the marker, and fully verified before the marker is trusted
-// at open). The two magics are what disambiguate an empty flat database
-// from a segment-backed checkpoint — both have factLen 0.
-//
-// The file is written to a .tmp name, fsynced, renamed into place, and
-// the directory fsynced — so a checkpoint either exists whole and valid
-// or not at all, and recovery can always fall back to an older one (or
-// to full log replay) when the payload fails its checksum.
-const (
-	ckptMagic  = "sepdl-ckpt1\n"
-	ckptMagic2 = "sepdl-ckpt2\n"
-)
+// errLogOnly reports a checkpoint asked of a store opened without a codec.
+var errLogOnly = errors.New("wal: checkpoint: store has no checkpoint codec (log only)")
 
-// loadCheckpoint reads and validates one checkpoint file. segBacked
-// reports the ckpt2 form, whose facts must come from the Checkpointer.
-func loadCheckpoint(path string) (prog, facts string, segBacked bool, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return "", "", false, err
-	}
-	if len(data) >= len(ckptMagic2) && string(data[:len(ckptMagic2)]) == ckptMagic2 {
-		segBacked = true
-	}
-	if len(data) < len(ckptMagic)+12 || (!segBacked && string(data[:len(ckptMagic)]) != ckptMagic) {
-		return "", "", false, fmt.Errorf("%w: checkpoint %s: bad header", ErrCorrupt, filepath.Base(path))
-	}
-	body := data[len(ckptMagic) : len(data)-4]
-	crc := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.Checksum(body, castagnoli) != crc {
-		return "", "", false, fmt.Errorf("%w: checkpoint %s: checksum mismatch", ErrCorrupt, filepath.Base(path))
-	}
-	progLen := int(binary.LittleEndian.Uint32(body))
-	if progLen < 0 || 4+progLen+4 > len(body) {
-		return "", "", false, fmt.Errorf("%w: checkpoint %s: bad program length", ErrCorrupt, filepath.Base(path))
-	}
-	prog = string(body[4 : 4+progLen])
-	rest := body[4+progLen:]
-	factLen := int(binary.LittleEndian.Uint32(rest))
-	if factLen < 0 || 4+factLen != len(rest) {
-		return "", "", false, fmt.Errorf("%w: checkpoint %s: bad facts length", ErrCorrupt, filepath.Base(path))
-	}
-	if segBacked && factLen != 0 {
-		return "", "", false, fmt.Errorf("%w: checkpoint %s: segment-backed marker carries %d fact bytes", ErrCorrupt, filepath.Base(path), factLen)
-	}
-	facts = string(rest[4 : 4+factLen])
-	return prog, facts, segBacked, nil
-}
-
-// WriteCheckpoint atomically persists a snapshot covering every segment
+// WriteCheckpoint hands the codec the snapshot covering every segment
 // below seq (the sequence Rotate returned), then deletes the superseded
-// segments and older checkpoints. state must be the engine state at the
-// exact instant of that rotation. With a Checkpointer attached, the
-// state lands as a segment file first and the ckpt marker records only
-// the program (ckpt2); otherwise the whole database is rendered into a
-// flat ckpt1 file. The write runs concurrent with appends to the new
-// segment; only bookkeeping takes the store lock.
+// log segments and checkpoints. state must be the engine state at the
+// exact instant of that rotation. The codec publishes the segment and
+// then its marker; the write runs concurrent with appends to the new
+// segment, and only bookkeeping takes the store lock. A store opened
+// without a codec keeps only its log and fails every checkpoint.
 func (s *Store) WriteCheckpoint(seq uint64, program string, state database.CheckpointState) error {
-	var body bytes.Buffer
-	var lb [4]byte
-	binary.LittleEndian.PutUint32(lb[:], uint32(len(program)))
-	body.Write(lb[:])
-	body.WriteString(program)
-	magic := ckptMagic
-	if c := s.opts.Checkpointer; c != nil {
-		// Segment first, marker second: a marker must never point at a
-		// segment that did not finish.
-		if err := c.Write(seq, state); err != nil {
-			s.noteCheckpointError()
-			return fmt.Errorf("wal: checkpoint segment: %w", err)
-		}
-		magic = ckptMagic2
-		var zero [4]byte
-		body.Write(zero[:]) // factLen 0: the facts live in the segment
-	} else {
-		// Reserve the facts length slot, stream the facts, then patch it in.
-		factAt := body.Len()
-		body.Write(lb[:])
-		if err := state.WriteFacts(&body); err != nil {
-			s.noteCheckpointError()
-			return fmt.Errorf("wal: checkpoint snapshot: %w", err)
-		}
-		binary.LittleEndian.PutUint32(body.Bytes()[factAt:], uint32(body.Len()-factAt-4))
+	c := s.opts.Checkpointer
+	err := errLogOnly
+	if c != nil {
+		err = c.Write(seq, program, state)
 	}
-
-	out := make([]byte, 0, len(magic)+body.Len()+4)
-	out = append(out, magic...)
-	out = append(out, body.Bytes()...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(body.Bytes(), castagnoli))
-
-	if err := s.writeCheckpointFile(seq, out); err != nil {
-		s.noteCheckpointError()
-		return err
+	if err != nil {
+		s.mu.Lock()
+		s.stats.CheckpointErrors++
+		s.mu.Unlock()
+		return fmt.Errorf("wal: checkpoint: %w", err)
 	}
 	s.compact(seq)
 	return nil
 }
 
-// writeCheckpointFile lands the encoded checkpoint via tmp-write, fsync,
-// rename, directory fsync. Writes and the fsync go through the fault
-// hooks so tests can tear or fail a checkpoint like any other file.
-func (s *Store) writeCheckpointFile(seq uint64, out []byte) error {
-	tmp := filepath.Join(s.dir, ckptName(seq)+".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: checkpoint: %w", err)
-	}
-	tok := leakcheck.OpenResource("walfile " + tmp)
-	cleanup := func(err error) error {
-		f.Close()
-		leakcheck.CloseResource(tok)
-		os.Remove(tmp)
-		return fmt.Errorf("wal: checkpoint: %w", err)
-	}
-	p, herr := out, error(nil)
-	if h := s.opts.BeforeWrite; h != nil {
-		p, herr = h(tmp, 0, out)
-	}
-	if len(p) > 0 {
-		if _, werr := f.WriteAt(p, 0); werr != nil {
-			return cleanup(werr)
-		}
-	}
-	if herr != nil {
-		return cleanup(herr)
-	}
-	if h := s.opts.BeforeSync; h != nil {
-		if err := h(tmp); err != nil {
-			return cleanup(err)
-		}
-	}
-	if err := f.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Close(); err != nil {
-		leakcheck.CloseResource(tok)
-		os.Remove(tmp)
-		return fmt.Errorf("wal: checkpoint: %w", err)
-	}
-	leakcheck.CloseResource(tok)
-	if err := os.Rename(tmp, filepath.Join(s.dir, ckptName(seq))); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: checkpoint: %w", err)
-	}
-	if err := syncDir(s.dir); err != nil {
-		return fmt.Errorf("wal: checkpoint: %w", err)
-	}
-	return nil
-}
-
-// compact deletes every log segment, checkpoint, and codec segment the
-// new checkpoint at seq supersedes. It rescans the directory rather than
-// trusting bookkeeping: files a previous compaction failed to remove, or
-// stale checkpoints from runs that crashed between install and cleanup,
-// must not accumulate — the one guarantee is that nothing at or above
-// seq is touched. An individual removal error leaves a file the *next*
+// compact deletes every log segment and checkpoint the new checkpoint at
+// seq supersedes. It rescans the directory rather than trusting
+// bookkeeping: files a previous compaction failed to remove, or stale
+// checkpoints from runs that crashed between install and cleanup, must
+// not accumulate — the one guarantee is that nothing at or above seq is
+// touched. An individual removal error leaves a file the *next*
 // compaction's rescan retries, so leftovers are transient, not permanent;
 // errors never fail the checkpoint itself (recovery always prefers the
 // newest valid checkpoint).
@@ -191,36 +54,15 @@ func (s *Store) compact(seq uint64) {
 	if hi >= s.minSeq {
 		s.stats.Segments = hi - s.minSeq + 1
 	}
-	s.ckpSeq, s.ckpProg, s.ckpFact = seq, "", ""
-	s.ckpSegs = s.opts.Checkpointer != nil
+	s.ckpSeq, s.ckpProg = seq, ""
 	s.mu.Unlock()
 
 	if entries, err := os.ReadDir(s.dir); err == nil {
 		for _, e := range entries {
-			name := e.Name()
-			var q uint64
-			switch {
-			case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log"):
-				if _, err := fmt.Sscanf(name, "wal-%016d.log", &q); err != nil || q >= seq {
-					continue
-				}
-			case strings.HasPrefix(name, "ckpt-") && strings.HasSuffix(name, ".ckpt"):
-				if _, err := fmt.Sscanf(name, "ckpt-%016d.ckpt", &q); err != nil || q >= seq {
-					continue
-				}
-			default:
-				continue
+			if q, ok := logSeq(e.Name()); ok && q < seq {
+				os.Remove(filepath.Join(s.dir, e.Name()))
 			}
-			os.Remove(filepath.Join(s.dir, name))
 		}
 	}
-	if c := s.opts.Checkpointer; c != nil {
-		c.DropBelow(seq)
-	}
-}
-
-func (s *Store) noteCheckpointError() {
-	s.mu.Lock()
-	s.stats.CheckpointErrors++
-	s.mu.Unlock()
+	s.opts.Checkpointer.DropBelow(seq)
 }

@@ -4,17 +4,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"sepdl/internal/database"
 )
-
-// ckptChunk is how many checkpoint-facts bytes replay into the sink per
-// call (extended to the next newline so no atom is split). Chunking keeps
-// the materialization loop at this level, where the recovery budget hook
-// ticks between chunks, instead of one unbounded LoadFacts.
-const ckptChunk = 1 << 16
 
 // Recover replays the persisted history into sink: the newest valid
 // checkpoint first, then every log record after it, in acknowledged
@@ -25,8 +18,18 @@ const ckptChunk = 1 << 16
 // is single-threaded and runs before the engine admits queries.
 func (s *Store) Recover(sink database.RecoverSink) error {
 	start := time.Now()
-	if err := s.replayCheckpoint(sink); err != nil {
-		return err
+	if s.ckpSeq != 0 {
+		// Symbols first (cold tuples reference interned ids, so the table
+		// must align before anything else interns a name), then the
+		// per-predicate cold bases, then the program.
+		if err := s.opts.Checkpointer.Recover(s.ckpSeq, sink, s.tick.Tick); err != nil {
+			return fmt.Errorf("wal: checkpoint segment: %w", err)
+		}
+		if s.ckpProg != "" {
+			if err := sink.LoadProgram(s.ckpProg); err != nil {
+				return fmt.Errorf("wal: checkpoint program: %w", err)
+			}
+		}
 	}
 	from := s.ckpSeq
 	if from == 0 {
@@ -43,58 +46,8 @@ func (s *Store) Recover(sink database.RecoverSink) error {
 	}
 	s.mu.Lock()
 	s.stats.RecoveryNanos = uint64(time.Since(start))
-	// The checkpoint payload has been replayed into the sink; don't keep
-	// a second copy of the whole database pinned in memory.
-	s.ckpProg, s.ckpFact = "", ""
+	s.ckpProg = "" // replayed into the sink; no need to keep it
 	s.mu.Unlock()
-	return nil
-}
-
-// replayCheckpoint loads the checkpoint located at open time. A
-// segment-backed checkpoint installs through the Checkpointer — symbols
-// first (cold tuples reference interned ids, so the table must align
-// before anything else interns a name), then the per-predicate cold
-// bases, then the program. A flat checkpoint replays its program in one
-// call (programs are small) and its facts in newline-aligned chunks with
-// the budget hook ticking between them.
-func (s *Store) replayCheckpoint(sink database.RecoverSink) error {
-	if s.ckpSeq == 0 {
-		return nil
-	}
-	if s.ckpSegs {
-		if err := s.opts.Checkpointer.Recover(s.ckpSeq, sink, s.tick.Tick); err != nil {
-			return fmt.Errorf("wal: checkpoint segment: %w", err)
-		}
-		if s.ckpProg != "" {
-			if err := sink.LoadProgram(s.ckpProg); err != nil {
-				return fmt.Errorf("wal: checkpoint program: %w", err)
-			}
-		}
-		return nil
-	}
-	if s.ckpProg != "" {
-		if err := sink.LoadProgram(s.ckpProg); err != nil {
-			return fmt.Errorf("wal: checkpoint program: %w", err)
-		}
-	}
-	facts := s.ckpFact
-	for len(facts) > 0 {
-		n := ckptChunk
-		if n >= len(facts) {
-			n = len(facts)
-		} else if i := strings.IndexByte(facts[n:], '\n'); i >= 0 {
-			n += i + 1
-		} else {
-			n = len(facts)
-		}
-		if err := sink.LoadFacts(facts[:n]); err != nil {
-			return fmt.Errorf("wal: checkpoint facts: %w", err)
-		}
-		if err := s.tick.Tick(); err != nil {
-			return err
-		}
-		facts = facts[n:]
-	}
 	return nil
 }
 

@@ -50,7 +50,7 @@ func (s *coldSink) InstallCold(pred string, arity int, base rel.ColdBase) error 
 }
 
 func segOpts(dir string) Options {
-	return Options{Checkpointer: segment.NewCodec(dir, 1<<20, 256)}
+	return Options{Checkpointer: segment.NewCodec(dir, 1<<20, 256, segment.Hooks{})}
 }
 
 func listDir(t *testing.T, dir string) []string {
@@ -203,8 +203,7 @@ func TestSegmentCheckpointRecovery(t *testing.T) {
 // TestCorruptSegmentFallsBack: when the newest checkpoint's segment file
 // rots, open-time validation rejects it, counts a CheckpointError, and
 // recovery falls back to the older checkpoint chain when one survives —
-// exactly the flat checkpoint's corruption contract, extended to the
-// segment tier.
+// the same contract as a rotted marker.
 func TestCorruptSegmentFallsBack(t *testing.T) {
 	leakcheck.CheckResources(t)
 	dir := t.TempDir()

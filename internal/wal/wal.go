@@ -1,20 +1,25 @@
 // Package wal implements the durable Store behind the engine: an
 // append-only, length-prefixed, CRC32C-checksummed write-ahead log of the
 // engine's logical writes (AddFact, LoadFacts, LoadProgram, ClearProgram)
-// plus periodic checkpoint snapshots that bound replay time and let old
-// log segments be deleted.
+// plus the checkpoints that bound replay time and let old log segments be
+// deleted. The log is this package's; the checkpoint files — one segment
+// and one marker per checkpoint, and their on-disk format and publish
+// order — belong to the internal/segment codec attached as
+// Options.Checkpointer.
 //
 // Layout of a data directory:
 //
 //	wal-%016d.log    log segments; records append to the highest sequence
-//	ckpt-%016d.ckpt  checkpoint covering every segment below its sequence
-//	*.tmp            in-progress checkpoints; ignored and removed at open
+//	seg-%016d.seg    a checkpoint's database (internal/segment)
+//	ckpt-%016d.ckpt  the marker committing the checkpoint covering every
+//	                 log segment below its sequence (internal/segment)
+//	*.tmp            in-progress checkpoint files; removed at open
 //
 // Durability contract: an append is acknowledged only after its bytes and
 // an fsync reached the current segment, and a failed append is rolled
 // back (the segment is truncated to its previous durable end) so the log
 // never carries garbage between good records. Boot-time recovery loads
-// the newest checksum-valid checkpoint, replays every record after it,
+// the newest checkpoint that verifies, replays every record after it,
 // and truncates a torn tail at the first bad length or checksum in the
 // newest segment — a crash at any byte offset therefore recovers exactly
 // the acknowledged prefix of the history. A bad record in an older
@@ -22,8 +27,9 @@
 // be reconciled to any consistent prefix and fails recovery with
 // ErrCorrupt instead of serving a gapped database.
 //
-// Fault injection: Options' BeforeWrite/BeforeSync/BeforeTruncate hooks
-// intercept every file mutation; internal/faultinject's Disk provides
+// Fault injection: Options' Hooks and BeforeTruncate intercept every log
+// write, fsync and truncation (and the codec's Hooks every checkpoint
+// file's); internal/faultinject's Disk provides
 // short writes, fsync failures, bit flips, and crash-at-offset through
 // them, and the tests in this package sweep a crash over every byte
 // offset of a log to prove the prefix property.
@@ -40,6 +46,7 @@ import (
 
 	"sepdl/internal/database"
 	"sepdl/internal/leakcheck"
+	"sepdl/internal/segment"
 )
 
 // DefaultCheckpointBytes is the log growth that triggers NeedCheckpoint
@@ -67,48 +74,26 @@ type Options struct {
 	// cost.
 	NoSync bool
 
-	// BeforeWrite, if set, intercepts every file write: it receives the
-	// file name, the absolute offset, and the bytes about to be written,
-	// and returns the bytes to actually persist plus the error the write
-	// reports. Returned bytes are persisted even when the error is
-	// non-nil (a torn write). Fault injection plugs in here.
-	BeforeWrite func(name string, off int64, p []byte) ([]byte, error)
-	// BeforeSync, if set, intercepts every fsync.
-	BeforeSync func(name string) error
+	// Hooks intercept every log append's write and fsync; fault
+	// injection plugs in here. The log's directory fsyncs bypass them.
+	Hooks segment.Hooks
 	// BeforeTruncate, if set, intercepts the self-heal truncation after a
 	// failed append.
 	BeforeTruncate func(name string) error
 
 	// Tick, if set, is called during recovery after every replayed record
-	// and checkpoint chunk, the budget hook that keeps replay loops
-	// cancellable and accounted (the budgetcheck lint enforces that every
-	// replay loop reaches one).
+	// and between steps of the checkpoint install, the budget hook that keeps
+	// replay loops cancellable and accounted (the budgetcheck lint
+	// enforces that every replay loop reaches one).
 	Tick func() error
 
-	// Checkpointer, if set, replaces flat checkpoint snapshots with a
-	// pluggable checkpoint engine (in practice internal/segment's Codec):
-	// WriteCheckpoint hands it the state to persist as a queryable
-	// structure, the ckpt marker file records only the program text, and
-	// recovery installs the structure through the RecoverSink's ColdSink
-	// extension instead of replaying every fact. Old flat checkpoints
-	// remain readable either way, so a directory migrates forward on its
-	// next checkpoint.
-	Checkpointer Checkpointer
-}
-
-// Checkpointer is the seam a segment codec implements. The store calls
-// Write before installing a ckpt marker for seq (so a crash between the
-// two leaves an orphan the next DropBelow removes), Validate before
-// trusting a marker at open, Recover to install the validated state, and
-// DropBelow after a newer checkpoint supersedes older sequences.
-type Checkpointer interface {
-	Write(seq uint64, state database.CheckpointState) error
-	Validate(seq uint64) error
-	Recover(seq uint64, sink database.RecoverSink, tick func() error) error
-	DropBelow(keep uint64)
-	ColdSet() database.ColdSet
-	Stats() database.SegmentStats
-	Close() error
+	// Checkpointer writes, verifies and recovers the store's checkpoints.
+	// Open asks it for the newest checkpoint that verifies, WriteCheckpoint
+	// hands it the state to persist, and recovery installs that state
+	// through the RecoverSink's ColdSink extension instead of replaying
+	// every fact. Pass it the same Hooks. nil makes the store log-only:
+	// recovery replays the whole log and WriteCheckpoint fails.
+	Checkpointer *segment.Codec
 }
 
 // progress adapts Options.Tick to a method named Tick so replay loops
@@ -143,8 +128,6 @@ type Store struct {
 	stats   database.StoreStats
 	ckpSeq  uint64 // newest valid checkpoint at open (0 = none)
 	ckpProg string // its program text
-	ckpFact string // its facts text (flat checkpoints only)
-	ckpSegs bool   // the checkpoint's facts live in a validated segment
 }
 
 // Open opens (creating if necessary) the log in dir. The store is ready
@@ -160,9 +143,15 @@ func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{dir: dir, opts: opts, tick: progress{opts.Tick}}
 	s.stats.Durable = true
 
-	segs, ckpts, err := s.scan()
+	segs, err := s.scan()
 	if err != nil {
 		return nil, err
+	}
+	var ckpts []uint64
+	if c := opts.Checkpointer; c != nil {
+		if ckpts, err = c.Checkpoints(); err != nil {
+			return nil, err
+		}
 	}
 	if len(segs) == 0 {
 		s.seq, s.minSeq = 1, 1
@@ -175,8 +164,8 @@ func Open(dir string, opts Options) (*Store, error) {
 	s.minSeq, s.seq = segs[0], segs[len(segs)-1]
 	s.stats.Segments = uint64(len(segs))
 
-	// Pick the newest checkpoint whose payload validates and whose replay
-	// chain (its own sequence up to the newest segment) is intact.
+	// Pick the newest checkpoint whose marker and segment verify and whose
+	// replay chain (its own sequence up to the newest segment) is intact.
 	segSet := make(map[uint64]bool, len(segs))
 	for _, q := range segs {
 		segSet[q] = true
@@ -186,25 +175,12 @@ func Open(dir string, opts Options) (*Store, error) {
 		if c > s.seq || !chainIntact(segSet, c, s.seq) {
 			continue
 		}
-		prog, facts, segBacked, err := loadCheckpoint(filepath.Join(dir, ckptName(c)))
+		prog, err := opts.Checkpointer.Validate(c)
 		if err != nil {
 			s.stats.CheckpointErrors++
 			continue
 		}
-		if segBacked {
-			// The marker's facts live in a segment file: fully verify it
-			// (index, symbols, every data block) before trusting the
-			// checkpoint, falling back to an older one on any damage.
-			if opts.Checkpointer == nil {
-				s.stats.CheckpointErrors++
-				continue
-			}
-			if err := opts.Checkpointer.Validate(c); err != nil {
-				s.stats.CheckpointErrors++
-				continue
-			}
-		}
-		s.ckpSeq, s.ckpProg, s.ckpFact, s.ckpSegs = c, prog, facts, segBacked
+		s.ckpSeq, s.ckpProg = c, prog
 		break
 	}
 	if s.ckpSeq == 0 && !chainIntact(segSet, s.minSeq, s.seq) {
@@ -229,37 +205,33 @@ func chainIntact(segs map[uint64]bool, lo, hi uint64) bool {
 	return true
 }
 
-// scan lists the directory, removing leftover temp files, and returns the
-// sorted segment and checkpoint sequences.
-func (s *Store) scan() (segs, ckpts []uint64, err error) {
+// scan returns the sorted sequences of the log segments in the directory.
+func (s *Store) scan() ([]uint64, error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
+	var segs []uint64
 	for _, e := range entries {
-		name := e.Name()
-		switch {
-		case strings.HasSuffix(name, ".tmp"):
-			os.Remove(filepath.Join(s.dir, name))
-		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log"):
-			var q uint64
-			if _, err := fmt.Sscanf(name, "wal-%016d.log", &q); err == nil && q > 0 {
-				segs = append(segs, q)
-			}
-		case strings.HasPrefix(name, "ckpt-") && strings.HasSuffix(name, ".ckpt"):
-			var q uint64
-			if _, err := fmt.Sscanf(name, "ckpt-%016d.ckpt", &q); err == nil && q > 0 {
-				ckpts = append(ckpts, q)
-			}
+		if q, ok := logSeq(e.Name()); ok && q > 0 {
+			segs = append(segs, q)
 		}
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-	sort.Slice(ckpts, func(i, j int) bool { return ckpts[i] < ckpts[j] })
-	return segs, ckpts, nil
+	return segs, nil
 }
 
-func segName(seq uint64) string  { return fmt.Sprintf("wal-%016d.log", seq) }
-func ckptName(seq uint64) string { return fmt.Sprintf("ckpt-%016d.ckpt", seq) }
+// logSeq parses a log segment's file name.
+func logSeq(name string) (uint64, bool) {
+	var q uint64
+	if !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".log") {
+		return 0, false
+	}
+	_, err := fmt.Sscanf(name, "wal-%016d.log", &q)
+	return q, err == nil
+}
+
+func segName(seq uint64) string { return fmt.Sprintf("wal-%016d.log", seq) }
 
 // openSegment opens segment seq as the current append target, creating it
 // (and fsyncing the directory so the name survives a crash) when create
@@ -275,7 +247,7 @@ func (s *Store) openSegment(seq uint64, create bool) error {
 		return err
 	}
 	if create {
-		if err := syncDir(s.dir); err != nil {
+		if err := (segment.Hooks{}).SyncDir(s.dir); err != nil {
 			f.Close()
 			return err
 		}
@@ -294,31 +266,9 @@ func (s *Store) openSegment(seq uint64, create bool) error {
 	return nil
 }
 
-// syncDir fsyncs a directory so renames and creates inside it are durable.
-func syncDir(dir string) error {
-	// sepvet:ignore:leakreg — transient handle: opened, fsynced, defer-closed before return, never stored
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
-// writeAt writes p at off in the current segment through the fault hook:
-// whatever bytes the hook returns are persisted even when it also returns
-// an error, modelling writes torn mid-flight.
+// writeAt writes p at off in the current segment through the fault hook.
 func (s *Store) writeAt(p []byte, off int64) error {
-	herr := error(nil)
-	if h := s.opts.BeforeWrite; h != nil {
-		p, herr = h(s.name, off, p)
-	}
-	if len(p) > 0 {
-		if _, werr := s.f.WriteAt(p, off); werr != nil {
-			return werr
-		}
-	}
-	return herr
+	return s.opts.Hooks.WriteAt(s.f, p, off)
 }
 
 // syncFile fsyncs the current segment through the fault hook. NoSync
@@ -328,13 +278,7 @@ func (s *Store) syncFile() error {
 		return nil
 	}
 	s.stats.Syncs++
-	if h := s.opts.BeforeSync; h != nil {
-		if err := h(s.name); err != nil {
-			s.stats.SyncErrors++
-			return err
-		}
-	}
-	if err := s.f.Sync(); err != nil {
+	if err := s.opts.Hooks.Sync(s.f); err != nil {
 		s.stats.SyncErrors++
 		return err
 	}

@@ -3,7 +3,6 @@ package wal
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,8 +10,7 @@ import (
 
 	"sepdl/internal/faultinject"
 	"sepdl/internal/leakcheck"
-	"sepdl/internal/rel"
-	"sepdl/internal/symtab"
+	"sepdl/internal/segment"
 )
 
 // memSink records replayed operations as strings, the oracle every
@@ -26,15 +24,6 @@ func (m *memSink) AddFact(pred string, args []string) error {
 func (m *memSink) LoadFacts(src string) error   { m.ops = append(m.ops, "facts:"+src); return nil }
 func (m *memSink) LoadProgram(src string) error { m.ops = append(m.ops, "prog:"+src); return nil }
 func (m *memSink) ClearProgram() error          { m.ops = append(m.ops, "clear"); return nil }
-
-// flatState adapts a facts string to database.CheckpointState for flat
-// (no-Checkpointer) checkpoints, where only WriteFacts is ever called.
-type flatState string
-
-func (s flatState) Preds() []string               { return nil }
-func (s flatState) Relation(string) *rel.Relation { return nil }
-func (s flatState) SymbolTable() *symtab.Table    { return nil }
-func (s flatState) WriteFacts(w io.Writer) error  { _, err := io.WriteString(w, string(s)); return err }
 
 func mustOpen(t *testing.T, dir string, opts Options) *Store {
 	t.Helper()
@@ -217,8 +206,7 @@ func TestCrashAtSweep(t *testing.T) {
 		dir := t.TempDir()
 		d := faultinject.NewDisk().CrashAt(l)
 		s := mustOpen(t, dir, Options{
-			BeforeWrite:    d.BeforeWrite,
-			BeforeSync:     d.BeforeSync,
+			Hooks:          d.Hooks(),
 			BeforeTruncate: d.BeforeTruncate,
 		})
 		acked := 0
@@ -255,7 +243,7 @@ func TestBitFlip(t *testing.T) {
 	t.Run("newest segment", func(t *testing.T) {
 		dir := t.TempDir()
 		d := faultinject.NewDisk()
-		s := mustOpen(t, dir, Options{BeforeWrite: d.BeforeWrite, BeforeSync: d.BeforeSync})
+		s := mustOpen(t, dir, Options{Hooks: d.Hooks()})
 		if err := s.AppendFact("a", []string{"1"}); err != nil {
 			t.Fatal(err)
 		}
@@ -333,8 +321,7 @@ func TestFailedAppendHeals(t *testing.T) {
 			d := faultinject.NewDisk()
 			tc.arm(d)
 			s := mustOpen(t, dir, Options{
-				BeforeWrite:    d.BeforeWrite,
-				BeforeSync:     d.BeforeSync,
+				Hooks:          d.Hooks(),
 				BeforeTruncate: d.BeforeTruncate,
 			})
 			if err := s.AppendFact("a", []string{"1"}); err != nil {
@@ -367,8 +354,7 @@ func TestPoisoning(t *testing.T) {
 	dir := t.TempDir()
 	d := faultinject.NewDisk().FailWrite(2).FailTruncate(1)
 	s := mustOpen(t, dir, Options{
-		BeforeWrite:    d.BeforeWrite,
-		BeforeSync:     d.BeforeSync,
+		Hooks:          d.Hooks(),
 		BeforeTruncate: d.BeforeTruncate,
 	})
 	defer s.Close()
@@ -395,7 +381,7 @@ func TestPoisoning(t *testing.T) {
 func TestCheckpointCompaction(t *testing.T) {
 	leakcheck.CheckResources(t)
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{})
+	s := mustOpen(t, dir, segOpts(dir))
 	if err := s.AppendProgram("old(X) :- gone(X)."); err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +400,7 @@ func TestCheckpointCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := "p(X) :- q(X)."
-	err = s.WriteCheckpoint(seq, prog, flatState("q(a).\nq(b).\n"))
+	err = s.WriteCheckpoint(seq, prog, segState(t, map[string][][]string{"q": {{"a"}, {"b"}}}))
 	if err != nil {
 		t.Fatalf("WriteCheckpoint: %v", err)
 	}
@@ -427,30 +413,35 @@ func TestCheckpointCompaction(t *testing.T) {
 	}
 	s.Close()
 
-	ops := recoverOps(t, dir, Options{})
-	want := []string{"prog:" + prog, "facts:q(a).\nq(b).\n", "fact:post(2)"}
+	ops := recoverOps(t, dir, segOpts(dir))
+	want := []string{"fact:q(a)", "fact:q(b)", "prog:" + prog, "fact:post(2)"}
 	if fmt.Sprint(ops) != fmt.Sprint(want) {
 		t.Errorf("ops = %v, want %v", ops, want)
 	}
 }
 
-// TestCheckpointFaults: a torn or fsync-failed checkpoint leaves the old
-// state authoritative — recovery falls back to full log replay.
+// TestCheckpointFaults: a failed, torn or fsync-failed checkpoint file,
+// segment or marker, fails the checkpoint and leaves the old state
+// authoritative — recovery falls back to full log replay and finds no
+// marker naming an unfinished segment.
 func TestCheckpointFaults(t *testing.T) {
 	leakcheck.CheckResources(t)
 	for _, tc := range []struct {
 		name string
 		arm  func(d *faultinject.Disk)
 	}{
-		{"write failure", func(d *faultinject.Disk) { d.Match = "ckpt"; d.FailWrite(1) }},
-		{"short write", func(d *faultinject.Disk) { d.Match = "ckpt"; d.ShortWrite(1, 10) }},
-		{"fsync failure", func(d *faultinject.Disk) { d.Match = "ckpt"; d.FailSync(1) }},
+		{"write failure", func(d *faultinject.Disk) { d.Match = ".ckpt.tmp"; d.FailWrite(1) }},
+		{"short write", func(d *faultinject.Disk) { d.Match = ".ckpt.tmp"; d.ShortWrite(1, 10) }},
+		{"fsync failure", func(d *faultinject.Disk) { d.Match = ".ckpt.tmp"; d.FailSync(1) }},
+		{"segment write failure", func(d *faultinject.Disk) { d.Match = ".seg.tmp"; d.FailWrite(1) }},
+		{"segment short write", func(d *faultinject.Disk) { d.Match = ".seg.tmp"; d.ShortWrite(1, 10) }},
+		{"segment fsync failure", func(d *faultinject.Disk) { d.Match = ".seg.tmp"; d.FailSync(1) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			d := faultinject.NewDisk()
 			tc.arm(d)
-			s := mustOpen(t, dir, Options{BeforeWrite: d.BeforeWrite, BeforeSync: d.BeforeSync})
+			s := mustOpen(t, dir, Options{Hooks: d.Hooks(), Checkpointer: segment.NewCodec(dir, 1<<20, 256, d.Hooks())})
 			if err := s.AppendFact("a", []string{"1"}); err != nil {
 				t.Fatal(err)
 			}
@@ -458,7 +449,7 @@ func TestCheckpointFaults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			err = s.WriteCheckpoint(seq, "", flatState("a(1).\n"))
+			err = s.WriteCheckpoint(seq, "", segState(t, map[string][][]string{"a": {{"1"}}}))
 			if !errors.Is(err, faultinject.ErrDisk) {
 				t.Fatalf("WriteCheckpoint = %v, want ErrDisk", err)
 			}
@@ -466,47 +457,64 @@ func TestCheckpointFaults(t *testing.T) {
 				t.Errorf("CheckpointErrors = %d, want 1", s.Stats().CheckpointErrors)
 			}
 			s.Close()
-			ops := recoverOps(t, dir, Options{})
-			if fmt.Sprint(ops) != fmt.Sprint([]string{"fact:a(1)"}) {
-				t.Errorf("ops = %v, want full-log replay of fact:a(1)", ops)
+			re := mustOpen(t, dir, segOpts(dir))
+			defer re.Close()
+			if n := re.Stats().CheckpointErrors; n != 0 {
+				t.Errorf("reopen rejected %d checkpoint(s); a failed checkpoint must leave no marker", n)
+			}
+			sink := &memSink{}
+			if err := re.Recover(sink); err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(sink.ops) != fmt.Sprint([]string{"fact:a(1)"}) {
+				t.Errorf("ops = %v, want full-log replay of fact:a(1)", sink.ops)
 			}
 		})
 	}
 }
 
-// TestCorruptCheckpointFallsBack: a checkpoint that fails its checksum is
-// skipped in favor of an older valid one when the chain allows it.
+// TestCorruptCheckpointFallsBack: a checkpoint whose marker fails its
+// checksum is rejected; with its superseded log segments gone there is no
+// consistent prefix to fall back to, so Open must refuse. A stray marker
+// in the retired flat format is rejected the same way.
 func TestCorruptCheckpointFallsBack(t *testing.T) {
 	leakcheck.CheckResources(t)
-	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{})
-	if err := s.AppendFact("a", []string{"1"}); err != nil {
-		t.Fatal(err)
-	}
-	seq, err := s.Rotate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WriteCheckpoint(seq, "", flatState("a(1).\n")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AppendFact("b", []string{"2"}); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	// Rot the checkpoint. Its superseded segment is gone, so recovery
-	// has no consistent prefix to offer and must refuse.
-	path := filepath.Join(dir, ckptName(seq))
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-1] ^= 0xFF
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("Open with rotted checkpoint = %v, want ErrCorrupt", err)
+	for _, tc := range []struct {
+		name string
+		rot  func(marker []byte) []byte
+	}{
+		{"rotted checksum", func(m []byte) []byte { m[len(m)-1] ^= 0xFF; return m }},
+		{"flat format version", func(m []byte) []byte { m[len("sepdl-ckpt")] = '1'; return m }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := mustOpen(t, dir, segOpts(dir))
+			if err := s.AppendFact("a", []string{"1"}); err != nil {
+				t.Fatal(err)
+			}
+			seq, err := s.Rotate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.WriteCheckpoint(seq, "", segState(t, map[string][][]string{"a": {{"1"}}})); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.AppendFact("b", []string{"2"}); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			path := filepath.Join(dir, fmt.Sprintf("ckpt-%016d.ckpt", seq))
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.rot(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(dir, segOpts(dir)); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("Open with rejected checkpoint = %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }
 
