@@ -24,7 +24,6 @@ import (
 	"sepdl/internal/hn"
 	"sepdl/internal/magic"
 	"sepdl/internal/parser"
-	"sepdl/internal/rel"
 )
 
 func mustQ(b *testing.B, s string) ast.Atom {
@@ -298,7 +297,9 @@ func BenchmarkAblationNoIndex(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				plan.Run(conj.DBSource(db.Relation), nil, func([]rel.Value) {})
+				st := plan.Stream(conj.DBSource(db.Relation), nil)
+				for _, ok := st.Next(); ok; _, ok = st.Next() {
+				}
 			}
 		})
 	}
@@ -341,7 +342,9 @@ func BenchmarkAblationReorder(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				plan.Run(conj.DBSource(db.Relation), nil, func([]rel.Value) {})
+				st := plan.Stream(conj.DBSource(db.Relation), nil)
+				for _, ok := st.Next(); ok; _, ok = st.Next() {
+				}
 			}
 		})
 	}

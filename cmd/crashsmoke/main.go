@@ -1,9 +1,11 @@
 // Command crashsmoke is the end-to-end kill-loop harness for the durable
 // engine: it repeatedly spawns a child process (itself, with -child) that
-// ingests facts into a write-ahead-logged engine and prints "acked N"
-// after each durably acknowledged write, SIGKILLs the child at a
-// different point each iteration, reopens the data directory, and
-// verifies the recovered state:
+// ingests -facts fresh facts into a write-ahead-logged engine, continuing
+// after the last recovered one, and prints "acked N" after each durably
+// acknowledged write. Each iteration the parent SIGKILLs the child at a
+// different point of the first half of its run, so a write is always in
+// flight (an iteration whose child exits before the kill fails), then
+// reopens the data directory and verifies the recovered state:
 //
 //  1. Durability — every fact the child acknowledged before the kill is
 //     present after recovery.
@@ -79,6 +81,10 @@ func main() {
 		verbose    = flag.Bool("v", false, "log each iteration")
 	)
 	flag.Parse()
+	if *facts < 2 {
+		fmt.Fprintln(os.Stderr, "crashsmoke: -facts must be at least 2")
+		os.Exit(2)
+	}
 	if *child {
 		os.Exit(runChild(*dir, *facts, *memtable))
 	}
@@ -95,9 +101,10 @@ func storeOpts(memtable int64) []sepdl.EngineOption {
 	return []sepdl.EngineOption{sepdl.WithMemtableBytes(memtable)}
 }
 
-// runChild ingests facts into the durable engine, printing "acked N"
-// only after AddFact returned — i.e. after the record is fsynced. It is
-// the process the parent kills mid-write.
+// runChild ingests n facts into the durable engine, after the ones it
+// recovered, printing "start S" with the first index it writes and then
+// "acked N" only after AddFact returned — i.e. after the record is
+// fsynced. It is the process the parent kills mid-write.
 func runChild(dir string, n int, memtable int64) int {
 	e, err := sepdl.Open(dir, storeOpts(memtable)...)
 	if err != nil {
@@ -115,7 +122,8 @@ func runChild(dir string, n int, memtable int64) int {
 		}
 	}
 	start := e.NumFacts() - 6 // dynamic facts already recovered
-	for i := start; i < n; i++ {
+	fmt.Printf("start %d\n", start)
+	for i := start; i < start+n; i++ {
 		pred, c, g := factArgs(i)
 		if err := e.AddFact(pred, c, g); err != nil {
 			fmt.Fprintln(os.Stderr, "child:", err)
@@ -149,22 +157,23 @@ func runParent(dir string, iterations, facts int, memtable int64, verbose bool) 
 
 	failures := 0
 	for it := 0; it < iterations; it++ {
-		// Kill at a different acknowledged count each round; past the
-		// ingest size the child finishes and exits on its own (the clean
-		// shutdown is part of the sweep too).
-		killAt := 1 + (it*37)%facts
-		lastAcked, err := spawnAndKill(self, dir, facts, killAt, memtable)
+		// Kill at a different acknowledged count each round, within the
+		// first half of the child's run: with half its writes still to go,
+		// the child cannot finish before the kill lands.
+		killAt := 1 + (it*37)%(facts/2)
+		start, lastAcked, err := spawnAndKill(self, dir, facts, killAt, memtable)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "crashsmoke: iteration %d: %v\n", it, err)
-			return 1
+			fmt.Fprintf(os.Stderr, "crashsmoke: iteration %d: FAIL: %v\n", it, err)
+			failures++
+			continue
 		}
-		if err := verify(dir, lastAcked, facts, memtable); err != nil {
+		if err := verify(dir, lastAcked, start+facts, memtable); err != nil {
 			fmt.Fprintf(os.Stderr, "crashsmoke: iteration %d (acked %d): FAIL: %v\n", it, lastAcked, err)
 			failures++
 			continue
 		}
 		if verbose {
-			fmt.Printf("crashsmoke: iteration %d: killed after ack %d, recovery verified\n", it, lastAcked)
+			fmt.Printf("crashsmoke: iteration %d: killed after ack %d of [%d, %d), recovery verified\n", it, lastAcked, start, start+facts)
 		}
 	}
 	if failures > 0 {
@@ -176,25 +185,31 @@ func runParent(dir string, iterations, facts int, memtable int64, verbose bool) 
 }
 
 // spawnAndKill runs the child and SIGKILLs it once it has acknowledged
-// killAt dynamic facts, returning the highest index the parent saw
-// acknowledged (-1 if none).
-func spawnAndKill(self, dir string, facts, killAt int, memtable int64) (lastAcked int, err error) {
+// killAt dynamic facts, returning the first index the child wrote and the
+// highest index the parent saw acknowledged. A child that exits before
+// the kill lands, or acknowledges a fact outside its own range, is an
+// error.
+func spawnAndKill(self, dir string, facts, killAt int, memtable int64) (start, lastAcked int, err error) {
 	cmd := exec.Command(self, "-child", "-dir", dir, "-facts", strconv.Itoa(facts),
 		"-memtable-bytes", strconv.FormatInt(memtable, 10))
 	cmd.Stderr = os.Stderr
 	out, err := cmd.StdoutPipe()
 	if err != nil {
-		return -1, err
+		return -1, -1, err
 	}
 	if err := cmd.Start(); err != nil {
-		return -1, err
+		return -1, -1, err
 	}
-	lastAcked = -1
+	start, lastAcked = -1, -1
 	seen := 0
+	killed := false
 	sc := bufio.NewScanner(out)
 	for sc.Scan() {
 		line := sc.Text()
-		if !strings.HasPrefix(line, "acked ") {
+		if s, ok := strings.CutPrefix(line, "start "); ok {
+			if n, perr := strconv.Atoi(s); perr == nil {
+				start = n
+			}
 			continue
 		}
 		n, perr := strconv.Atoi(strings.TrimPrefix(line, "acked "))
@@ -205,6 +220,7 @@ func spawnAndKill(self, dir string, facts, killAt int, memtable int64) (lastAcke
 		seen++
 		if seen >= killAt {
 			cmd.Process.Kill() // SIGKILL: no deferred cleanup, no final fsync
+			killed = true
 			break
 		}
 	}
@@ -214,13 +230,20 @@ func spawnAndKill(self, dir string, facts, killAt int, memtable int64) (lastAcke
 			lastAcked = n
 		}
 	}
-	cmd.Wait() // exit status is meaningless after a kill
-	return lastAcked, nil
+	cmd.Wait() // the error only restates the exit status checked below
+	if !killed || cmd.ProcessState == nil || cmd.ProcessState.ExitCode() != -1 {
+		return start, lastAcked, fmt.Errorf("child exited after %d acks, before the kill at ack %d", seen, killAt)
+	}
+	if start < 0 || lastAcked < start || lastAcked >= start+facts {
+		return start, lastAcked, fmt.Errorf("child acked fact %d outside its range [%d, %d)", lastAcked, start, start+facts)
+	}
+	return start, lastAcked, nil
 }
 
 // verify reopens the directory and checks durability, prefix
 // consistency, and six-strategy equivalence against an in-RAM oracle.
-func verify(dir string, lastAcked, facts int, memtable int64) error {
+// written counts the dynamic facts every child so far tried to ingest.
+func verify(dir string, lastAcked, written int, memtable int64) error {
 	e, err := sepdl.Open(dir, storeOpts(memtable)...)
 	if err != nil {
 		return fmt.Errorf("reopen: %w", err)
@@ -234,11 +257,11 @@ func verify(dir string, lastAcked, facts int, memtable int64) error {
 	if recovered <= lastAcked {
 		return fmt.Errorf("durability violated: child acked fact %d, recovery has only %d dynamic facts", lastAcked, recovered)
 	}
-	if recovered > facts {
-		return fmt.Errorf("recovered %d dynamic facts, more than the %d ever written", recovered, facts)
+	if recovered > written {
+		return fmt.Errorf("recovered %d dynamic facts, more than the %d ever written", recovered, written)
 	}
 	// Prefix consistency: fact i present iff i < recovered.
-	for i := 0; i < facts; i += 1 + facts/97 {
+	for i := 0; i < written; i += 1 + written/97 {
 		pred, c, g := factArgs(i)
 		res, err := e.Query(fmt.Sprintf("%s(%s, %s)?", pred, c, g))
 		if err != nil {

@@ -24,7 +24,9 @@
 // Beyond per-query strategies, Engine.Materialize returns an incrementally
 // maintained view (insertions and DRed deletions are runs of the
 // semi-naive round loop seeded with the changed facts), and Engine.Why
-// explains any derived fact with a derivation tree.
+// explains any derived fact with a well-founded derivation tree, whose
+// supports it picks by the round that same loop first derived each fact
+// in.
 //
 // The Auto strategy (the default) runs the separability test and picks
 // Separable when it applies, falling back to Magic Sets for other selection

@@ -1163,9 +1163,9 @@ func (e *Engine) Why(fact string) (string, error) {
 }
 
 // WhyCtx is Why with a context and query options. Building an
-// explanation re-derives the whole IDB with round recording, so it is
-// evaluation-shaped work: ctx cancellation and WithBudget limits bound
-// it exactly as they bound a query.
+// explanation runs the semi-naive fixpoint over the whole IDB, recording
+// each round's end, so it is evaluation-shaped work: ctx cancellation and
+// WithBudget limits bound it exactly as they bound a query.
 func (e *Engine) WhyCtx(ctx context.Context, fact string, opts ...QueryOption) (string, error) {
 	a, err := parser.Query(fact)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 const example11 = `
@@ -585,6 +586,26 @@ func TestWhy(t *testing.T) {
 	if _, err := e.Why(`buys(alice, radio)`); err == nil {
 		t.Fatal("Why explained a false fact")
 	}
+
+	// examples/streaming's program: the base rule comes first, so one naive
+	// round would chain links through path tuples it derived itself.
+	s := New()
+	if err := s.LoadProgram(`
+		path(X, Y) :- link(X, Y).
+		path(X, Y) :- link(X, W) & path(W, Y).
+	`); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LoadFacts(`link(r1, r2). link(r2, r3). link(r3, r4). link(r4, r5). link(r2, r4).`); err != nil {
+		t.Fatal(err)
+	}
+	out, err = s.Why(`path(r1, r5)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "link(r4, r5)   [base fact]"; !strings.Contains(out, want) {
+		t.Errorf("Why missing %q:\n%s", want, out)
+	}
 }
 
 func TestWhyCtxBudget(t *testing.T) {
@@ -612,6 +633,29 @@ func TestWhyCtxBudget(t *testing.T) {
 	}
 	if !strings.Contains(out, "buys(tom, radio)") {
 		t.Errorf("WhyCtx output missing the fact:\n%s", out)
+	}
+}
+
+// TestWhyCtxDeadlineBoundsExplain: each d(v_i+1) cites d(v_i) twice, so
+// the tree doubles per link; the deadline must cut its construction short,
+// not only the fixpoint before it.
+func TestWhyCtxDeadlineBoundsExplain(t *testing.T) {
+	e := New()
+	if err := e.LoadProgram(`d(X) :- s(X). d(Y) :- d(X) & d(X) & e(X, Y).`); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddFact("s", "v0"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		if err := e.AddFact("e", fmt.Sprintf("v%d", i), fmt.Sprintf("v%d", i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := e.WhyCtx(ctx, `d(v40)`); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("WhyCtx on a 2^40-node tree: got %v, want context.DeadlineExceeded", err)
 	}
 }
 

@@ -33,9 +33,7 @@ func BenchmarkTwoHopJoin(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cnt := 0
-				plan.Run(src, nil, func([]rel.Value) { cnt++ })
-				if cnt != n-1 {
+				if cnt := count(plan.Stream(src, nil)); cnt != n-1 {
 					b.Fatalf("rows = %d", cnt)
 				}
 			}
@@ -56,7 +54,7 @@ func BenchmarkBoundProbe(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan.Run(src, in, func([]rel.Value) {})
+		count(plan.Stream(src, in))
 	}
 }
 

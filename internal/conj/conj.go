@@ -4,7 +4,8 @@
 // semi-naive engine, Magic Sets, Counting, Henschen–Naqvi, and the
 // Separable algorithm's carry-extension operators f_i all reduce to
 // "evaluate this conjunction left-to-right using indexes" (§3.2 of the
-// paper).
+// paper). A compiled Plan has one executor, the pull Stream: consumers
+// take satisfying bindings one at a time.
 package conj
 
 import (
@@ -51,7 +52,7 @@ type Plan struct {
 	steps   []step
 	vars    []string
 	slot    map[string]int
-	nIn     int  // leading slots that must be bound before Run
+	nIn     int  // leading slots that must be bound before Stream
 	noIndex bool // ablation: scan and filter instead of index probes
 	tick    func()
 }
@@ -88,7 +89,7 @@ func (p *Plan) Slot(name string) (int, bool) {
 func (p *Plan) Vars() []string { return append([]string(nil), p.vars...) }
 
 // Compile builds an execution plan for atoms. boundVars lists the variables
-// whose values the caller will supply at Run time, in the order the caller
+// whose values the caller will supply to Stream, in the order the caller
 // will supply them (they receive slots 0..len(boundVars)-1). intern maps
 // constant names to values; it is typically (*symtab.Table).Intern.
 //
@@ -204,27 +205,14 @@ func (p *Plan) AtomOrder() []int {
 	return out
 }
 
-// Run evaluates the plan. in supplies values for the compile-time bound
-// variables in their declared order. emit is called once per satisfying
-// assignment with the full slot vector; the slice is reused between calls,
-// so emit must copy anything it keeps. src supplies relations per atom.
-//
-// Run allocates fresh binding state per call, so one compiled Plan may be
-// Run from many goroutines at once (against relations nobody is mutating).
-// Hot loops that execute the same plan many times from one goroutine
-// should hold a Runner instead and reuse its arrays — or pull from
-// Runner.Stream directly and skip the callback.
-func (p *Plan) Run(src RelSource, in []rel.Value, emit func(binding []rel.Value)) {
-	p.NewRunner().Run(src, in, emit)
-}
-
 // Runner executes one compiled Plan with private, reusable scratch: the
 // slot binding vector plus one cursor (probe-key buffer and candidate
 // scan) per plan step. The semi-naive round loop keeps one Runner per
 // rule and reuses it across rounds; concurrent evaluations each build
 // their own over the shared Plan, which stays immutable during execution,
 // so any number of Runners may execute it at once. One Runner supports one
-// in-flight Stream at a time.
+// in-flight Stream at a time; one-shot callers use Plan.Stream, which
+// builds a fresh Runner.
 type Runner struct {
 	p       *Plan
 	tick    func()
@@ -243,16 +231,6 @@ func (p *Plan) NewRunner() *Runner {
 // SetTick installs this runner's per-candidate budget hook, shadowing the
 // plan-level one.
 func (r *Runner) SetTick(tick func()) { r.tick = tick }
-
-// Run is Plan.Run on the runner's private arrays: a pull loop over the
-// runner's Stream, so the push and pull styles share one executor and one
-// enumeration order.
-func (r *Runner) Run(src RelSource, in []rel.Value, emit func(binding []rel.Value)) {
-	s := r.Stream(src, in)
-	for b, ok := s.Next(); ok; b, ok = s.Next() {
-		emit(b)
-	}
-}
 
 // DBSource adapts a pred->relation lookup into a RelSource ignoring atom
 // indexes.

@@ -36,13 +36,13 @@ func collect(t *testing.T, db *database.Database, plan *Plan, in []rel.Value, ou
 		slots[i] = s
 	}
 	var rows []string
-	plan.Run(DBSource(db.Relation), in, func(b []rel.Value) {
+	for _, b := range pull(plan.Stream(DBSource(db.Relation), in)) {
 		row := ""
 		for _, s := range slots {
 			row += db.Syms.Name(b[s]) + " "
 		}
 		rows = append(rows, row)
-	})
+	}
 	sort.Strings(rows)
 	return rows
 }
@@ -170,9 +170,7 @@ func TestRelSourceOverride(t *testing.T) {
 		}
 		return db.Relation(pred)
 	}
-	var n int
-	plan.Run(src, nil, func([]rel.Value) { n++ })
-	if n != 1 {
+	if n := count(plan.Stream(src, nil)); n != 1 {
 		t.Fatalf("override join produced %d rows, want 1", n)
 	}
 }
@@ -183,9 +181,7 @@ func TestNilRelationIsEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	plan.Run(DBSource(db.Relation), nil, func([]rel.Value) { n++ })
-	if n != 0 {
+	if n := count(plan.Stream(DBSource(db.Relation), nil)); n != 0 {
 		t.Fatalf("missing relation produced %d rows", n)
 	}
 }
@@ -196,15 +192,12 @@ func TestEmptyConjunctionEmitsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	plan.Run(DBSource(db.Relation), []rel.Value{5}, func(b []rel.Value) {
-		n++
-		if b[0] != 5 {
-			t.Errorf("binding = %v", b)
-		}
-	})
-	if n != 1 {
-		t.Fatalf("emitted %d times, want 1", n)
+	rows := pull(plan.Stream(DBSource(db.Relation), []rel.Value{5}))
+	if len(rows) != 1 {
+		t.Fatalf("emitted %d times, want 1", len(rows))
+	}
+	if rows[0][0] != 5 {
+		t.Errorf("binding = %v", rows[0])
 	}
 }
 
@@ -229,9 +222,10 @@ func TestProjector(t *testing.T) {
 	}
 	out := rel.New(3)
 	row := make(rel.Tuple, 3)
-	plan.Run(DBSource(db.Relation), nil, func(b []rel.Value) {
+	st := plan.Stream(DBSource(db.Relation), nil)
+	for b, ok := st.Next(); ok; b, ok = st.Next() {
 		out.Insert(proj.Tuple(b, row))
-	})
+	}
 	if out.Len() != 3 {
 		t.Fatalf("projected %d rows", out.Len())
 	}
@@ -268,12 +262,8 @@ func TestNoIndexAblationSameResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	count := func(p *Plan) int {
-		n := 0
-		p.Run(DBSource(db.Relation), nil, func([]rel.Value) { n++ })
-		return n
-	}
-	if a, b := count(indexed), count(scanned); a != b {
+	rows := func(p *Plan) int { return count(p.Stream(DBSource(db.Relation), nil)) }
+	if a, b := rows(indexed), rows(scanned); a != b {
 		t.Fatalf("indexed %d rows, scanned %d", a, b)
 	}
 }
@@ -294,15 +284,12 @@ func TestNoReorderAblationKeepsTextualOrder(t *testing.T) {
 	}
 	// Same (empty) result as the reordered plan: idol(tom, harry) binds
 	// X=tom, and friend(tom, tom) does not exist.
-	n := 0
-	plan.Run(DBSource(db.Relation), nil, func([]rel.Value) { n++ })
+	n := count(plan.Stream(DBSource(db.Relation), nil))
 	reordered, err := Compile(atoms, nil, db.Syms.Intern)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := 0
-	reordered.Run(DBSource(db.Relation), nil, func([]rel.Value) { m++ })
-	if n != m {
+	if m := count(reordered.Stream(DBSource(db.Relation), nil)); n != m {
 		t.Fatalf("rows = %d with NoReorder, %d reordered", n, m)
 	}
 }

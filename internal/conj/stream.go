@@ -6,8 +6,8 @@ import (
 	"sepdl/internal/rel"
 )
 
-// This file is the pull-based executor: a compiled Plan evaluated as a
-// resumable backtracking machine instead of a recursive push loop. Each
+// This file is the plan executor: a compiled Plan evaluated as a
+// resumable backtracking machine. Each
 // generator step holds a stepCursor — the probe key it was entered with
 // and a rel.Scan over its remaining candidates (the probe side of a hash
 // join whose build side is the relation's lazily built, presized index).
@@ -15,14 +15,13 @@ import (
 // consumers pull satisfying bindings one at a time and nothing between the
 // scans and the consumer's sink is ever materialized.
 //
-// Equivalence contract: Next enumerates bindings in exactly the order the
-// old recursive evaluator emitted them, and fires the budget tick hook
-// once per candidate tuple considered (including candidates that fail the
-// no-index match filter or a repeated-variable check, and the refuting
-// candidate of a negation) — so answer bytes, tick counts, and therefore
-// cancellation/deadline/fault-injection semantics are unchanged.
-// Runner.Run is a thin pull loop over Stream, keeping a single engine for
-// both styles.
+// Enumeration contract: Next yields bindings depth-first in plan step
+// order, each step's candidates in scan order, and fires the budget tick
+// hook once per candidate tuple considered (including candidates that
+// fail the no-index match filter or a repeated-variable check, and the
+// refuting candidate of a negation) — so answer bytes and tick counts,
+// and therefore cancellation/deadline/fault-injection points, are fixed
+// by the plan and the data.
 
 // stepCursor is the resumable state of one generator step inside a
 // Stream. Filter steps (builtins, negation) hold no state: descending
@@ -35,8 +34,8 @@ type stepCursor struct {
 // Stream is an in-flight pull evaluation of a Runner's plan. Obtain one
 // with Runner.Stream (or Plan.Stream); call Next until it reports false.
 // A Stream borrows its Runner's scratch arrays, so a runner supports one
-// active stream at a time — starting a new Stream or Run on the same
-// runner abandons the previous one.
+// active stream at a time — starting a new Stream on the same runner
+// abandons the previous one.
 type Stream struct {
 	r       *Runner
 	src     RelSource
@@ -46,7 +45,7 @@ type Stream struct {
 
 // Stream begins a pull evaluation of the plan with the given bound input
 // values, reusing the runner's binding and cursor scratch. The returned
-// stream is valid until the runner's next Stream or Run call.
+// stream is valid until the runner's next Stream call.
 func (r *Runner) Stream(src RelSource, in []rel.Value) *Stream {
 	p := r.p
 	if len(in) != p.nIn {
@@ -172,9 +171,9 @@ func (r *Runner) openScan(st *step, cur *stepCursor, rn *rel.Relation) {
 
 // nextMatch pulls candidates from the cursor until one satisfies the
 // step's filters, assigning the step's free slots as a side effect (the
-// last candidate's values stay in the binding on failure, exactly like
-// the recursive evaluator; the caller resets assigned slots when the step
-// is abandoned). Ticks once per candidate considered.
+// last candidate's values stay in the binding on failure; the caller
+// resets assigned slots when the step is abandoned). Ticks once per
+// candidate considered.
 func (r *Runner) nextMatch(st *step, cur *stepCursor) bool {
 candidates:
 	for {

@@ -121,7 +121,7 @@ func (m *Materialized) DeleteFact(pred string, args ...string) (bool, error) {
 	doomed.Insert(t)
 	if err := func() (err error) {
 		defer budget.Guard(&err)
-		return m.stratum.run(m.view, marked, map[string]*rel.Relation{pred: doomed}, m.opts())
+		return m.stratum.run(m.view, marked, map[string]*rel.Relation{pred: doomed}, m.opts(), nil)
 	}(); err != nil {
 		return false, err
 	}
@@ -162,7 +162,7 @@ func (m *Materialized) DeleteFact(pred string, args ...string) (bool, error) {
 			}
 			seed[p] = tot.Window(n, tot.Len())
 		}
-		return m.stratum.run(m.view, nil, seed, m.opts())
+		return m.stratum.run(m.view, nil, seed, m.opts(), nil)
 	})
 	if err != nil {
 		return false, err

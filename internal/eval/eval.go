@@ -72,7 +72,24 @@ type compiledRule struct {
 // semantics: Run computes a stratification (an error if none exists) and
 // runs one semi-naive fixpoint per stratum, treating lower strata as
 // completed base relations.
-func Run(prog *ast.Program, db *database.Database, opts Options) (_ *database.Database, err error) {
+func Run(prog *ast.Program, db *database.Database, opts Options) (*database.Database, error) {
+	return run(prog, db, opts, nil)
+}
+
+// RunMarked is Run that also returns the round marks: marks[k][p] is IDB
+// predicate p's total length at the end of global round k, counting the
+// rounds of every stratum in order, and marks[0] holds the initial facts.
+// Totals only append, and a round reads only windows frozen at its start,
+// so Window(0, marks[k][p]) holds the p tuples the first k rounds derived,
+// each from tuples of earlier rounds alone.
+func RunMarked(prog *ast.Program, db *database.Database, opts Options) (*database.Database, []map[string]int, error) {
+	var marks []map[string]int
+	view, err := run(prog, db, opts, &marks)
+	return view, marks, err
+}
+
+// run is Run, appending the round marks to *marks when marks is non-nil.
+func run(prog *ast.Program, db *database.Database, opts Options, marks *[]map[string]int) (_ *database.Database, err error) {
 	defer budget.Guard(&err)
 	if err := prog.Validate(); err != nil {
 		return nil, err
@@ -94,6 +111,18 @@ func Run(prog *ast.Program, db *database.Database, opts Options) (_ *database.Da
 		}
 		view.Set(p, t)
 	}
+	var mark func()
+	if marks != nil {
+		idb := prog.IDBPreds()
+		mark = func() {
+			m := make(map[string]int, len(idb))
+			for p := range idb {
+				m[p] = view.Relation(p).Len()
+			}
+			*marks = append(*marks, m)
+		}
+		mark()
+	}
 
 	for _, preds := range strata {
 		inStratum := make(map[string]bool, len(preds))
@@ -110,7 +139,7 @@ func Run(prog *ast.Program, db *database.Database, opts Options) (_ *database.Da
 		if err != nil {
 			return nil, err
 		}
-		if err := s.run(view, nil, nil, opts); err != nil {
+		if err := s.run(view, nil, nil, opts, mark); err != nil {
 			return nil, err
 		}
 	}
@@ -153,11 +182,11 @@ func compileStratum(rules []ast.Rule, preds []string, intern func(string) rel.Va
 // whose entries may name base predicates: a maintenance pass that starts
 // from the facts it changed. Every delta round runs each rule once per
 // positive body atom whose predicate has a delta, with that delta
-// substituted there.
+// substituted there. A non-nil roundEnd runs after every round.
 //
 // A run into a non-nil out (DRed's over-deletion marks) charges rounds and
 // join ticks but not derived tuples: it mutates nothing the view serves.
-func (s *stratum) run(view *database.Database, out, seed map[string]*rel.Relation, opts Options) error {
+func (s *stratum) run(view *database.Database, out, seed map[string]*rel.Relation, opts Options, roundEnd func()) error {
 	fixpoint := out == nil
 	if fixpoint {
 		out = make(map[string]*rel.Relation, len(s.preds))
@@ -246,6 +275,9 @@ func (s *stratum) run(view *database.Database, out, seed map[string]*rel.Relatio
 			for _, p := range s.preds {
 				opts.Collector.Observe(p, out[p].Len())
 			}
+		}
+		if roundEnd != nil {
+			roundEnd()
 		}
 		return len(delta) > 0
 	}

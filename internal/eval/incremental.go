@@ -202,7 +202,7 @@ func (m *Materialized) AddFact(pred string, args ...string) (bool, error) {
 	// The base fact is in; from here an abort leaves the IDB relations
 	// behind the base relations, so it poisons the view.
 	seed := map[string]*rel.Relation{pred: r.Window(r.Len()-1, r.Len())}
-	if err := m.mutating(func() error { return m.stratum.run(m.view, nil, seed, m.opts()) }); err != nil {
+	if err := m.mutating(func() error { return m.stratum.run(m.view, nil, seed, m.opts(), nil) }); err != nil {
 		return false, err
 	}
 	return true, nil

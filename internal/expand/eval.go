@@ -27,9 +27,11 @@ func (e *Expansion) Eval(s String, db *database.Database) (*rel.Relation, error)
 	}
 	out := rel.New(e.Arity)
 	row := make(rel.Tuple, e.Arity)
-	plan.Run(conj.DBSource(db.Relation), nil, func(b []rel.Value) {
+	st := plan.Stream(conj.DBSource(db.Relation), nil)
+	// sepvet:ignore:budgetcheck — one non-recursive conjunctive query over a finite database, with no caller budget: only Theorem 2.1's tests evaluate expansion strings
+	for b, ok := st.Next(); ok; b, ok = st.Next() {
 		out.Insert(proj.Tuple(b, row))
-	})
+	}
 	return out, nil
 }
 

@@ -1,19 +1,21 @@
 // Package provenance explains why a derived fact holds: it reconstructs a
 // well-founded derivation tree — the fact, the rule that produced it, and
-// recursively the body facts — from a fixpoint evaluation that records the
-// round each tuple was first derived in. Picking supports with strictly
-// smaller derivation rounds guarantees the explanation never cites the
-// fact itself on cyclic data.
+// recursively the body facts — from the semi-naive fixpoint of package
+// eval and the round marks it records. A fact's supports are searched
+// among the tuples of strictly earlier rounds only, so the explanation
+// never cites the fact itself on cyclic data.
 package provenance
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"sepdl/internal/ast"
 	"sepdl/internal/budget"
 	"sepdl/internal/conj"
 	"sepdl/internal/database"
+	"sepdl/internal/eval"
 	"sepdl/internal/rel"
 )
 
@@ -62,121 +64,39 @@ func (n *Node) render(b *strings.Builder, indent string) {
 }
 
 // Explainer answers Why questions for one (program, database) pair. Build
-// it once with New; each Explain call walks the recorded derivation
-// rounds.
+// it once with New; each Explain call reads a fact's first round off the
+// round marks and searches its rules for a support among the tuples of
+// earlier rounds.
 type Explainer struct {
-	prog  *ast.Program
-	db    *database.Database
+	db    *database.Database // eval's view: db plus one total per IDB predicate
 	idb   map[string]bool
-	total map[string]*rel.Relation
-	round map[string]map[string]int // pred -> encoded tuple -> first round
+	marks []map[string]int // eval.RunMarked's round marks
 	plans []rulePlan
 }
 
 type rulePlan struct {
-	rule    ast.Rule
-	plan    *conj.Plan // bound by the rule's distinct head variables
-	varPos  []int
-	eq      [][2]int
-	cPos    []int
-	cVal    []rel.Value
-	fullIdx int // index into full-body plans (for round recording)
+	rule   ast.Rule
+	plan   *conj.Plan // bound by the rule's distinct head variables
+	varPos []int
+	eq     [][2]int
+	cPos   []int
+	cVal   []rel.Value
 }
 
-func key(t rel.Tuple) string {
-	b := make([]byte, 0, len(t)*4)
-	for _, v := range t {
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	return string(b)
-}
-
-// New evaluates prog over db (stratified), recording the round in which
-// each IDB tuple first appears. The recording fixpoint charges bud (nil
-// for unbounded) like any evaluation: explanation builds re-derive the
-// whole IDB, so they owe the same cancellation points and tuple
-// accounting as the query that derived the fact being explained.
-func New(prog *ast.Program, db *database.Database, bud *budget.Budget) (ex *Explainer, err error) {
-	defer budget.Guard(&err)
-	if err := prog.Validate(); err != nil {
-		return nil, err
-	}
-	strata, err := prog.Stratify()
+// New evaluates prog over db (stratified) with eval's semi-naive fixpoint,
+// keeping its round marks. The fixpoint charges bud (nil for unbounded)
+// like any evaluation: explanation builds re-derive the whole IDB, so they
+// owe the same cancellation points and tuple accounting as the query that
+// derived the fact being explained. The support searches of every later
+// Explain tick bud too: a tree repeats shared subfacts, so its size can
+// grow exponentially with its depth.
+func New(prog *ast.Program, db *database.Database, bud *budget.Budget) (*Explainer, error) {
+	view, marks, err := eval.RunMarked(prog, db, eval.Options{Budget: bud})
 	if err != nil {
 		return nil, err
 	}
-	arities, err := prog.Arities()
-	if err != nil {
-		return nil, err
-	}
-	e := &Explainer{
-		prog:  prog,
-		db:    db.ShallowView(),
-		idb:   prog.IDBPreds(),
-		total: make(map[string]*rel.Relation),
-		round: make(map[string]map[string]int),
-	}
-	for p := range e.idb {
-		t := rel.New(arities[p])
-		if existing := db.Relation(p); existing != nil {
-			t.InsertAll(existing)
-		}
-		e.total[p] = t
-		e.round[p] = make(map[string]int)
-		for _, row := range t.Rows() {
-			e.round[p][key(row)] = 0
-		}
-		e.db.Set(p, t)
-	}
-	intern := e.db.Syms.Intern
-
-	// Naive stratified evaluation with round recording.
-	globalRound := 0
-	for _, stratum := range strata {
-		inStratum := make(map[string]bool)
-		for _, p := range stratum {
-			inStratum[p] = true
-		}
-		type cRule struct {
-			head ast.Atom
-			plan *conj.Plan
-			proj *conj.Projector
-		}
-		var rules []cRule
-		for _, r := range prog.Rules {
-			if !inStratum[r.Head.Pred] {
-				continue
-			}
-			plan, err := conj.Compile(r.Body, nil, intern)
-			if err != nil {
-				return nil, err
-			}
-			proj, err := conj.NewProjector(r.Head, plan, intern)
-			if err != nil {
-				return nil, err
-			}
-			rules = append(rules, cRule{head: r.Head, plan: plan, proj: proj})
-		}
-		for {
-			bud.Round()
-			globalRound++
-			changed := false
-			for _, cr := range rules {
-				row := make(rel.Tuple, cr.proj.Arity())
-				cr.plan.Run(conj.DBSource(e.db.Relation), nil, func(b []rel.Value) {
-					h := cr.proj.Tuple(b, row)
-					if e.total[cr.head.Pred].Insert(h) {
-						bud.AddDerived(1, len(h))
-						e.round[cr.head.Pred][key(h)] = globalRound
-						changed = true
-					}
-				})
-			}
-			if !changed {
-				break
-			}
-		}
-	}
+	e := &Explainer{db: view, idb: prog.IDBPreds(), marks: marks}
+	intern := view.Syms.Intern
 
 	// Per-rule support plans bound by the head variables.
 	for _, r := range prog.Rules {
@@ -201,6 +121,7 @@ func New(prog *ast.Program, db *database.Database, bud *budget.Budget) (ex *Expl
 		if err != nil {
 			return nil, err
 		}
+		plan.SetTick(bud.TickFunc())
 		rp.plan = plan
 		e.plans = append(e.plans, rp)
 	}
@@ -208,11 +129,12 @@ func New(prog *ast.Program, db *database.Database, bud *budget.Budget) (ex *Expl
 }
 
 // Relation exposes the computed relation for pred (mainly for tests).
-func (e *Explainer) Relation(pred string) *rel.Relation { return e.total[pred] }
+func (e *Explainer) Relation(pred string) *rel.Relation { return e.db.Relation(pred) }
 
 // Explain returns a derivation tree for the ground atom fact, or an error
-// if the fact does not hold.
-func (e *Explainer) Explain(fact ast.Atom) (*Node, error) {
+// if the fact does not hold or New's budget runs out.
+func (e *Explainer) Explain(fact ast.Atom) (_ *Node, err error) {
+	defer budget.Guard(&err)
 	if !fact.IsGround() {
 		return nil, fmt.Errorf("provenance: %s is not ground", fact)
 	}
@@ -239,110 +161,93 @@ func (e *Explainer) render(pred string, t rel.Tuple) string {
 }
 
 func (e *Explainer) explain(pred string, t rel.Tuple) (*Node, error) {
-	if !e.idb[pred] {
-		r := e.db.Relation(pred)
-		if r == nil || !r.Contains(t) {
-			return nil, fmt.Errorf("provenance: %s does not hold", e.render(pred, t))
-		}
-		return &Node{Fact: e.render(pred, t), Base: true}, nil
-	}
-	rounds, ok := e.round[pred]
-	if !ok {
-		return nil, fmt.Errorf("provenance: unknown predicate %s", pred)
-	}
-	myRound, ok := rounds[key(t)]
-	if !ok {
+	r := e.db.Relation(pred)
+	if r == nil || !r.Contains(t) {
 		return nil, fmt.Errorf("provenance: %s does not hold", e.render(pred, t))
 	}
-	if myRound == 0 {
-		// Present as an initial fact under the IDB predicate's name.
+	k := 0
+	if e.idb[pred] {
+		k = e.round(pred, t)
+	}
+	if k == 0 {
+		// An EDB fact, or an initial fact under an IDB predicate's name.
 		return &Node{Fact: e.render(pred, t), Base: true}, nil
 	}
-
 	for _, rp := range e.plans {
 		if rp.rule.Head.Pred != pred {
 			continue
 		}
-		if node := e.tryRule(rp, t, myRound); node != nil {
-			return node, nil
+		node, err := e.tryRule(rp, t, k)
+		if node != nil || err != nil {
+			return node, err
 		}
 	}
 	return nil, fmt.Errorf("provenance: internal error: no well-founded support for %s", e.render(pred, t))
 }
 
-// tryRule searches for a body instantiation of rp deriving t whose
-// positive IDB subfacts all have strictly smaller rounds; it returns the
-// built node or nil.
-func (e *Explainer) tryRule(rp rulePlan, t rel.Tuple, myRound int) *Node {
+// round returns the round that first derived t, a tuple of IDB predicate
+// pred's total: the least k whose mark holds it, 0 for an initial fact.
+func (e *Explainer) round(pred string, t rel.Tuple) int {
+	total := e.db.Relation(pred)
+	return sort.Search(len(e.marks), func(k int) bool {
+		return total.Window(0, e.marks[k][pred]).Contains(t)
+	})
+}
+
+// tryRule searches for a body instantiation of rp deriving t, a tuple of
+// round k, and returns the node it roots, or nil if rp derives no such t.
+// Every IDB body atom reads its total as it stood after round k-1, so each
+// support found is well-founded by construction.
+func (e *Explainer) tryRule(rp rulePlan, t rel.Tuple, k int) (*Node, error) {
 	for i, p := range rp.cPos {
 		if t[p] != rp.cVal[i] {
-			return nil
+			return nil, nil
 		}
 	}
 	for _, pq := range rp.eq {
 		if t[pq[0]] != t[pq[1]] {
-			return nil
+			return nil, nil
 		}
 	}
 	in := make([]rel.Value, len(rp.varPos))
 	for i, p := range rp.varPos {
 		in[i] = t[p]
 	}
-	var found *Node
-	rp.plan.Run(conj.DBSource(e.db.Relation), in, func(b []rel.Value) {
-		if found != nil {
-			return
+	src := func(_ int, pred string) *rel.Relation {
+		r := e.db.Relation(pred)
+		if e.idb[pred] {
+			return r.Window(0, e.marks[k-1][pred])
 		}
-		// Instantiate body atoms and check well-foundedness.
-		type inst struct {
-			atom  ast.Atom
-			tuple rel.Tuple
+		return r
+	}
+	// A fresh stream: explaining the children re-enters this rule's plan.
+	b, ok := rp.plan.Stream(src, in).Next()
+	if !ok {
+		return nil, nil
+	}
+	node := &Node{Fact: e.render(rp.rule.Head.Pred, t), Rule: rp.rule.String()}
+	for _, a := range rp.rule.Body {
+		row := make(rel.Tuple, len(a.Args))
+		for i, arg := range a.Args {
+			if arg.IsVar() {
+				slot, _ := rp.plan.Slot(arg.Name)
+				row[i] = b[slot]
+			} else {
+				row[i] = e.db.Syms.Intern(arg.Name)
+			}
 		}
-		insts := make([]inst, 0, len(rp.rule.Body))
-		for _, a := range rp.rule.Body {
-			row := make(rel.Tuple, len(a.Args))
-			for i, arg := range a.Args {
-				if arg.IsVar() {
-					slot, ok := rp.plan.Slot(arg.Name)
-					if !ok {
-						return
-					}
-					row[i] = b[slot]
-				} else {
-					row[i] = e.db.Syms.Intern(arg.Name)
-				}
-			}
-			if !a.Negated && e.idb[a.Pred] {
-				r, ok := e.round[a.Pred][key(row)]
-				if !ok || r >= myRound {
-					return // not well-founded through this instantiation
-				}
-			}
-			insts = append(insts, inst{atom: a, tuple: row})
-		}
-		node := &Node{Fact: e.render(rp.rule.Head.Pred, t), Rule: rp.rule.String()}
-		for _, in := range insts {
-			if in.atom.Negated {
-				node.Children = append(node.Children, &Node{
-					Fact:   "not " + e.render(in.atom.Pred, in.tuple),
-					Absent: true,
-				})
-				continue
-			}
-			if ast.Builtin(in.atom.Pred) {
-				node.Children = append(node.Children, &Node{
-					Fact:    e.render(in.atom.Pred, in.tuple),
-					Builtin: true,
-				})
-				continue
-			}
-			child, err := e.explain(in.atom.Pred, in.tuple)
+		switch {
+		case a.Negated:
+			node.Children = append(node.Children, &Node{Fact: "not " + e.render(a.Pred, row), Absent: true})
+		case ast.Builtin(a.Pred):
+			node.Children = append(node.Children, &Node{Fact: e.render(a.Pred, row), Builtin: true})
+		default:
+			child, err := e.explain(a.Pred, row)
 			if err != nil {
-				return
+				return nil, err
 			}
 			node.Children = append(node.Children, child)
 		}
-		found = node
-	})
-	return found
+	}
+	return node, nil
 }
