@@ -72,6 +72,7 @@ type Explainer struct {
 	idb   map[string]bool
 	marks []map[string]int // eval.RunMarked's round marks
 	plans []rulePlan
+	bud   *budget.Budget // charged for every node Explain builds
 }
 
 type rulePlan struct {
@@ -87,15 +88,16 @@ type rulePlan struct {
 // keeping its round marks. The fixpoint charges bud (nil for unbounded)
 // like any evaluation: explanation builds re-derive the whole IDB, so they
 // owe the same cancellation points and tuple accounting as the query that
-// derived the fact being explained. The support searches of every later
-// Explain tick bud too: a tree repeats shared subfacts, so its size can
-// grow exponentially with its depth.
+// derived the fact being explained. Every later Explain charges bud too:
+// its support searches tick it, and each node it builds counts as one
+// derived tuple of the node's arity, because a tree repeats shared
+// subfacts and so can grow exponentially with its depth.
 func New(prog *ast.Program, db *database.Database, bud *budget.Budget) (*Explainer, error) {
 	view, marks, err := eval.RunMarked(prog, db, eval.Options{Budget: bud})
 	if err != nil {
 		return nil, err
 	}
-	e := &Explainer{db: view, idb: prog.IDBPreds(), marks: marks}
+	e := &Explainer{db: view, idb: prog.IDBPreds(), marks: marks, bud: bud}
 	intern := view.Syms.Intern
 
 	// Per-rule support plans bound by the head variables.
@@ -171,7 +173,7 @@ func (e *Explainer) explain(pred string, t rel.Tuple) (*Node, error) {
 	}
 	if k == 0 {
 		// An EDB fact, or an initial fact under an IDB predicate's name.
-		return &Node{Fact: e.render(pred, t), Base: true}, nil
+		return e.node(pred, t, &Node{Base: true}), nil
 	}
 	for _, rp := range e.plans {
 		if rp.rule.Head.Pred != pred {
@@ -183,6 +185,14 @@ func (e *Explainer) explain(pred string, t rel.Tuple) (*Node, error) {
 		}
 	}
 	return nil, fmt.Errorf("provenance: internal error: no well-founded support for %s", e.render(pred, t))
+}
+
+// node charges the budget for one tree node over pred's tuple t and
+// returns n with its Fact rendered.
+func (e *Explainer) node(pred string, t rel.Tuple, n *Node) *Node {
+	e.bud.AddDerived(1, len(t))
+	n.Fact = e.render(pred, t)
+	return n
 }
 
 // round returns the round that first derived t, a tuple of IDB predicate
@@ -225,7 +235,7 @@ func (e *Explainer) tryRule(rp rulePlan, t rel.Tuple, k int) (*Node, error) {
 	if !ok {
 		return nil, nil
 	}
-	node := &Node{Fact: e.render(rp.rule.Head.Pred, t), Rule: rp.rule.String()}
+	node := e.node(rp.rule.Head.Pred, t, &Node{Rule: rp.rule.String()})
 	for _, a := range rp.rule.Body {
 		row := make(rel.Tuple, len(a.Args))
 		for i, arg := range a.Args {
@@ -238,9 +248,11 @@ func (e *Explainer) tryRule(rp rulePlan, t rel.Tuple, k int) (*Node, error) {
 		}
 		switch {
 		case a.Negated:
-			node.Children = append(node.Children, &Node{Fact: "not " + e.render(a.Pred, row), Absent: true})
+			leaf := e.node(a.Pred, row, &Node{Absent: true})
+			leaf.Fact = "not " + leaf.Fact
+			node.Children = append(node.Children, leaf)
 		case ast.Builtin(a.Pred):
-			node.Children = append(node.Children, &Node{Fact: e.render(a.Pred, row), Builtin: true})
+			node.Children = append(node.Children, e.node(a.Pred, row, &Node{Builtin: true}))
 		default:
 			child, err := e.explain(a.Pred, row)
 			if err != nil {
