@@ -245,37 +245,6 @@ func BenchmarkE8RandomMagic(b *testing.B) {
 
 // --- Ablations ---------------------------------------------------------------
 
-// AblationNoDedup: lines 5/12 of Figure 2 (seen-differencing) off. On a
-// ladder graph with reconvergent paths every tuple is re-expanded once per
-// distinct path length.
-func BenchmarkAblationNoDedup(b *testing.B) {
-	prog := datagen.Example11Program()
-	db := ladderDB(64)
-	for _, dedup := range []bool{true, false} {
-		name := "dedup"
-		if !dedup {
-			name = "nodedup"
-		}
-		b.Run(name, func(b *testing.B) {
-			runSeparable(b, prog, db, "buys(a1, Y)?", core.EvalOptions{NoCarryDedup: !dedup})
-		})
-	}
-}
-
-// ladderDB builds an acyclic graph where friend steps one node ahead and
-// idol skips two, so each node is reachable at many distinct distances:
-// with seen-differencing each node is expanded once; without it, once per
-// distance.
-func ladderDB(n int) *database.Database {
-	db := database.New()
-	datagen.Chain(db, "friend", "a", n)
-	for i := 1; i+2 <= n; i++ {
-		db.AddFact("idol", datagen.Name("a", i), datagen.Name("a", i+2))
-	}
-	db.AddFact("perfectFor", datagen.Name("a", n), "item")
-	return db
-}
-
 // AblationNoIndex: conjunction evaluation by scan+filter instead of hash
 // index probes.
 func BenchmarkAblationNoIndex(b *testing.B) {

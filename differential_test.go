@@ -521,6 +521,40 @@ func answerOn(e *Engine) answerFunc {
 	return perQuery(func(r runner, q string) outcome { return r.query(e, q) })
 }
 
+// materializedBatch runs q as a two-seed batch with and without the
+// materialized-rounds ablation; both must answer as the single
+// materialized run did. Only Separable tags a batch's rows with the seed
+// index, so every other strategy's batch of one repeated seed runs the
+// single query's fixpoint and must report its peak intermediate bytes.
+// Every materialized round also holds its raw output beside the delta, so
+// whenever the streamed batch holds anything, the materialized one holds
+// more.
+func materializedBatch(t *testing.T, e *Engine, r runner, q string, single outcome) {
+	t.Helper()
+	label := fmt.Sprintf("%s [%s] two-seed batch", q, r.name)
+	batch := func(opts ...QueryOption) *Result {
+		t.Helper()
+		res, err := e.QueryBatch(context.Background(), []string{q, q}, append(opts, WithStrategy(r.strategy))...)
+		if err != nil {
+			t.Errorf("%s: %v", label, err)
+			return nil
+		}
+		compare(t, label, resultOutcome(res[0], nil), single)
+		return res[0]
+	}
+	mat, streamed := batch(withMaterializedRounds()), batch()
+	if mat == nil || streamed == nil {
+		return
+	}
+	got, str := mat.Stats.PeakIntermediateBytes, streamed.Stats.PeakIntermediateBytes
+	if want := single.stats.PeakIntermediateBytes; mat.Stats.Strategy != Separable && got != want {
+		t.Errorf("%s: materialized peak %d bytes, single materialized run %d", label, got, want)
+	}
+	if str > 0 && got <= str {
+		t.Errorf("%s: materialized peak %d bytes, streamed %d: the ablation was dropped", label, got, str)
+	}
+}
+
 // mode builds an engine holding an input in some state and returns how it
 // answers.
 type mode struct {
@@ -604,10 +638,17 @@ var modes = []mode{
 	// The ablation that materializes each round's delta before inserting
 	// it. A streaming round that read the growing totals instead of the
 	// ones frozen at the round start would find every answer in fewer
-	// rounds, so the round structure must match too.
+	// rounds, so the round structure must match too. A batch must honour
+	// the ablation as a single query does (see materializedBatch).
 	{name: "materialized-rounds", runners: engineRunners, rounds: true, build: func(t *testing.T, in *input, _ stageFunc) answerFunc {
 		e := plainEngine(t, in.program, factText(in.facts))
-		return perQuery(func(r runner, q string) outcome { return r.query(e, q, withMaterializedRounds()) })
+		return perQuery(func(r runner, q string) outcome {
+			single := r.query(e, q, withMaterializedRounds())
+			if single.err == nil {
+				materializedBatch(t, e, r, q, single)
+			}
+			return single
+		})
 	}},
 	{name: "reversed-rules", runners: allRunners, build: func(t *testing.T, in *input, _ stageFunc) answerFunc {
 		lines := strings.Split(strings.TrimSpace(in.program), "\n")

@@ -806,6 +806,8 @@ func (e *Engine) Query(query string, opts ...QueryOption) (*Result, error) {
 // matching ErrBudgetExceeded and, for context limits,
 // context.DeadlineExceeded or context.Canceled. Under WithMaxConcurrent,
 // an admission rejection returns an *OverloadError matching ErrOverloaded.
+// A query is a batch of one: it runs QueryBatch's pipeline, but counts
+// only in EngineStats.Queries, not as a batch.
 func (e *Engine) QueryCtx(ctx context.Context, query string, opts ...QueryOption) (*Result, error) {
 	cfg := e.newQueryConfig(opts)
 	if err := checkStrategy(cfg.strategy); err != nil {
@@ -815,7 +817,7 @@ func (e *Engine) QueryCtx(ctx context.Context, query string, opts ...QueryOption
 	if err != nil {
 		return nil, err
 	}
-	return e.queryAtom(ctx, q, query, cfg)
+	return e.queryAtom(ctx, q, cfg)
 }
 
 // newQueryConfig resolves QueryOptions against the engine's defaults.
@@ -827,67 +829,15 @@ func (e *Engine) newQueryConfig(opts []QueryOption) queryConfig {
 	return cfg
 }
 
-// queryAtom evaluates one already-parsed query: admission, snapshot, plan
-// lookup, strategy dispatch, fallback. Query/QueryCtx and Prepared.Run all
-// land here.
-func (e *Engine) queryAtom(ctx context.Context, q ast.Atom, query string, cfg queryConfig) (*Result, error) {
-	if cfg.deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.deadline)
-		defer cancel()
-	}
-	release, err := e.admit(ctx)
+// queryAtom evaluates one already-parsed query as a batch of one:
+// Query/QueryCtx and Prepared.Run land here, and share queryBatch's
+// pipeline without counting as batches.
+func (e *Engine) queryAtom(ctx context.Context, q ast.Atom, cfg queryConfig) (*Result, error) {
+	out, err := e.queryBatch(ctx, []ast.Atom{q}, cfg, false)
 	if err != nil {
-		e.counters.admitRejected(err)
 		return nil, err
 	}
-	defer release()
-	e.counters.queries.Add(1)
-	e.counters.inFlight.Add(1)
-	defer e.counters.inFlight.Add(-1)
-	st, db, dbRev := e.snapshot()
-
-	bud := cfg.tracker(ctx)
-	if err := bud.Err(); err != nil {
-		return nil, e.counters.evalFailed(err) // context already expired / canceled
-	}
-	c := stats.New()
-	start := time.Now()
-
-	if !st.prog.IDBPreds()[q.Pred] {
-		// EDB query: answer directly from the base relations.
-		ans, err := eval.Answer(db, q)
-		if err != nil {
-			return nil, e.counters.evalFailed(err)
-		}
-		return e.counters.evalOK(result(db, q, ans, Stats{Strategy: cfg.strategy, BatchSize: 1, Duration: time.Since(start)}, c)), nil
-	}
-	pl, hit := e.planFor(st, q, cfg)
-	e.counters.planLookup(hit)
-	strategy := pl.strategy
-	bud.SetStrategy(string(strategy))
-	if e.closures != nil {
-		cfg.closures = e.closures
-		cfg.scope = plancache.Scope{ProgRev: st.rev, DBRev: dbRev}
-	}
-
-	ans, err := runStrategy(st, db, q, query, pl, cfg, c, bud)
-	fellFrom := Strategy("")
-	if err != nil && cfg.fallback && fallbackEligible(strategy, err) {
-		fbBud := cfg.tracker(ctx)
-		fbBud.SetStrategy(string(SemiNaive))
-		fbCol := stats.New()
-		fbAns, fbErr := runStrategy(st, db, q, query, &plan{strategy: SemiNaive}, cfg, fbCol, fbBud)
-		if fbErr == nil {
-			fellFrom, strategy, ans, err, c = strategy, SemiNaive, fbAns, nil, fbCol
-		} else {
-			err = fmt.Errorf("%w (semi-naive fallback also failed: %v)", err, fbErr)
-		}
-	}
-	if err != nil {
-		return nil, e.counters.evalFailed(err)
-	}
-	return e.counters.evalOK(result(db, q, ans, Stats{Strategy: strategy, FallbackFrom: fellFrom, PlanCacheHit: hit, BatchSize: 1, Duration: time.Since(start)}, c)), nil
+	return out[0], nil
 }
 
 // planFor resolves q's compiled plan against st, honoring WithPlanCache:
@@ -911,67 +861,6 @@ func fallbackEligible(s Strategy, err error) bool {
 	return errors.Is(err, ErrBudgetExceeded) &&
 		!errors.Is(err, context.DeadlineExceeded) &&
 		!errors.Is(err, context.Canceled)
-}
-
-// runStrategy dispatches one evaluation attempt against an immutable
-// program revision and database snapshot, with the last-resort panic
-// recovery every attempt needs: an internal panic must not take down the
-// caller. A budget abort that escaped a path without its own Guard still
-// surfaces as its typed error; anything else is reported with the strategy
-// and query for the bug report.
-func runStrategy(st *progState, db *database.Database, q ast.Atom, query string, pl *plan, cfg queryConfig, c *stats.Collector, bud *budget.Budget) (ans *rel.Relation, err error) {
-	strategy := pl.strategy
-	defer func() {
-		if r := recover(); r != nil {
-			ans = nil
-			if aerr, ok := budget.AsAbort(r); ok {
-				err = aerr
-				return
-			}
-			err = fmt.Errorf("%w evaluating %q with strategy %s: %v", ErrInternal, query, strategy, r)
-		}
-	}()
-	if testHookEval != nil {
-		testHookEval()
-	}
-
-	switch strategy {
-	case Separable:
-		ans, err = core.Answer(st.prog, db, q, core.EvalOptions{
-			Collector:         c,
-			Analysis:          pl.analysis,
-			AllowDisconnected: cfg.allowDisconnected,
-			Budget:            bud,
-			Parallelism:       cfg.parallelism,
-			MaterializeRounds: cfg.materializeRounds,
-			Closures:          cfg.closures,
-			CacheScope:        cfg.scope,
-		})
-	case MagicSets, MagicSetsSup:
-		ans, err = magic.Answer(st.prog, db, q, magic.Options{
-			Collector:         c,
-			MaxIterations:     cfg.maxIterations,
-			Supplementary:     strategy == MagicSetsSup,
-			Budget:            bud,
-			MaterializeRounds: cfg.materializeRounds,
-			Template:          pl.template,
-		})
-	case SemiNaive, Naive:
-		var view *database.Database
-		view, err = eval.Run(st.prog, db, eval.Options{
-			Collector:         c,
-			Naive:             strategy == Naive,
-			MaxIterations:     cfg.maxIterations,
-			Budget:            bud,
-			MaterializeRounds: cfg.materializeRounds,
-		})
-		if err == nil {
-			ans, err = eval.Answer(view, q)
-		}
-	default:
-		return nil, fmt.Errorf("%w: %q", ErrUnknownStrategy, strategy)
-	}
-	return ans, err
 }
 
 func result(db *database.Database, q ast.Atom, ans *rel.Relation, st Stats, c *stats.Collector) *Result {

@@ -14,10 +14,12 @@ import (
 // AnswerBatch evaluates many selection queries of one form — same
 // predicate, constants at the same positions — in a single seeded run of
 // the Figure 2 schema, and returns one answer relation per query, aligned
-// with qs. The seed index rides as the first tag column through both
-// phases, so every carry loop, every class closure, and the support
-// fixpoint run once for the whole batch; per-seed answers are routed out by
-// tag at delivery. Answers are identical to len(qs) separate Answer calls.
+// with qs. With more than one query the seed index rides as the first tag
+// column through both phases, so every carry loop, every class closure,
+// and the support fixpoint run once for the whole batch; per-seed answers
+// are routed out by tag at delivery. A single query carries no seed index,
+// so its relations are exactly those of Figure 2. Answers are identical to
+// len(qs) separate Answer calls.
 func AnswerBatch(prog *ast.Program, db *database.Database, qs []ast.Atom, opts EvalOptions) (_ []*rel.Relation, err error) {
 	defer budget.Guard(&err)
 	if len(qs) == 0 {
@@ -48,7 +50,11 @@ func AnswerBatch(prog *ast.Program, db *database.Database, qs []ast.Atom, opts E
 		}
 	}
 
-	base, err := MaterializeSupportOpts(prog, db, qs[0].Pred, eval.Options{
+	// Materialize the IDB predicates t's definition depends on (they do
+	// not depend back on t, so a single pass suffices); they then act as
+	// base relations for the schema. Rules for predicates t does not use
+	// are irrelevant to the query and skipped.
+	base, err := MaterializeSupport(prog, db, qs[0].Pred, eval.Options{
 		Collector:         opts.Collector,
 		Budget:            opts.Budget,
 		MaterializeRounds: opts.MaterializeRounds,
@@ -58,6 +64,9 @@ func AnswerBatch(prog *ast.Program, db *database.Database, qs []ast.Atom, opts E
 	}
 
 	e := newEvaluator(a, base, qs[0].Pred, opts)
+	if len(qs) > 1 {
+		e.seedW = 1
+	}
 	sinks := make([]*eval.AnswerSink, len(qs))
 	for i, q := range qs {
 		sinks[i] = eval.NewAnswerSink(q, base.Syms)
@@ -65,17 +74,14 @@ func AnswerBatch(prog *ast.Program, db *database.Database, qs []ast.Atom, opts E
 
 	switch sel.Kind {
 	case SelPers:
-		if err := e.batchFull(qs, sel.PersPos, -1, sinks); err != nil {
-			return nil, err
-		}
+		err = e.batchFull(qs, sel.PersPos, -1, sinks)
 	case SelFullClass:
-		if err := e.batchFull(qs, a.Classes[sel.Driver].Cols, sel.Driver, sinks); err != nil {
-			return nil, err
-		}
+		err = e.batchFull(qs, a.Classes[sel.Driver].Cols, sel.Driver, sinks)
 	case SelPartial:
-		if err := e.batchPartial(qs, sel, sinks); err != nil {
-			return nil, err
-		}
+		err = e.batchPartial(qs, sel, sinks)
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	out := make([]*rel.Relation, len(qs))
@@ -88,33 +94,42 @@ func AnswerBatch(prog *ast.Program, db *database.Database, qs []ast.Atom, opts E
 	return out, nil
 }
 
+// seedRow returns seed i's row: vals itself for a single query, else the
+// seed index and vals written into buf. Callers insert it, which copies.
+func (e *evaluator) seedRow(buf rel.Tuple, i int, vals rel.Tuple) rel.Tuple {
+	if e.seedW == 0 {
+		return vals
+	}
+	return append(append(buf[:0], rel.Value(i)), vals...)
+}
+
 // batchFull runs the full-selection schema (SelPers or SelFullClass) for
-// every query at once: seeds are (seedIdx, consts...) rows, driver is the
-// persistent columns or the driver class's columns.
+// every query at once: seeds are (seed index, consts...) rows, driver is
+// the persistent columns or the driver class's columns.
 func (e *evaluator) batchFull(qs []ast.Atom, driverCols []int, driver int, sinks []*eval.AnswerSink) error {
 	intern := e.db.Syms.Intern
-	seeds := rel.New(1 + len(driverCols))
-	for i, q := range qs {
-		row := make(rel.Tuple, 0, 1+len(driverCols))
-		row = append(row, rel.Value(i))
-		row = append(row, constsAt(q, driverCols, intern)...)
-		seeds.Insert(row)
-	}
-	res, outCols, err := e.run(driverCols, driver, driver, seeds, 1)
-	if err != nil {
-		return err
-	}
+	seeds := rel.New(e.seedW + len(driverCols))
 	driverVals := make([]rel.Tuple, len(qs))
+	var row rel.Tuple
 	for i, q := range qs {
 		driverVals[i] = constsAt(q, driverCols, intern)
+		row = e.seedRow(row, i, driverVals[i])
+		seeds.Insert(row)
+	}
+	res, outCols, err := e.run(driverCols, driver, driver, seeds, e.seedW)
+	if err != nil {
+		return err
 	}
 	e.deliverBatch(res, nil, driverCols, driverVals, outCols, sinks)
 	return nil
 }
 
-// batchPartial runs both Lemma 2.1 branches for every query at once. The
-// seed index is tag column 0; branch B additionally tags the unbound
-// driver-class head columns, as in the single-query path.
+// batchPartial evaluates a partial selection as the union of full
+// selections of Lemma 2.1, for every query at once: the t_part branch (no
+// driver-class applications; the bound columns act as persistent) plus,
+// for every rule of the driver class, a t_full branch seeded through that
+// rule's nonrecursive conjunction, with the unbound driver-class head
+// columns carried as tags after the seed index.
 func (e *evaluator) batchPartial(qs []ast.Atom, sel Selection, sinks []*eval.AnswerSink) error {
 	intern := e.db.Syms.Intern
 	src := conj.DBSource(e.db.Relation)
@@ -133,26 +148,26 @@ func (e *evaluator) batchPartial(qs []ast.Atom, sel Selection, sinks []*eval.Ans
 	}
 
 	// Branch A (t_part): zero applications of the driver class.
-	seedsA := rel.New(1 + len(boundCols))
+	seedsA := rel.New(e.seedW + len(boundCols))
+	boundVals := make([]rel.Tuple, len(qs))
+	var row rel.Tuple
 	for i, q := range qs {
-		row := make(rel.Tuple, 0, 1+len(boundCols))
-		row = append(row, rel.Value(i))
-		row = append(row, constsAt(q, boundCols, intern)...)
+		boundVals[i] = constsAt(q, boundCols, intern)
+		row = e.seedRow(row, i, boundVals[i])
 		seedsA.Insert(row)
 	}
-	resA, outColsA, err := e.run(boundCols, -1, sel.Driver, seedsA, 1)
+	resA, outColsA, err := e.run(boundCols, -1, sel.Driver, seedsA, e.seedW)
 	if err != nil {
 		return err
 	}
-	boundVals := make([]rel.Tuple, len(qs))
-	for i, q := range qs {
-		boundVals[i] = constsAt(q, boundCols, intern)
-	}
 	e.deliverBatch(resA, nil, boundCols, boundVals, outColsA, sinks)
 
-	// Branch B (t_full): the first driver-class application is made here
-	// per seed, through each rule's nonrecursive conjunction.
-	tagW := 1 + len(freeCols)
+	// Branch B (t_full): at least one application of the driver class.
+	// The first application is made here, through each rule's a_1j, with
+	// the bound head columns fixed to each query's constants; the
+	// resulting unbound head-column values become the tag, and the
+	// body-column values seed carry_1.
+	tagW := e.seedW + len(freeCols)
 	seedsB := rel.New(tagW + len(cls.Cols))
 	boundHead := headVarsAt(boundCols)
 	freeHead := headVarsAt(freeCols)
@@ -165,11 +180,8 @@ func (e *evaluator) batchPartial(qs []ast.Atom, sel Selection, sinks []*eval.Ans
 		tr.SetTick(e.bud.TickFunc())
 		run := tr.NewRunner()
 		for i := range qs {
-			i := i
 			run.Apply(src, boundVals[i], func(out rel.Tuple) {
-				row := make(rel.Tuple, 0, tagW+len(cls.Cols))
-				row = append(row, rel.Value(i))
-				row = append(row, out...)
+				row = e.seedRow(row, i, out)
 				seedsB.Insert(row)
 			})
 		}
@@ -178,6 +190,8 @@ func (e *evaluator) batchPartial(qs []ast.Atom, sel Selection, sinks []*eval.Ans
 	if err != nil {
 		return err
 	}
+	// Driver values: constants at the bound positions; the free positions
+	// are placeholders overwritten by the tag in deliverBatch.
 	driverVals := make([]rel.Tuple, len(qs))
 	for i, q := range qs {
 		dv := make(rel.Tuple, len(cls.Cols))
@@ -192,22 +206,24 @@ func (e *evaluator) batchPartial(qs []ast.Atom, sel Selection, sinks []*eval.Ans
 	return nil
 }
 
-// deliverBatch assembles full-arity tuples from a batched run's result and
-// routes each to its seed's sink. Result rows are the seed index, then one
-// value per tagCols, then the output columns; driverCols take the seed's
-// driverVals (with free positions, if any, overwritten by the tag, as in
-// deliver).
+// deliverBatch assembles full-arity tuples from a run's result and routes
+// each to its seed's sink. Result rows are the seed index (batches only),
+// then one value per tagCols, then the output columns; driverCols take the
+// seed's driverVals, with free positions, if any, overwritten by the tag.
 func (e *evaluator) deliverBatch(res *rel.Relation, tagCols []int, driverCols []int, driverVals []rel.Tuple, outCols []int, sinks []*eval.AnswerSink) {
-	tagW := 1 + len(tagCols)
+	tagW := e.seedW + len(tagCols)
 	full := make(rel.Tuple, e.a.Arity)
 	for k := range res.Len() {
 		t := res.Row(k)
-		i := int(t[0])
+		i := 0
+		if e.seedW > 0 {
+			i = int(t[0])
+		}
 		for j, p := range driverCols {
 			full[p] = driverVals[i][j]
 		}
 		for j, p := range tagCols {
-			full[p] = t[1+j]
+			full[p] = t[e.seedW+j]
 		}
 		for j, p := range outCols {
 			full[p] = t[tagW+j]

@@ -19,7 +19,7 @@ import (
 // evaluation.
 var ErrNoSelection = errors.New("core: query has no constants; the Separable algorithm requires a selection")
 
-// EvalOptions configure Answer.
+// EvalOptions configure Answer and AnswerBatch.
 type EvalOptions struct {
 	// Collector, when non-nil, receives the sizes of carry_1, seen_1,
 	// carry_2, seen_2 and ans — the relations of Figure 2, which are the
@@ -30,11 +30,6 @@ type EvalOptions struct {
 	Analysis *Analysis
 	// AllowDisconnected forwards to Analyze (§5 condition-4 relaxation).
 	AllowDisconnected bool
-	// NoCarryDedup disables the seen-differencing of lines 5 and 12 of
-	// Figure 2 (ablation). Tuples are then re-expanded once per derivation
-	// path; on cyclic data the loops no longer terminate, so this is only
-	// meaningful on acyclic databases.
-	NoCarryDedup bool
 	// Budget, when non-nil, is checked at every carry-loop round and at
 	// join-inner-loop granularity; exceeding it aborts the evaluation with
 	// a *budget.ResourceError and leaves db untouched.
@@ -70,69 +65,15 @@ type EvalOptions struct {
 // defining q.Pred in prog over db, using the evaluation schema of Figure 2.
 // Partial selections are handled per Lemma 2.1 as a union of full
 // selections. The result is a relation over q's distinct variables in
-// first-occurrence order.
-func Answer(prog *ast.Program, db *database.Database, q ast.Atom, opts EvalOptions) (_ *rel.Relation, err error) {
-	defer budget.Guard(&err)
-	a := opts.Analysis
-	if a == nil {
-		var err error
-		a, err = AnalyzeOpts(prog, q.Pred, Options{AllowDisconnected: opts.AllowDisconnected})
-		if err != nil {
-			return nil, err
-		}
-	}
-	sel, err := a.Classify(q)
+// first-occurrence order. One query is a batch of one: Answer is
+// AnswerBatch over []ast.Atom{q}, which seeds carry_1 without a seed-index
+// tag and so builds exactly the relations of Figure 2.
+func Answer(prog *ast.Program, db *database.Database, q ast.Atom, opts EvalOptions) (*rel.Relation, error) {
+	out, err := AnswerBatch(prog, db, []ast.Atom{q}, opts)
 	if err != nil {
 		return nil, err
 	}
-	if sel.Kind == SelNone {
-		return nil, ErrNoSelection
-	}
-
-	// Materialize the IDB predicates t's definition depends on (they do
-	// not depend back on t, so a single pass suffices); they then act as
-	// base relations for the schema. Rules for predicates t does not use
-	// are irrelevant to the query and skipped.
-	base, err := MaterializeSupportOpts(prog, db, q.Pred, eval.Options{
-		Collector:         opts.Collector,
-		Budget:            opts.Budget,
-		MaterializeRounds: opts.MaterializeRounds,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	e := newEvaluator(a, base, q.Pred, opts)
-	sink := eval.NewAnswerSink(q, base.Syms)
-
-	switch sel.Kind {
-	case SelPers:
-		seeds := rel.New(len(sel.PersPos))
-		seeds.Insert(constsAt(q, sel.PersPos, base.Syms.Intern))
-		res, outCols, err := e.run(sel.PersPos, -1, -1, seeds, 0)
-		if err != nil {
-			return nil, err
-		}
-		e.deliver(res, 0, nil, sel.PersPos, constsAt(q, sel.PersPos, base.Syms.Intern), outCols, sink)
-
-	case SelFullClass:
-		cls := &a.Classes[sel.Driver]
-		seeds := rel.New(len(cls.Cols))
-		seeds.Insert(constsAt(q, cls.Cols, base.Syms.Intern))
-		res, outCols, err := e.run(cls.Cols, sel.Driver, sel.Driver, seeds, 0)
-		if err != nil {
-			return nil, err
-		}
-		e.deliver(res, 0, nil, cls.Cols, constsAt(q, cls.Cols, base.Syms.Intern), outCols, sink)
-
-	case SelPartial:
-		if err := e.partial(q, sel, sink); err != nil {
-			return nil, err
-		}
-	}
-
-	opts.Collector.Observe("ans", sink.Result().Len())
-	return sink.Result(), nil
+	return out[0], nil
 }
 
 // evaluator holds the pieces shared by the schema's phases.
@@ -140,12 +81,14 @@ type evaluator struct {
 	a         *Analysis
 	db        *database.Database
 	col       *stats.Collector
-	noDedup   bool
 	matRounds bool
 	bud       *budget.Budget
 	par       int
 	closures  *plancache.Closures
 	scope     plancache.Scope
+	// seedW is the width of the seed-index tag: 1 when a batch of several
+	// queries shares the run, 0 for a single query.
+	seedW int
 }
 
 // newEvaluator builds the evaluator for one analyzed predicate, pinning the
@@ -155,7 +98,7 @@ func newEvaluator(a *Analysis, base *database.Database, pred string, opts EvalOp
 	scope := opts.CacheScope
 	scope.Pred = pred
 	scope.Relaxed = a.AllowDisconnected
-	return &evaluator{a: a, db: base, col: opts.Collector, noDedup: opts.NoCarryDedup,
+	return &evaluator{a: a, db: base, col: opts.Collector,
 		matRounds: opts.MaterializeRounds, bud: opts.Budget,
 		par: opts.Parallelism, closures: opts.Closures, scope: scope}
 }
@@ -234,7 +177,7 @@ func (e *evaluator) run(driverCols []int, phase1Class, excludePhase2 int, seeds 
 					return
 				}
 				row = append(append(row[:0], tag...), out...)
-				if e.noDedup || !seen1.Contains(row) {
+				if !seen1.Contains(row) {
 					next.Insert(row)
 				}
 			}
@@ -246,7 +189,7 @@ func (e *evaluator) run(driverCols []int, phase1Class, excludePhase2 int, seeds 
 					run.Apply(src, vals, sink)
 				}
 			}
-			if e.matRounds && !e.noDedup {
+			if e.matRounds {
 				carry1 = next.Difference(seen1)
 				e.observeIntermediate(next.Len()+carry1.Len(), tagW+w)
 			} else {
@@ -323,110 +266,13 @@ func (e *evaluator) run(driverCols []int, phase1Class, excludePhase2 int, seeds 
 	return seen2, outCols, nil
 }
 
-// partial evaluates a partial selection as the union of full selections of
-// Lemma 2.1: the t_part branch (no driver-class applications; the bound
-// columns act as persistent) plus, for every rule of the driver class, a
-// t_full branch seeded through that rule's nonrecursive conjunction, with
-// the unbound driver-class head columns carried as tags.
-func (e *evaluator) partial(q ast.Atom, sel Selection, sink *eval.AnswerSink) error {
-	intern := e.db.Syms.Intern
-	src := conj.DBSource(e.db.Relation)
-	cls := &e.a.Classes[sel.Driver]
-	isConst := make(map[int]bool)
-	for _, p := range sel.ConstPos {
-		isConst[p] = true
-	}
-	var boundCols, freeCols []int
-	for _, p := range cls.Cols {
-		if isConst[p] {
-			boundCols = append(boundCols, p)
-		} else {
-			freeCols = append(freeCols, p)
-		}
-	}
-
-	// Branch A (t_part): zero applications of the driver class.
-	seedsA := rel.New(len(boundCols))
-	seedsA.Insert(constsAt(q, boundCols, intern))
-	resA, outColsA, err := e.run(boundCols, -1, sel.Driver, seedsA, 0)
-	if err != nil {
-		return err
-	}
-	e.deliver(resA, 0, nil, boundCols, constsAt(q, boundCols, intern), outColsA, sink)
-
-	// Branch B (t_full): at least one application of the driver class.
-	// The first application is made here, through each rule's a_1j, with
-	// the bound head columns fixed to the query constants; the resulting
-	// unbound head-column values become the tag, and the body-column
-	// values seed carry_1.
-	tagW := len(freeCols)
-	seedsB := rel.New(tagW + len(cls.Cols))
-	boundHead := headVarsAt(boundCols)
-	freeHead := headVarsAt(freeCols)
-	consts := constsAt(q, boundCols, intern)
-	for _, r := range cls.Rules {
-		outVars := append(append([]string{}, freeHead...), r.BodyVars...)
-		tr, err := conj.NewTransition(r.Conj, boundHead, outVars, intern)
-		if err != nil {
-			return fmt.Errorf("core: rule %s: %w", r.Rule, err)
-		}
-		tr.SetTick(e.bud.TickFunc())
-		tr.Apply(src, consts, func(out rel.Tuple) {
-			seedsB.Insert(out)
-		})
-	}
-	resB, outColsB, err := e.run(cls.Cols, sel.Driver, sel.Driver, seedsB, tagW)
-	if err != nil {
-		return err
-	}
-	// Driver values: constants at the bound positions; the free positions
-	// are placeholders overwritten by the tag in deliver.
-	driverVals := make(rel.Tuple, len(cls.Cols))
-	for i, p := range cls.Cols {
-		if isConst[p] {
-			driverVals[i] = intern(q.Args[p].Name)
-		}
-	}
-	e.deliver(resB, tagW, freeCols, cls.Cols, driverVals, outColsB, sink)
-	return nil
-}
-
-// deliver assembles full-arity tuples from a run's result and feeds them to
-// the answer sink. Result rows are tag columns (values for tagCols)
-// followed by output columns (values for outCols); driverCols take the
-// fixed driverVals. For partial selections driverVals holds interned query
-// constants at the bound positions and garbage at free positions — those
-// are overwritten by the tag.
-func (e *evaluator) deliver(res *rel.Relation, tagW int, tagCols []int, driverCols []int, driverVals rel.Tuple, outCols []int, sink *eval.AnswerSink) {
-	full := make(rel.Tuple, e.a.Arity)
-	for j := range res.Len() {
-		t := res.Row(j)
-		for i, p := range driverCols {
-			full[p] = driverVals[i]
-		}
-		for i := 0; i < tagW; i++ {
-			full[tagCols[i]] = t[i]
-		}
-		for i, p := range outCols {
-			full[p] = t[tagW+i]
-		}
-		sink.Add(full)
-	}
-}
-
 // MaterializeSupport evaluates the IDB predicates that pred's definition
 // depends on (other than pred itself) and returns a database view exposing
 // them as base relations. When pred uses no other IDB predicate, db is
-// returned unchanged. The Counting and Henschen-Naqvi baselines share it.
-// The budget (nil for none) governs the support fixpoint like any other.
-func MaterializeSupport(prog *ast.Program, db *database.Database, pred string, col *stats.Collector, bud *budget.Budget) (*database.Database, error) {
-	return MaterializeSupportOpts(prog, db, pred, eval.Options{Collector: col, Budget: bud})
-}
-
-// MaterializeSupportOpts is MaterializeSupport with full fixpoint options
-// (notably parallelism), which the Separable evaluator forwards from its
-// own EvalOptions.
-func MaterializeSupportOpts(prog *ast.Program, db *database.Database, pred string, opts eval.Options) (*database.Database, error) {
+// returned unchanged. The Separable evaluator and the Counting,
+// Henschen-Naqvi and tabling baselines share it; opts govern the support
+// fixpoint like any other.
+func MaterializeSupport(prog *ast.Program, db *database.Database, pred string, opts eval.Options) (*database.Database, error) {
 	deps := prog.DependsOn(pred)
 	var subRules []ast.Rule
 	for _, r := range prog.Rules {

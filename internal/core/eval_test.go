@@ -435,27 +435,6 @@ func TestStatsRelationNames(t *testing.T) {
 	}
 }
 
-func TestNoCarryDedupAblationStillCorrect(t *testing.T) {
-	// On acyclic data, disabling the seen-differencing (lines 5/12 of
-	// Figure 2) re-derives tuples but must not change the answer.
-	db := database.New()
-	mustLoad(t, db, `
-friend(a, b). friend(a, c). friend(b, d). friend(c, d). friend(d, e).
-idol(a, d).
-perfectFor(e, thing). perfectFor(d, gadget).
-`)
-	prog := mustProgram(t, example11)
-	q := mustQuery(t, `buys(a, Y)?`)
-	got, err := Answer(prog, db, q, EvalOptions{NoCarryDedup: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := seminaiveAnswer(t, prog, db, q)
-	if !got.Equal(want) {
-		t.Fatalf("no-dedup %s != semi-naive %s", got.Dump(db.Syms), want.Dump(db.Syms))
-	}
-}
-
 func TestSeparableWithBuiltinInConjunction(t *testing.T) {
 	// A builtin disequality inside a_ij: "influence spreads to friends with
 	// a different tier".

@@ -71,20 +71,16 @@ const adaptiveClosureFloor = 64
 // the gate on the support database the transitions join against — the
 // best cheap proxy for closure sizes — keeps trivial inputs sequential.
 func (e *evaluator) parallelPhase2(nClasses int) bool {
-	return e.par > 1 && !e.noDedup && nClasses >= 2 && e.db.NumTuples() >= adaptiveClosureFloor
+	return e.par > 1 && nClasses >= 2 && e.db.NumTuples() >= adaptiveClosureFloor
 }
 
 // productPhase2 decides whether phase 2 runs as a product of per-class
-// closures instead of the interleaved loop. The product form needs dedup
-// (the closure sets ARE the seen sets). It runs whenever the closures are
-// worth having as standalone units: when the closure cache is enabled
+// closures instead of the interleaved loop. It runs whenever the closures
+// are worth having as standalone units: when the closure cache is enabled
 // (only the product form computes per-start closures it can memoize), or
 // when the parallel evaluator would fan the classes out anyway.
 func (e *evaluator) productPhase2(nClasses int) bool {
-	if e.noDedup || nClasses < 1 {
-		return false
-	}
-	return e.closures != nil || e.parallelPhase2(nClasses)
+	return nClasses >= 1 && (e.closures != nil || e.parallelPhase2(nClasses))
 }
 
 // classCacheKey renders a class's column set canonically for closure-cache
@@ -99,16 +95,6 @@ func classCacheKey(cols []int) string {
 		b.WriteString(strconv.Itoa(c))
 	}
 	return b.String()
-}
-
-// vkey renders a tuple as a map key (same injective 4-byte scheme the rel
-// package uses internally).
-func vkey(t rel.Tuple) string {
-	b := make([]byte, 0, 4*len(t))
-	for _, v := range t {
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	return string(b)
 }
 
 // classReach is one class's closure over the seed rows: sets[i] holds the
@@ -128,7 +114,7 @@ func (cr *classReach) lookup(t rel.Tuple, tagW int, colIdx []int) *rel.Relation 
 	for i, j := range colIdx {
 		cv[i] = t[tagW+j]
 	}
-	idx, ok := cr.starts[vkey(cv)]
+	idx, ok := cr.starts[plancache.EncodeStart(cv)]
 	if !ok {
 		return nil
 	}
@@ -153,8 +139,9 @@ func (e *evaluator) classClosure(pc *phase2class, seeds *rel.Relation, tagW int,
 		for i, j := range pc.colIdx {
 			cv[i] = t[tagW+j]
 		}
-		if _, ok := cr.starts[vkey(cv)]; !ok {
-			cr.starts[vkey(cv)] = len(startVecs)
+		key := plancache.EncodeStart(cv)
+		if _, ok := cr.starts[key]; !ok {
+			cr.starts[key] = len(startVecs)
 			startVecs = append(startVecs, cv)
 		}
 	}
@@ -320,8 +307,8 @@ func (e *evaluator) runPhase2Product(p2 []phase2class, carry2, seen2 *rel.Relati
 }
 
 // runPhase2Loop is the sequential interleaved carry loop (lines 10-14 of
-// Figure 2), also the fallback under NoCarryDedup (the product form needs
-// the seen sets) and below adaptiveClosureFloor.
+// Figure 2), used when neither the closure cache nor the parallel
+// evaluator asks for the product form.
 func (e *evaluator) runPhase2Loop(p2 []phase2class, carry2, seen2 *rel.Relation, tagW, outW int, src conj.RelSource) {
 	classVals := make(rel.Tuple, 0, 8)
 	runners := make([][]*conj.TransitionRunner, len(p2))
@@ -355,7 +342,7 @@ func (e *evaluator) runPhase2Loop(p2 []phase2class, carry2, seen2 *rel.Relation,
 			for k, j := range pc.colIdx {
 				row[tagW+j] = out[k]
 			}
-			if e.noDedup || !seen2.Contains(row) {
+			if !seen2.Contains(row) {
 				next.Insert(row)
 			}
 		}
@@ -374,7 +361,7 @@ func (e *evaluator) runPhase2Loop(p2 []phase2class, carry2, seen2 *rel.Relation,
 				}
 			}
 		}
-		if e.matRounds && !e.noDedup {
+		if e.matRounds {
 			carry2 = next.Difference(seen2)
 			e.observeIntermediate(next.Len()+carry2.Len(), tagW+outW)
 		} else {

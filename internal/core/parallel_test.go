@@ -140,15 +140,6 @@ b(m0, y0). b(m1, y1). b(y1, y2). b(m2, y3).
 	checkParallelMatches(t, prog, db, `t(x0, Y)?`, EvalOptions{AllowDisconnected: true})
 }
 
-func TestProductEvaluatorNoDedupFallsBackToLoop(t *testing.T) {
-	// The ablation mode has no seen-difference to merge on, so parallel
-	// evaluation must quietly fall back to the interleaved loop — and
-	// still answer correctly on acyclic data.
-	db := datagen.MultiClassDB(4, 2)
-	prog := datagen.MultiClassProgram(2).String()
-	checkParallelMatches(t, prog, db, datagen.MultiClassQuery(2), EvalOptions{NoCarryDedup: true})
-}
-
 func TestProductEvaluatorBudgetAbortParity(t *testing.T) {
 	prog := datagen.MultiClassProgram(3)
 	db := datagen.MultiClassDB(30, 3)

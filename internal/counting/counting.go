@@ -115,7 +115,7 @@ func Answer(prog *ast.Program, db *database.Database, q ast.Atom, opts Options) 
 
 	// Materialize the IDB predicates the definition depends on (as in
 	// core.Answer).
-	base, err := core.MaterializeSupport(prog, db, q.Pred, opts.Collector, opts.Budget)
+	base, err := core.MaterializeSupport(prog, db, q.Pred, eval.Options{Collector: opts.Collector, Budget: opts.Budget})
 	if err != nil {
 		return nil, err
 	}

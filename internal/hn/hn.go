@@ -81,7 +81,7 @@ func Answer(prog *ast.Program, db *database.Database, q ast.Atom, opts Options) 
 		return nil, fmt.Errorf("%w: query is %s", ErrUnsupported, sel.Kind)
 	}
 
-	base, err := core.MaterializeSupport(prog, db, q.Pred, opts.Collector, opts.Budget)
+	base, err := core.MaterializeSupport(prog, db, q.Pred, eval.Options{Collector: opts.Collector, Budget: opts.Budget})
 	if err != nil {
 		return nil, err
 	}

@@ -22,7 +22,6 @@ import (
 	"sepdl/internal/ast"
 	"sepdl/internal/budget"
 	"sepdl/internal/database"
-	"sepdl/internal/eval"
 	"sepdl/internal/rel"
 	"sepdl/internal/stats"
 )
@@ -153,7 +152,7 @@ func cloneAtoms(atoms []ast.Atom) []ast.Atom {
 	return out
 }
 
-// Options configure Answer.
+// Options configure Answer and AnswerBatch.
 type Options struct {
 	Collector     *stats.Collector
 	MaxIterations int
@@ -176,32 +175,13 @@ type Options struct {
 
 // Answer evaluates query q over prog and db with the Generalized Magic Sets
 // strategy: rewrite, evaluate the rewritten program semi-naively, and
-// project the answer onto q's distinct variables.
+// project the answer onto q's distinct variables. One query is a batch of
+// one: Answer is AnswerBatch over []ast.Atom{q}, whose template binds
+// exactly the seed rule and rules Rewrite emits.
 func Answer(prog *ast.Program, db *database.Database, q ast.Atom, opts Options) (*rel.Relation, error) {
-	if opts.Template != nil {
-		out, err := AnswerBatch(prog, db, []ast.Atom{q}, opts)
-		if err != nil {
-			return nil, err
-		}
-		return out[0], nil
-	}
-	rewrite := Rewrite
-	if opts.Supplementary {
-		rewrite = RewriteSupplementary
-	}
-	rw, rq, err := rewrite(prog, q)
+	out, err := AnswerBatch(prog, db, []ast.Atom{q}, opts)
 	if err != nil {
 		return nil, err
 	}
-	view, err := eval.Run(rw, db, eval.Options{
-		Collector:         opts.Collector,
-		MaxIterations:     opts.MaxIterations,
-		Naive:             opts.Naive,
-		Budget:            opts.Budget,
-		MaterializeRounds: opts.MaterializeRounds,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return eval.Answer(view, rq)
+	return out[0], nil
 }

@@ -219,8 +219,9 @@ func (c *Closures) Stats() Stats {
 	}
 }
 
-// EncodeStart renders a start vector as a ClosureKey.Start: the same
-// injective fixed-width encoding the rel package uses for its tuple sets.
+// EncodeStart renders a start vector as a ClosureKey.Start, four
+// little-endian bytes per value: injective, so it also serves the
+// Separable evaluator as a map key for start vectors.
 func EncodeStart(t rel.Tuple) string {
 	b := make([]byte, 0, 4*len(t))
 	for _, v := range t {

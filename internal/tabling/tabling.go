@@ -370,7 +370,7 @@ func matchAtom(s *solver, a ast.Atom, t rel.Tuple, binding map[string]rel.Value)
 // base predicates behave identically. (Plain Answer already handles them
 // as subgoals; this variant exists for parity benchmarks.)
 func AnswerWithSupport(prog *ast.Program, db *database.Database, q ast.Atom, opts Options) (*rel.Relation, error) {
-	base, err := core.MaterializeSupport(prog, db, q.Pred, opts.Collector, opts.Budget)
+	base, err := core.MaterializeSupport(prog, db, q.Pred, eval.Options{Collector: opts.Collector, Budget: opts.Budget})
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package sepdl
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"time"
 
 	"sepdl/internal/ast"
@@ -81,13 +82,13 @@ func (p *Prepared) bind(consts []string) (ast.Atom, error) {
 // Run evaluates the prepared form with the given constants, one per
 // placeholder in argument order. Semantics (snapshot isolation, admission,
 // budgets, fallback) are exactly Query's; only the plan compilation is
-// skipped.
+// skipped. Like Query, it runs the batch pipeline with a batch of one.
 func (p *Prepared) Run(ctx context.Context, consts ...string) (*Result, error) {
 	q, err := p.bind(consts)
 	if err != nil {
 		return nil, err
 	}
-	return p.e.queryAtom(ctx, q, q.String(), p.cfg)
+	return p.e.queryAtom(ctx, q, p.cfg)
 }
 
 // RunBatch evaluates one constant vector per element of constSets in a
@@ -102,7 +103,7 @@ func (p *Prepared) RunBatch(ctx context.Context, constSets ...[]string) ([]*Resu
 		}
 		qs[i] = q
 	}
-	return p.e.queryBatch(ctx, qs, p.cfg)
+	return p.e.queryBatch(ctx, qs, p.cfg, true)
 }
 
 // QueryBatch evaluates many queries of one form — same predicate,
@@ -113,6 +114,7 @@ func (p *Prepared) RunBatch(ctx context.Context, constSets ...[]string) ([]*Resu
 // SemiNaive/Naive. Results align with queries, and each answer set is
 // identical to what Query would return for that element. Stats on every
 // Result report the whole batch's work, with BatchSize = len(queries).
+// Query is the same pipeline with a batch of one.
 func (e *Engine) QueryBatch(ctx context.Context, queries []string, opts ...QueryOption) ([]*Result, error) {
 	cfg := e.newQueryConfig(opts)
 	if err := checkStrategy(cfg.strategy); err != nil {
@@ -126,13 +128,15 @@ func (e *Engine) QueryBatch(ctx context.Context, queries []string, opts ...Query
 		}
 		qs[i] = q
 	}
-	return e.queryBatch(ctx, qs, cfg)
+	return e.queryBatch(ctx, qs, cfg, true)
 }
 
-// queryBatch is the shared batched-evaluation path under QueryBatch and
-// Prepared.RunBatch: one admission slot, one snapshot, one budget, one
-// plan for the whole batch.
-func (e *Engine) queryBatch(ctx context.Context, qs []ast.Atom, cfg queryConfig) ([]*Result, error) {
+// queryBatch is the one evaluation pipeline under every query entry
+// point: one admission slot, one snapshot, one budget, one plan for the
+// whole batch, then strategy dispatch and fallback. batch marks the
+// QueryBatch/RunBatch entry points, the only ones EngineStats counts as
+// batches; a single query is a batch of one.
+func (e *Engine) queryBatch(ctx context.Context, qs []ast.Atom, cfg queryConfig, batch bool) ([]*Result, error) {
 	if len(qs) == 0 {
 		return nil, nil
 	}
@@ -153,19 +157,23 @@ func (e *Engine) queryBatch(ctx context.Context, qs []ast.Atom, cfg queryConfig)
 	}
 	defer release()
 	e.counters.queries.Add(1)
-	e.counters.batches.Add(1)
-	e.counters.batchQueries.Add(uint64(len(qs)))
+	if batch {
+		e.counters.batches.Add(1)
+		e.counters.batchQueries.Add(uint64(len(qs)))
+	}
 	e.counters.inFlight.Add(1)
 	defer e.counters.inFlight.Add(-1)
 	st, db, dbRev := e.snapshot()
 
 	bud := cfg.tracker(ctx)
 	if err := bud.Err(); err != nil {
-		return nil, e.counters.evalFailed(err)
+		return nil, e.counters.evalFailed(err) // context already expired / canceled
 	}
 	c := stats.New()
 	start := time.Now()
 
+	// Every element reports the whole evaluation's work; the engine
+	// counters record its outcome once.
 	results := func(strategy, fellFrom Strategy, hit bool, anss []*rel.Relation, col *stats.Collector) []*Result {
 		out := make([]*Result, len(qs))
 		for i := range qs {
@@ -173,10 +181,12 @@ func (e *Engine) queryBatch(ctx context.Context, qs []ast.Atom, cfg queryConfig)
 				BatchSize: len(qs), Duration: time.Since(start)}
 			out[i] = result(db, qs[i], anss[i], stt, col)
 		}
+		e.counters.evalOK(out[0])
 		return out
 	}
 
 	if !st.prog.IDBPreds()[qs[0].Pred] {
+		// EDB query: answer directly from the base relations.
 		anss := make([]*rel.Relation, len(qs))
 		for i, q := range qs {
 			ans, err := eval.Answer(db, q)
@@ -213,18 +223,16 @@ func (e *Engine) queryBatch(ctx context.Context, qs []ast.Atom, cfg queryConfig)
 	if err != nil {
 		return nil, e.counters.evalFailed(err)
 	}
-	out := results(strategy, fellFrom, hit, anss, c)
-	if len(out) > 0 {
-		// Every batch element reports the whole batch's work; record the
-		// shared evaluation's outcome once.
-		e.counters.evalOK(out[0])
-	}
-	return out, nil
+	return results(strategy, fellFrom, hit, anss, c), nil
 }
 
-// runStrategyBatch dispatches one batched evaluation attempt, with the
-// same last-resort recovery as runStrategy. Every served strategy runs the
-// whole batch in one shared fixpoint.
+// runStrategyBatch dispatches one evaluation attempt against an immutable
+// program revision and database snapshot. Every served strategy runs the
+// whole batch in one shared fixpoint. It carries the last-resort panic
+// recovery every attempt needs: an internal panic must not take down the
+// caller. A budget abort that escaped a path without its own Guard still
+// surfaces as its typed error; anything else is reported with the strategy
+// and query for the bug report.
 func runStrategyBatch(st *progState, db *database.Database, qs []ast.Atom, pl *plan, cfg queryConfig, c *stats.Collector, bud *budget.Budget) (anss []*rel.Relation, err error) {
 	strategy := pl.strategy
 	defer func() {
@@ -234,7 +242,11 @@ func runStrategyBatch(st *progState, db *database.Database, qs []ast.Atom, pl *p
 				err = aerr
 				return
 			}
-			err = fmt.Errorf("%w batch-evaluating %q (%d seeds) with strategy %s: %v", ErrInternal, qs[0].Pred, len(qs), strategy, r)
+			what := strconv.Quote(qs[0].String() + "?")
+			if len(qs) > 1 {
+				what += fmt.Sprintf(" and %d more", len(qs)-1)
+			}
+			err = fmt.Errorf("%w evaluating %s with strategy %s: %v", ErrInternal, what, strategy, r)
 		}
 	}()
 	if testHookEval != nil {
@@ -249,23 +261,26 @@ func runStrategyBatch(st *progState, db *database.Database, qs []ast.Atom, pl *p
 			AllowDisconnected: cfg.allowDisconnected,
 			Budget:            bud,
 			Parallelism:       cfg.parallelism,
+			MaterializeRounds: cfg.materializeRounds,
 			Closures:          cfg.closures,
 			CacheScope:        cfg.scope,
 		})
 	case MagicSets, MagicSetsSup:
 		return magic.AnswerBatch(st.prog, db, qs, magic.Options{
-			Collector:     c,
-			MaxIterations: cfg.maxIterations,
-			Supplementary: strategy == MagicSetsSup,
-			Budget:        bud,
-			Template:      pl.template,
+			Collector:         c,
+			MaxIterations:     cfg.maxIterations,
+			Supplementary:     strategy == MagicSetsSup,
+			Budget:            bud,
+			MaterializeRounds: cfg.materializeRounds,
+			Template:          pl.template,
 		})
 	case SemiNaive, Naive:
 		view, err := eval.Run(st.prog, db, eval.Options{
-			Collector:     c,
-			Naive:         strategy == Naive,
-			MaxIterations: cfg.maxIterations,
-			Budget:        bud,
+			Collector:         c,
+			Naive:             strategy == Naive,
+			MaxIterations:     cfg.maxIterations,
+			Budget:            bud,
+			MaterializeRounds: cfg.materializeRounds,
 		})
 		if err != nil {
 			return nil, err

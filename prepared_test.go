@@ -119,6 +119,48 @@ func TestPreparedRunAndBatch(t *testing.T) {
 	}
 }
 
+// TestBatchCounters pins the engine's accounting: every admitted
+// evaluation counts once in Queries, and only QueryBatch and RunBatch
+// count in Batches and BatchQueries. Query and Prepared.Run run the batch
+// pipeline with a batch of one, which reports BatchSize 1 but is not a
+// batch to EngineStats.
+func TestBatchCounters(t *testing.T) {
+	e := load(t, New(), multiClassProgram, multiClassFacts)
+	ctx := context.Background()
+	p, err := e.Prepare("t(a1, Y)?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := func(res *Result, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.BatchSize != 1 {
+			t.Errorf("single query BatchSize = %d, want 1", res.Stats.BatchSize)
+		}
+	}
+	batch := func(res []*Result, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	single(e.Query("t(a2, Y)?"))
+	single(e.Query("e1(a1, Y)?")) // EDB: answered from the base relations
+	single(p.Run(ctx, "a3"))
+	batch(e.QueryBatch(ctx, []string{"t(a1, Y)?", "t(a4, Y)?"}))
+	batch(e.QueryBatch(ctx, []string{"t(a1, Y)?"}))
+	batch(p.RunBatch(ctx, []string{"a1"}, []string{"a2"}, []string{"a1"}))
+	if _, err := e.QueryBatch(ctx, []string{"t(a1, Y)?", "t(X, b1)?"}); err == nil {
+		t.Fatal("mixed-form batch was accepted")
+	}
+	st := e.Stats()
+	if st.Queries != 6 || st.Batches != 3 || st.BatchQueries != 6 {
+		t.Errorf("Queries/Batches/BatchQueries = %d/%d/%d, want 6/3/6", st.Queries, st.Batches, st.BatchQueries)
+	}
+}
+
 func TestQueryBatchRejectsMixedForms(t *testing.T) {
 	e := load(t, New(), multiClassProgram, multiClassFacts)
 	ctx := context.Background()
