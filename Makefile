@@ -79,16 +79,21 @@ crash-smoke:
 # insertions and DRed deletions against recomputation, and the round
 # structure of an insertion; Go randomises map iteration, so the round
 # loop's sink order and DRed's marked order differ run to run) 20 times,
+# the Separable product-evaluator and batch tests (the per-class closure
+# goroutines read carry_2 as a window of seen_2; a batch routes each
+# distinct seed's answers to every query naming it) 20 times,
 # and replays the parser, relation, segment scan, checkpoint marker and
 # log record fuzz seed corpora. It
 # is slower than tier-1 and meant for changes that touch the engine's
-# locking, admission, checkpoints, view maintenance or repair, or relation
+# locking, admission, checkpoints, view maintenance or repair, the
+# Separable evaluator's round loop or batches, or relation
 # or segment storage.
 stress:
 	go test -race -run Concurrent -count=5 ./...
 	go test -race -count=20 -run TestCheckpointRacesBackgroundCheckpoint .
 	go test -race -count=20 -run 'TestSnapshot|TestTable|TestZeroArity|TestFromRowsCopies|TestInsertAllocs|TestWindow|FuzzRelationOps' ./internal/rel/
 	go test -race -count=20 -run 'MatchesRecompute|TestIncrementalStepsReadFrozenTotals|TestDelete' ./internal/eval/
+	go test -race -count=20 -run 'TestProductEvaluator|TestAnswerBatch' ./internal/core/
 	go test -run 'Fuzz' ./internal/parser/ ./internal/rel/ ./internal/segment/ ./internal/wal/
 
 # fuzz runs each parser fuzzer, the relation-ops fuzzer (Insert, Delete,

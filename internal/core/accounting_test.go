@@ -1,0 +1,129 @@
+package core
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"sort"
+	"strings"
+	"testing"
+
+	"sepdl/internal/database"
+	"sepdl/internal/datagen"
+	"sepdl/internal/plancache"
+	"sepdl/internal/stats"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/accounting.golden from current output")
+
+// TestSeparableAccountingGolden pins the exact Figure 2 accounting of
+// Separable evaluations — the maxima of carry_1, seen_1, carry_2, seen_2
+// and ans, the round count, the insertion count and the peak intermediate
+// bytes — together with each answer's rows in delivery order, on the loop,
+// product and parallel phase-2 paths, streamed and under the
+// MaterializeRounds ablation. Every database is padded above the product
+// evaluator's floor, so the parallel path fans out wherever phase 2 has two
+// classes. Regenerate with go test -run TestSeparableAccountingGolden
+// -update ./internal/core/ only when the accounting is meant to change.
+func TestSeparableAccountingGolden(t *testing.T) {
+	cases := []struct {
+		name, prog, query string
+		db                func(t *testing.T) *database.Database
+	}{
+		{"example11", example11, `buys(tom, Y)?`, example11DB},
+		{"example11-persistent", example11, `buys(X, radio)?`, example11DB},
+		{"example12", example12, `buys(tom, Y)?`, func(t *testing.T) *database.Database {
+			db := database.New()
+			mustLoad(t, db, `
+friend(tom, dick). friend(dick, harry).
+perfectFor(harry, tv). perfectFor(dick, stereo).
+cheaper(radio, tv). cheaper(pencil, radio). cheaper(eraser, pencil).
+cheaper(walkman, stereo).
+perfectFor(alice, car). cheaper(toy, car).
+`)
+			return db
+		}},
+		{"example12-chain", example12, `buys(a1, Y)?`, func(*testing.T) *database.Database {
+			return datagen.Example12DB(12)
+		}},
+		{"example24-partial", example24, `t(c, Y, Z)?`, func(t *testing.T) *database.Database {
+			db := database.New()
+			mustLoad(t, db, `
+a(c, y1, u1, v1). a(u1, v1, u2, v2). a(qq, zz, u9, v9). a(c, y2, u1, v1).
+t0(u2, v2, w1). t0(c, y1, w0). t0(u9, v9, w9). t0(c, y2, w1).
+b(w1, z1). b(z1, z2). b(w0, z0).
+`)
+			return db
+		}},
+		{"multiclass-c3-n5", datagen.MultiClassProgram(3).String(), datagen.MultiClassQuery(3), func(*testing.T) *database.Database {
+			return datagen.MultiClassDB(5, 3)
+		}},
+	}
+	paths := []struct {
+		name string
+		opts func() EvalOptions
+	}{
+		{"loop", func() EvalOptions { return EvalOptions{} }},
+		{"product", func() EvalOptions { return EvalOptions{Closures: plancache.NewClosures(0)} }},
+		{"parallel", func() EvalOptions { return EvalOptions{Parallelism: 8} }},
+	}
+
+	var b strings.Builder
+	for _, c := range cases {
+		prog := mustProgram(t, c.prog)
+		q := mustQuery(t, c.query)
+		db := c.db(t)
+		padAboveClosureFloor(t, db)
+		for _, p := range paths {
+			for _, mat := range []bool{false, true} {
+				col := stats.New()
+				opts := p.opts()
+				opts.Collector = col
+				opts.MaterializeRounds = mat
+				ans, err := Answer(prog, db, q, opts)
+				if err != nil {
+					t.Fatalf("%s %s: %v", c.name, p.name, err)
+				}
+				mode := "stream"
+				if mat {
+					mode = "materialize"
+				}
+				sizes := col.SizesCopy()
+				names := make([]string, 0, len(sizes))
+				for n := range sizes {
+					names = append(names, n)
+				}
+				sort.Strings(names)
+				fmt.Fprintf(&b, "%s %s %s: iterations=%d inserted=%d peak_bytes=%d",
+					c.name, p.name, mode, col.Iterations, col.Inserted, col.PeakIntermediate())
+				for _, n := range names {
+					fmt.Fprintf(&b, " %s=%d", n, sizes[n])
+				}
+				b.WriteString("\n  ans:")
+				for i := range ans.Len() {
+					row := ans.Row(i)
+					parts := make([]string, len(row))
+					for j, v := range row {
+						parts[j] = db.Syms.Name(v)
+					}
+					b.WriteString(" (" + strings.Join(parts, ",") + ")")
+				}
+				b.WriteString("\n")
+			}
+		}
+	}
+
+	const golden = "testdata/accounting.golden"
+	if *update {
+		if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("Separable accounting drifted from %s (rerun with -update if intended):\n%s", golden, got)
+	}
+}

@@ -8,18 +8,21 @@ import (
 	"sepdl/internal/conj"
 	"sepdl/internal/database"
 	"sepdl/internal/eval"
+	"sepdl/internal/plancache"
 	"sepdl/internal/rel"
 )
 
 // AnswerBatch evaluates many selection queries of one form — same
 // predicate, constants at the same positions — in a single seeded run of
 // the Figure 2 schema, and returns one answer relation per query, aligned
-// with qs. With more than one query the seed index rides as the first tag
-// column through both phases, so every carry loop, every class closure,
-// and the support fixpoint run once for the whole batch; per-seed answers
-// are routed out by tag at delivery. A single query carries no seed index,
-// so its relations are exactly those of Figure 2. Answers are identical to
-// len(qs) separate Answer calls.
+// with qs. Each distinct seed-constant vector gets one seed index, which
+// with two or more vectors rides as the first tag column through both
+// phases, so every carry loop, every class closure, and the support
+// fixpoint run once for the whole batch; answers are routed out by tag at
+// delivery to every query naming that vector. A single vector, however
+// often the batch repeats it, carries no seed index, so its relations are
+// exactly those of Figure 2. Answers are identical to len(qs) separate
+// Answer calls.
 func AnswerBatch(prog *ast.Program, db *database.Database, qs []ast.Atom, opts EvalOptions) (_ []*rel.Relation, err error) {
 	defer budget.Guard(&err)
 	if len(qs) == 0 {
@@ -64,9 +67,6 @@ func AnswerBatch(prog *ast.Program, db *database.Database, qs []ast.Atom, opts E
 	}
 
 	e := newEvaluator(a, base, qs[0].Pred, opts)
-	if len(qs) > 1 {
-		e.seedW = 1
-	}
 	sinks := make([]*eval.AnswerSink, len(qs))
 	for i, q := range qs {
 		sinks[i] = eval.NewAnswerSink(q, base.Syms)
@@ -94,7 +94,32 @@ func AnswerBatch(prog *ast.Program, db *database.Database, qs []ast.Atom, opts E
 	return out, nil
 }
 
-// seedRow returns seed i's row: vals itself for a single query, else the
+// seedGroups gives each distinct vector of the queries' constants at cols
+// one seed index: vecs[i] is seed i's vector and groups[i] the sinks of the
+// queries that name it. It sets the seed-index tag width: 1 when the batch
+// has two or more distinct vectors, else 0.
+func (e *evaluator) seedGroups(qs []ast.Atom, cols []int, sinks []*eval.AnswerSink) (vecs []rel.Tuple, groups [][]*eval.AnswerSink) {
+	index := make(map[string]int, len(qs))
+	for qi, q := range qs {
+		v := constsAt(q, cols, e.db.Syms.Intern)
+		key := plancache.EncodeStart(v)
+		i, ok := index[key]
+		if !ok {
+			i = len(vecs)
+			index[key] = i
+			vecs = append(vecs, v)
+			groups = append(groups, nil)
+		}
+		groups[i] = append(groups[i], sinks[qi])
+	}
+	e.seedW = 0
+	if len(vecs) > 1 {
+		e.seedW = 1
+	}
+	return vecs, groups
+}
+
+// seedRow returns seed i's row: vals itself without a seed index, else the
 // seed index and vals written into buf. Callers insert it, which copies.
 func (e *evaluator) seedRow(buf rel.Tuple, i int, vals rel.Tuple) rel.Tuple {
 	if e.seedW == 0 {
@@ -107,20 +132,18 @@ func (e *evaluator) seedRow(buf rel.Tuple, i int, vals rel.Tuple) rel.Tuple {
 // every query at once: seeds are (seed index, consts...) rows, driver is
 // the persistent columns or the driver class's columns.
 func (e *evaluator) batchFull(qs []ast.Atom, driverCols []int, driver int, sinks []*eval.AnswerSink) error {
-	intern := e.db.Syms.Intern
+	driverVals, groups := e.seedGroups(qs, driverCols, sinks)
 	seeds := rel.New(e.seedW + len(driverCols))
-	driverVals := make([]rel.Tuple, len(qs))
 	var row rel.Tuple
-	for i, q := range qs {
-		driverVals[i] = constsAt(q, driverCols, intern)
-		row = e.seedRow(row, i, driverVals[i])
+	for i, v := range driverVals {
+		row = e.seedRow(row, i, v)
 		seeds.Insert(row)
 	}
 	res, outCols, err := e.run(driverCols, driver, driver, seeds, e.seedW)
 	if err != nil {
 		return err
 	}
-	e.deliverBatch(res, nil, driverCols, driverVals, outCols, sinks)
+	e.deliverBatch(res, nil, driverCols, driverVals, outCols, groups)
 	return nil
 }
 
@@ -148,25 +171,24 @@ func (e *evaluator) batchPartial(qs []ast.Atom, sel Selection, sinks []*eval.Ans
 	}
 
 	// Branch A (t_part): zero applications of the driver class.
+	boundVals, groups := e.seedGroups(qs, boundCols, sinks)
 	seedsA := rel.New(e.seedW + len(boundCols))
-	boundVals := make([]rel.Tuple, len(qs))
 	var row rel.Tuple
-	for i, q := range qs {
-		boundVals[i] = constsAt(q, boundCols, intern)
-		row = e.seedRow(row, i, boundVals[i])
+	for i, v := range boundVals {
+		row = e.seedRow(row, i, v)
 		seedsA.Insert(row)
 	}
 	resA, outColsA, err := e.run(boundCols, -1, sel.Driver, seedsA, e.seedW)
 	if err != nil {
 		return err
 	}
-	e.deliverBatch(resA, nil, boundCols, boundVals, outColsA, sinks)
+	e.deliverBatch(resA, nil, boundCols, boundVals, outColsA, groups)
 
 	// Branch B (t_full): at least one application of the driver class.
 	// The first application is made here, through each rule's a_1j, with
-	// the bound head columns fixed to each query's constants; the
-	// resulting unbound head-column values become the tag, and the
-	// body-column values seed carry_1.
+	// the bound head columns fixed to each seed's constants; the resulting
+	// unbound head-column values become the tag, and the body-column
+	// values seed carry_1.
 	tagW := e.seedW + len(freeCols)
 	seedsB := rel.New(tagW + len(cls.Cols))
 	boundHead := headVarsAt(boundCols)
@@ -179,8 +201,8 @@ func (e *evaluator) batchPartial(qs []ast.Atom, sel Selection, sinks []*eval.Ans
 		}
 		tr.SetTick(e.bud.TickFunc())
 		run := tr.NewRunner()
-		for i := range qs {
-			run.Apply(src, boundVals[i], func(out rel.Tuple) {
+		for i, v := range boundVals {
+			run.Apply(src, v, func(out rel.Tuple) {
 				row = e.seedRow(row, i, out)
 				seedsB.Insert(row)
 			})
@@ -190,27 +212,30 @@ func (e *evaluator) batchPartial(qs []ast.Atom, sel Selection, sinks []*eval.Ans
 	if err != nil {
 		return err
 	}
-	// Driver values: constants at the bound positions; the free positions
-	// are placeholders overwritten by the tag in deliverBatch.
-	driverVals := make([]rel.Tuple, len(qs))
-	for i, q := range qs {
+	// Driver values: the seed's constants at the bound positions; the free
+	// positions are placeholders overwritten by the tag in deliverBatch.
+	driverVals := make([]rel.Tuple, len(boundVals))
+	for i, v := range boundVals {
 		dv := make(rel.Tuple, len(cls.Cols))
+		b := 0
 		for j, p := range cls.Cols {
 			if isConst[p] {
-				dv[j] = intern(q.Args[p].Name)
+				dv[j] = v[b]
+				b++
 			}
 		}
 		driverVals[i] = dv
 	}
-	e.deliverBatch(resB, freeCols, cls.Cols, driverVals, outColsB, sinks)
+	e.deliverBatch(resB, freeCols, cls.Cols, driverVals, outColsB, groups)
 	return nil
 }
 
 // deliverBatch assembles full-arity tuples from a run's result and routes
-// each to its seed's sink. Result rows are the seed index (batches only),
-// then one value per tagCols, then the output columns; driverCols take the
-// seed's driverVals, with free positions, if any, overwritten by the tag.
-func (e *evaluator) deliverBatch(res *rel.Relation, tagCols []int, driverCols []int, driverVals []rel.Tuple, outCols []int, sinks []*eval.AnswerSink) {
+// each to the sinks of its seed. Result rows are the seed index (batches of
+// several seeds only), then one value per tagCols, then the output columns;
+// driverCols take the seed's driverVals, with free positions, if any,
+// overwritten by the tag.
+func (e *evaluator) deliverBatch(res *rel.Relation, tagCols []int, driverCols []int, driverVals []rel.Tuple, outCols []int, groups [][]*eval.AnswerSink) {
 	tagW := e.seedW + len(tagCols)
 	full := make(rel.Tuple, e.a.Arity)
 	for k := range res.Len() {
@@ -228,6 +253,8 @@ func (e *evaluator) deliverBatch(res *rel.Relation, tagCols []int, driverCols []
 		for j, p := range outCols {
 			full[p] = t[tagW+j]
 		}
-		sinks[i].Add(full)
+		for _, s := range groups[i] {
+			s.Add(full)
+		}
 	}
 }

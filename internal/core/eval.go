@@ -39,12 +39,12 @@ type EvalOptions struct {
 	// and the results are crossed, instead of interleaving every class in
 	// one carry loop. The answer set is identical.
 	Parallelism int
-	// MaterializeRounds restores the pre-streaming carry loops as an
-	// ablation: every transition emission is allocated and materialized
-	// into the round's intermediate relation and the next carry is
-	// computed by differencing against the seen set afterwards, instead
-	// of streaming emissions through a reused row buffer that
-	// materializes unseen tuples only. The answer is identical.
+	// MaterializeRounds is forwarded to the eval.RoundSink of every carry
+	// round (and to the support fixpoint) as an ablation: each round's
+	// emissions are materialized into an intermediate relation whose
+	// tuples absent from the seen set are folded in at the round boundary,
+	// instead of streaming straight into the seen set. The answer, the
+	// round structure and every relation size are identical.
 	MaterializeRounds bool
 	// Closures, when non-nil, memoizes the second loop's per-start class
 	// closures across queries: those closures depend only on the program
@@ -87,7 +87,7 @@ type evaluator struct {
 	closures  *plancache.Closures
 	scope     plancache.Scope
 	// seedW is the width of the seed-index tag: 1 when a batch of several
-	// queries shares the run, 0 for a single query.
+	// distinct seeds shares the run, 0 for a single seed (see seedGroups).
 	seedW int
 }
 
@@ -103,10 +103,49 @@ func newEvaluator(a *Analysis, base *database.Database, pred string, opts EvalOp
 		par: opts.Parallelism, closures: opts.Closures, scope: scope}
 }
 
-// observeIntermediate reports a carry round's transient materialization —
-// tuples held outside the seen sets — to the collector's peak tracker.
-func (e *evaluator) observeIntermediate(tuples, arity int) {
-	e.col.ObserveIntermediate(int64(tuples) * int64(arity) * rel.ValueBytes)
+// fixpoint runs one carry loop of Figure 2 — lines 1-7 over the driver
+// class, lines 10-14 over the others — to its fixpoint over seen. carry
+// starts as all of seen; each round applies step to every carry row,
+// streaming its emissions into seen through an eval.RoundSink, and the
+// next carry is the window of rows the round appended. So a new tuple is
+// hashed and copied once, and the MaterializeRounds ablation lives in the
+// sink alone. The carry and seen maxima are reported under carryName and
+// seenName when those are set.
+func (e *evaluator) fixpoint(seen *rel.Relation, carryName, seenName string, step func(t rel.Tuple, emit func(rel.Tuple))) {
+	carry := seen.Window(0, seen.Len())
+	for !carry.Empty() {
+		e.bud.Round()
+		e.col.AddIteration()
+		sink := eval.NewRoundSink(seen, e.matRounds)
+		emit := sink.Add
+		for i := range carry.Len() {
+			step(carry.Row(i), emit)
+		}
+		carry = sink.Delta()
+		e.col.ObserveIntermediate(int64(sink.IntermediateLen(carry)) * int64(seen.Arity()) * rel.ValueBytes)
+		e.col.AddInserted(carry.Len())
+		e.bud.AddDerived(carry.Len(), seen.Arity())
+		if carryName != "" {
+			e.col.Observe(carryName, carry.Len())
+			e.col.Observe(seenName, seen.Len())
+		}
+	}
+}
+
+// taggedStep is the fixpoint step of a carry loop whose rows are tagW tag
+// columns followed by the transitions' input columns (phase 1, and a class
+// closure of the product evaluator): every transition is applied to the
+// values, and each emission is written after the row's tag into a reused
+// buffer of the given arity.
+func taggedStep(runners []*conj.TransitionRunner, src conj.RelSource, tagW, arity int) func(rel.Tuple, func(rel.Tuple)) {
+	row := make(rel.Tuple, 0, arity)
+	return func(t rel.Tuple, emit func(rel.Tuple)) {
+		tag := t[:tagW]
+		out := func(o rel.Tuple) { emit(append(append(row[:0], tag...), o...)) }
+		for _, run := range runners {
+			run.Apply(src, t[tagW:], out)
+		}
+	}
 }
 
 // headVarsAt returns the canonical head variables for positions.
@@ -134,19 +173,18 @@ func constsAt(q ast.Atom, positions []int, intern func(string) rel.Value) rel.Tu
 // rules extend carry_1 head-to-body, or -1 to skip the first loop (the
 // SelPers "dummy class" variant and the t_part branch of Lemma 2.1).
 // excludePhase2 names a class omitted from the second loop (-1: none).
-// seeds initializes carry_1; its tuples are tagW tag columns followed by
-// one column per driver column. The result relation has tagW tag columns
+// seeds initializes carry_1 and becomes seen_1, which run grows in place;
+// its tuples are tagW tag columns followed by one column per driver column. The result relation has tagW tag columns
 // followed by one column per output column; outCols lists the output
 // positions ascending (every position outside driverCols).
 func (e *evaluator) run(driverCols []int, phase1Class, excludePhase2 int, seeds *rel.Relation, tagW int) (*rel.Relation, []int, error) {
 	intern := e.db.Syms.Intern
 	src := conj.DBSource(e.db.Relation)
-	w := len(driverCols)
 
-	// Phase 1: carry_1/seen_1 over the driver columns (lines 1-7).
-	seen1 := seeds.Clone()
-	carry1 := seeds.Clone()
-	e.col.Observe("carry1", carry1.Len())
+	// Phase 1: carry_1/seen_1 over the driver columns (lines 1-7). The
+	// seeds are seen_1 itself: carry_1 starts as all of it.
+	seen1 := seeds
+	e.col.Observe("carry1", seen1.Len())
 	e.col.Observe("seen1", seen1.Len())
 	if phase1Class >= 0 {
 		cls := &e.a.Classes[phase1Class]
@@ -159,53 +197,11 @@ func (e *evaluator) run(driverCols []int, phase1Class, excludePhase2 int, seeds 
 			tr.SetTick(e.bud.TickFunc())
 			runners[i] = tr.NewRunner()
 		}
-		row := make(rel.Tuple, 0, tagW+w)
-		for !carry1.Empty() {
-			e.bud.Round()
-			e.col.AddIteration()
-			next := rel.New(tagW + w)
-			var tag rel.Tuple
-			// Streaming sink: each emission lands in the reused row buffer
-			// and only tuples absent from the frozen seen set materialize
-			// (Insert copies). The ablation reproduces the old pipeline:
-			// a fresh allocation per emission, dedup deferred to the
-			// round-boundary difference.
-			sink := func(out rel.Tuple) {
-				if e.matRounds {
-					r := make(rel.Tuple, 0, tagW+w)
-					next.Insert(append(append(r, tag...), out...))
-					return
-				}
-				row = append(append(row[:0], tag...), out...)
-				if !seen1.Contains(row) {
-					next.Insert(row)
-				}
-			}
-			for i := range carry1.Len() {
-				t := carry1.Row(i)
-				tag = t[:tagW]
-				vals := t[tagW:]
-				for _, run := range runners {
-					run.Apply(src, vals, sink)
-				}
-			}
-			if e.matRounds {
-				carry1 = next.Difference(seen1)
-				e.observeIntermediate(next.Len()+carry1.Len(), tagW+w)
-			} else {
-				carry1 = next
-				e.observeIntermediate(carry1.Len(), tagW+w)
-			}
-			added := seen1.InsertAll(carry1)
-			e.col.AddInserted(added)
-			e.bud.AddDerived(added, tagW+w)
-			e.col.Observe("carry1", carry1.Len())
-			e.col.Observe("seen1", seen1.Len())
-		}
+		e.fixpoint(seen1, "carry1", "seen1", taggedStep(runners, src, tagW, seen1.Arity()))
 	}
 
 	// Output columns: every position outside the driver columns.
-	inDriver := make(map[int]bool, w)
+	inDriver := make(map[int]bool, len(driverCols))
 	for _, p := range driverCols {
 		inDriver[p] = true
 	}
@@ -217,11 +213,10 @@ func (e *evaluator) run(driverCols []int, phase1Class, excludePhase2 int, seeds 
 	}
 
 	// Phase 2 initialization (line 8): carry_2 := t_0 & seen_1. Emissions
-	// stream through a reused row buffer straight into carry_2 (a set, so
-	// duplicates collapse on insert); the ablation allocates per emission
-	// as the old pipeline did.
-	carry2 := rel.New(tagW + len(outCols))
-	initRow := make(rel.Tuple, 0, tagW+len(outCols))
+	// stream through a reused row buffer straight into seen_2 (a set, so
+	// duplicates collapse on insert), and carry_2 is all of it.
+	seen2 := rel.New(tagW + len(outCols))
+	row := make(rel.Tuple, 0, seen2.Arity())
 	for _, ex := range e.a.Exit {
 		tr, err := conj.NewTransition(ex.Body, headVarsAt(driverCols), headVarsAt(outCols), intern)
 		if err != nil {
@@ -230,23 +225,17 @@ func (e *evaluator) run(driverCols []int, phase1Class, excludePhase2 int, seeds 
 		tr.SetTick(e.bud.TickFunc())
 		run := tr.NewRunner()
 		var tag rel.Tuple
-		sink := func(out rel.Tuple) {
-			if e.matRounds {
-				r := make(rel.Tuple, 0, tagW+len(outCols))
-				carry2.Insert(append(append(r, tag...), out...))
-				return
-			}
-			carry2.Insert(append(append(initRow[:0], tag...), out...))
+		emit := func(out rel.Tuple) {
+			seen2.Insert(append(append(row[:0], tag...), out...))
 		}
 		for i := range seen1.Len() {
 			t := seen1.Row(i)
 			tag = t[:tagW]
-			run.Apply(src, t[tagW:], sink)
+			run.Apply(src, t[tagW:], emit)
 		}
 	}
-	seen2 := carry2.Clone()
-	e.bud.AddDerived(carry2.Len(), tagW+len(outCols))
-	e.col.Observe("carry2", carry2.Len())
+	e.bud.AddDerived(seen2.Len(), seen2.Arity())
+	e.col.Observe("carry2", seen2.Len())
 	e.col.Observe("seen2", seen2.Len())
 
 	// Phase 2 loop (lines 10-14): apply every remaining class body-to-head —
@@ -258,9 +247,9 @@ func (e *evaluator) run(driverCols []int, phase1Class, excludePhase2 int, seeds 
 	}
 	if len(p2) > 0 {
 		if e.productPhase2(len(p2)) {
-			e.runPhase2Product(p2, carry2, seen2, tagW, src)
+			e.runPhase2Product(p2, seen2, tagW, src)
 		} else {
-			e.runPhase2Loop(p2, carry2, seen2, tagW, len(outCols), src)
+			e.runPhase2Loop(p2, seen2, tagW, src)
 		}
 	}
 	return seen2, outCols, nil

@@ -169,56 +169,21 @@ func (e *evaluator) classClosure(pc *phase2class, seeds *rel.Relation, tagW int,
 		return cr
 	}
 
-	carry := rel.New(1 + k)
+	seen := rel.New(1 + k)
+	row := make(rel.Tuple, 1+k)
 	for mi, idx := range missIdx {
-		row := make(rel.Tuple, 1+k)
 		row[0] = rel.Value(mi)
 		copy(row[1:], startVecs[idx])
-		carry.Insert(row)
+		seen.Insert(row)
 	}
-	seen := carry.Clone()
-	// Per-call transition runners and row buffer: classClosure runs one
-	// goroutine per class under the product evaluator, so the reusable
-	// scratch must be private to this invocation.
+	// Per-call transition runners: classClosure runs one goroutine per
+	// class under the product evaluator, so the reusable scratch must be
+	// private to this invocation.
 	runners := make([]*conj.TransitionRunner, len(pc.trans))
 	for i, tr := range pc.trans {
 		runners[i] = tr.NewRunner()
 	}
-	row := make(rel.Tuple, 0, 1+k)
-	for !carry.Empty() {
-		e.bud.Round()
-		e.col.AddIteration()
-		next := rel.New(1 + k)
-		var tag rel.Tuple
-		sink := func(out rel.Tuple) {
-			if e.matRounds {
-				r := make(rel.Tuple, 0, 1+k)
-				next.Insert(append(append(r, tag...), out...))
-				return
-			}
-			row = append(append(row[:0], tag...), out...)
-			if !seen.Contains(row) {
-				next.Insert(row)
-			}
-		}
-		for i := range carry.Len() {
-			t := carry.Row(i)
-			tag = t[:1]
-			for _, run := range runners {
-				run.Apply(src, t[1:], sink)
-			}
-		}
-		if e.matRounds {
-			carry = next.Difference(seen)
-			e.observeIntermediate(next.Len()+carry.Len(), 1+k)
-		} else {
-			carry = next
-			e.observeIntermediate(carry.Len(), 1+k)
-		}
-		added := seen.InsertAll(carry)
-		e.col.AddInserted(added)
-		e.bud.AddDerived(added, 1+k)
-	}
+	e.fixpoint(seen, "", "", taggedStep(runners, src, 1, 1+k))
 
 	// Split the joint closure by tag into per-start sets (FromRows copies
 	// the row views, which stay valid because nothing mutates seen) and
@@ -252,7 +217,8 @@ func (e *evaluator) classClosure(pc *phase2class, seeds *rel.Relation, tagW int,
 // product rows are assembled by copying. A budget abort in a class
 // goroutine panics; par.Run re-raises it here and the evaluation's
 // budget.Guard turns it into the query error.
-func (e *evaluator) runPhase2Product(p2 []phase2class, carry2, seen2 *rel.Relation, tagW int, src conj.RelSource) {
+func (e *evaluator) runPhase2Product(p2 []phase2class, seen2 *rel.Relation, tagW int, src conj.RelSource) {
+	carry2 := seen2.Window(0, seen2.Len())
 	closures := make([]*classReach, len(p2))
 	fill := func(ci int) {
 		closures[ci] = e.classClosure(&p2[ci], carry2, tagW, src)
@@ -309,8 +275,7 @@ func (e *evaluator) runPhase2Product(p2 []phase2class, carry2, seen2 *rel.Relati
 // runPhase2Loop is the sequential interleaved carry loop (lines 10-14 of
 // Figure 2), used when neither the closure cache nor the parallel
 // evaluator asks for the product form.
-func (e *evaluator) runPhase2Loop(p2 []phase2class, carry2, seen2 *rel.Relation, tagW, outW int, src conj.RelSource) {
-	classVals := make(rel.Tuple, 0, 8)
+func (e *evaluator) runPhase2Loop(p2 []phase2class, seen2 *rel.Relation, tagW int, src conj.RelSource) {
 	runners := make([][]*conj.TransitionRunner, len(p2))
 	for ci := range p2 {
 		runners[ci] = make([]*conj.TransitionRunner, len(p2[ci].trans))
@@ -318,60 +283,28 @@ func (e *evaluator) runPhase2Loop(p2 []phase2class, carry2, seen2 *rel.Relation,
 			runners[ci][i] = tr.NewRunner()
 		}
 	}
-	row := make(rel.Tuple, 0, tagW+outW)
-	for !carry2.Empty() {
-		e.bud.Round()
-		e.col.AddIteration()
-		next := rel.New(tagW + outW)
-		var base rel.Tuple
-		var pc *phase2class
-		// Streaming sink: overlay the class's output columns onto the
-		// carried row in the reused buffer; only tuples the seen set does
-		// not already hold materialize. The ablation clones per emission
-		// like the old loop.
-		sink := func(out rel.Tuple) {
-			if e.matRounds {
-				r := base.Clone()
+	row := make(rel.Tuple, seen2.Arity())
+	classVals := make(rel.Tuple, 0, seen2.Arity())
+	e.fixpoint(seen2, "carry2", "seen2", func(t rel.Tuple, emit func(rel.Tuple)) {
+		for ci := range p2 {
+			pc := &p2[ci]
+			// A class's transitions rewrite only its own columns, so the
+			// buffer takes the carried row once per class and every
+			// emission overlays the same columns.
+			copy(row, t)
+			classVals = classVals[:0]
+			for _, j := range pc.colIdx {
+				classVals = append(classVals, t[tagW+j])
+			}
+			out := func(o rel.Tuple) {
 				for k, j := range pc.colIdx {
-					r[tagW+j] = out[k]
+					row[tagW+j] = o[k]
 				}
-				next.Insert(r)
-				return
+				emit(row)
 			}
-			row = append(row[:0], base...)
-			for k, j := range pc.colIdx {
-				row[tagW+j] = out[k]
-			}
-			if !seen2.Contains(row) {
-				next.Insert(row)
+			for _, run := range runners[ci] {
+				run.Apply(src, classVals, out)
 			}
 		}
-		for i := range carry2.Len() {
-			t := carry2.Row(i)
-			base = t
-			vals := t[tagW:]
-			for ci := range p2 {
-				pc = &p2[ci]
-				classVals = classVals[:0]
-				for _, j := range pc.colIdx {
-					classVals = append(classVals, vals[j])
-				}
-				for _, run := range runners[ci] {
-					run.Apply(src, classVals, sink)
-				}
-			}
-		}
-		if e.matRounds {
-			carry2 = next.Difference(seen2)
-			e.observeIntermediate(next.Len()+carry2.Len(), tagW+outW)
-		} else {
-			carry2 = next
-			e.observeIntermediate(carry2.Len(), tagW+outW)
-		}
-		added := seen2.InsertAll(carry2)
-		e.col.AddInserted(added)
-		e.bud.AddDerived(added, tagW+outW)
-		e.col.Observe("carry2", carry2.Len())
-		e.col.Observe("seen2", seen2.Len())
-	}
+	})
 }

@@ -188,50 +188,47 @@ func Answer(prog *ast.Program, db *database.Database, q ast.Atom, opts Options) 
 	// binding set: exit rules, then the remaining classes to a per-string
 	// fixpoint.
 	strings, bindingsTotal := 0, 0
-	rowBuf := make(rel.Tuple, 0, 8)
+	rowBuf := make(rel.Tuple, len(outCols))
+	classVals := make(rel.Tuple, 0, len(outCols))
 	answerString := func(bindings *rel.Relation) {
-		carry := rel.New(len(outCols))
+		seen := rel.New(len(outCols))
 		for _, ex := range exits {
 			for _, b := range bindings.Rows() {
 				ex.Apply(src, b, func(out rel.Tuple) {
-					carry.Insert(out)
+					seen.Insert(out)
 				})
 			}
 		}
-		seen := carry.Clone()
 		opts.Budget.AddDerived(seen.Len(), len(outCols))
+		// Per-string fixpoint: each round streams its emissions into seen
+		// through a round sink, and the next carry is the window of rows
+		// the round appended.
+		carry := seen.Window(0, seen.Len())
 		for !carry.Empty() && len(p2) > 0 {
 			opts.Budget.Round()
-			next := rel.New(len(outCols))
-			classVals := make(rel.Tuple, 0, 8)
-			var base rel.Tuple
-			var pt *p2trans
-			// Streaming sink: overlay the class's output onto the carried
-			// tuple in the reused buffer and materialize only unseen rows,
-			// instead of cloning per emission and differencing afterwards.
-			emit := func(out rel.Tuple) {
-				rowBuf = append(rowBuf[:0], base...)
-				for k, j := range pt.colIdx {
-					rowBuf[j] = out[k]
-				}
-				if !seen.Contains(rowBuf) {
-					next.Insert(rowBuf)
-				}
-			}
-			for _, tup := range carry.Rows() {
-				base = tup
-				for i := range p2 {
-					pt = &p2[i]
+			sink := eval.NewRoundSink(seen, false)
+			for i := range carry.Len() {
+				tup := carry.Row(i)
+				for pi := range p2 {
+					pt := &p2[pi]
+					// A rule's transition rewrites only its class's
+					// columns: take the carried tuple once per rule and
+					// overlay each emission onto it.
+					copy(rowBuf, tup)
 					classVals = classVals[:0]
 					for _, j := range pt.colIdx {
 						classVals = append(classVals, tup[j])
 					}
-					pt.tr.Apply(src, classVals, emit)
+					pt.tr.Apply(src, classVals, func(out rel.Tuple) {
+						for k, j := range pt.colIdx {
+							rowBuf[j] = out[k]
+						}
+						sink.Add(rowBuf)
+					})
 				}
 			}
-			carry = next
-			added := seen.InsertAll(carry)
-			opts.Budget.AddDerived(added, len(outCols))
+			carry = sink.Delta()
+			opts.Budget.AddDerived(carry.Len(), len(outCols))
 		}
 		bindingsTotal += seen.Len()
 		for _, tup := range seen.Rows() {

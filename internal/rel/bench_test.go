@@ -166,16 +166,6 @@ func BenchmarkJoinChain(b *testing.B) {
 	}
 }
 
-func BenchmarkDifference(b *testing.B) {
-	r1 := buildRelation(4096)
-	r2 := buildRelation(2048)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r1.Difference(r2)
-	}
-}
-
 func BenchmarkProject(b *testing.B) {
 	r := buildRelation(4096)
 	b.ReportAllocs()

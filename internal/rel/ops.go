@@ -1,7 +1,5 @@
 package rel
 
-import "fmt"
-
 // Project returns a new relation holding each row restricted to cols, in
 // order, with duplicates removed.
 func (r *Relation) Project(cols []int) *Relation {
@@ -31,27 +29,6 @@ func (r *Relation) SelectCols(cols []int, vals []Value) *Relation {
 	out := New(r.arity)
 	for _, t := range r.Index(cols).Lookup(vals) {
 		out.Insert(t)
-	}
-	return out
-}
-
-// Union returns a new relation holding every tuple of r and other.
-func (r *Relation) Union(other *Relation) *Relation {
-	out := r.Clone()
-	out.InsertAll(other)
-	return out
-}
-
-// Difference returns the tuples of r not present in other.
-func (r *Relation) Difference(other *Relation) *Relation {
-	if r.arity != other.arity {
-		panic(fmt.Sprintf("rel: difference of arity %d and %d", r.arity, other.arity))
-	}
-	out := New(r.arity)
-	for i := range r.Len() {
-		if t := r.Row(i); !other.Contains(t) {
-			out.Insert(t)
-		}
 	}
 	return out
 }

@@ -227,22 +227,6 @@ func TestSelect(t *testing.T) {
 	}
 }
 
-func TestUnionDifference(t *testing.T) {
-	a := FromTuples(1, []Tuple{tp(1), tp(2)})
-	b := FromTuples(1, []Tuple{tp(2), tp(3)})
-	u := a.Union(b)
-	if u.Len() != 3 {
-		t.Fatalf("Union Len = %d, want 3", u.Len())
-	}
-	d := a.Difference(b)
-	if d.Len() != 1 || !d.Contains(tp(1)) {
-		t.Fatalf("Difference wrong: %v", d)
-	}
-	if a.Len() != 2 || b.Len() != 2 {
-		t.Fatal("Union/Difference mutated operands")
-	}
-}
-
 func TestJoin(t *testing.T) {
 	a := FromTuples(2, []Tuple{tp(1, 2), tp(2, 3)})
 	b := FromTuples(2, []Tuple{tp(2, 20), tp(3, 30), tp(4, 40)})
