@@ -22,11 +22,11 @@
 // failure, 2 usage, 3 overloaded or draining (query never evaluated),
 // 4 deadline exceeded, 5 resource budget exhausted, 6 internal error.
 //
-// In the REPL, enter queries like "buys(tom, Y)?"; lines starting with
-// ":explain " explain the strategy choice, ":analyze PRED" prints the
-// separability analysis, ":compile QUERY" prints the instantiated Figure 2
-// schema, ":why FACT" prints a derivation tree for a ground fact, and
-// ":quit" exits.
+// In the REPL, enter queries like "buys(tom, Y)?"; ":explain QUERY"
+// prints the strategy the query would run with, its separability findings
+// and, under Separable, the instantiated Figure 2 program; ":why FACT"
+// prints a derivation tree for a ground fact, and ":quit" exits. For every
+// predicate's separability without a query, run "sepdl check rules.dl".
 package main
 
 import (
@@ -38,7 +38,6 @@ import (
 	"os"
 	"strings"
 	"sync"
-	"time"
 
 	"sepdl"
 	"sepdl/internal/errcode"
@@ -63,7 +62,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		query       = fs.String("query", "", "query to evaluate; omit for a REPL")
 		strategy    = fs.String("strategy", "auto", "auto|separable|magic|magic-sup|seminaive|naive")
 		showStats   = fs.Bool("stats", false, "print evaluation statistics (relation sizes, iterations, time)")
-		explain     = fs.Bool("explain", false, "print the strategy Auto would choose and why")
+		explain     = fs.Bool("explain", false, "print the strategy the query runs with, its separability findings and, under separable, the compiled program")
 		relaxed     = fs.Bool("relaxed", false, "allow condition-4-violating recursions in the Separable strategy (§5)")
 		dumpPath    = fs.String("dump", "", "write the loaded facts to this file (sorted, parseable) and exit")
 		timeout     = fs.Duration("timeout", 0, "wall-clock limit per query (e.g. 2s); 0 means unlimited")
@@ -144,12 +143,24 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	limits := queryLimits{timeout: *timeout, maxTuples: *maxTuples, fallback: *fallback}
+	opts := []sepdl.QueryOption{sepdl.WithStrategy(sepdl.Strategy(*strategy))}
+	if *relaxed {
+		opts = append(opts, sepdl.WithRelaxedConnectivity())
+	}
+	if *timeout > 0 {
+		opts = append(opts, sepdl.WithDeadline(*timeout))
+	}
+	if *maxTuples > 0 {
+		opts = append(opts, sepdl.WithBudget(sepdl.Budget{MaxTuples: *maxTuples}))
+	}
+	if *fallback {
+		opts = append(opts, sepdl.WithFallback())
+	}
 	if *query != "" {
 		if *parallel > 1 {
-			return runParallel(e, stdout, stderr, *query, *strategy, *relaxed, *showStats, *parallel, limits)
+			return runParallel(e, stdout, stderr, *query, opts, *showStats, *parallel)
 		}
-		if err := runQuery(e, stdout, *query, *strategy, *relaxed, *showStats, *explain, limits); err != nil {
+		if err := runQuery(e, stdout, *query, opts, *showStats, *explain); err != nil {
 			return reportQueryError(stderr, err)
 		}
 		return 0
@@ -169,14 +180,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		case line == ":quit" || line == ":q":
 			return 0
 		case strings.HasPrefix(line, ":explain "):
-			out, err := e.Explain(strings.TrimPrefix(line, ":explain "))
-			if err != nil {
-				fmt.Fprintln(stdout, "error:", err)
-				continue
-			}
-			fmt.Fprintln(stdout, out)
-		case strings.HasPrefix(line, ":compile "):
-			out, err := e.CompilePlan(strings.TrimPrefix(line, ":compile "))
+			out, err := e.Explain(strings.TrimPrefix(line, ":explain "), opts...)
 			if err != nil {
 				fmt.Fprintln(stdout, "error:", err)
 				continue
@@ -189,22 +193,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 				continue
 			}
 			fmt.Fprint(stdout, out)
-		case strings.HasPrefix(line, ":analyze "):
-			report, _ := e.AnalyzeSeparability(strings.TrimSpace(strings.TrimPrefix(line, ":analyze ")))
-			fmt.Fprintln(stdout, report)
 		default:
-			if err := runQuery(e, stdout, line, *strategy, *relaxed, *showStats, false, limits); err != nil {
+			if err := runQuery(e, stdout, line, opts, *showStats, false); err != nil {
 				fmt.Fprintln(stdout, "error:", err)
 			}
 		}
 	}
-}
-
-// queryLimits are the per-query resource bounds from the command line.
-type queryLimits struct {
-	timeout   time.Duration
-	maxTuples int
-	fallback  bool
 }
 
 // reportQueryError prints a query failure and maps it to an exit code
@@ -228,7 +222,7 @@ func reportQueryError(stderr io.Writer, err error) int {
 // all complete, so concurrent runs stay readable. The exit code is 0 only
 // if every run succeeded; an overload rejection wins over other failures
 // so scripts can distinguish load shedding from bad queries.
-func runParallel(e *sepdl.Engine, stdout, stderr io.Writer, query, strategy string, relaxed, showStats bool, n int, limits queryLimits) int {
+func runParallel(e *sepdl.Engine, stdout, stderr io.Writer, query string, opts []sepdl.QueryOption, showStats bool, n int) int {
 	outs := make([]bytes.Buffer, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -237,7 +231,7 @@ func runParallel(e *sepdl.Engine, stdout, stderr io.Writer, query, strategy stri
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = runQuery(e, &outs[i], query, strategy, relaxed, showStats, false, limits)
+			errs[i] = runQuery(e, &outs[i], query, opts, showStats, false)
 		}()
 	}
 	wg.Wait()
@@ -258,26 +252,16 @@ func runParallel(e *sepdl.Engine, stdout, stderr io.Writer, query, strategy stri
 	return code
 }
 
-func runQuery(e *sepdl.Engine, w io.Writer, query, strategy string, relaxed, showStats, explain bool, limits queryLimits) error {
+// runQuery answers query under opts, the command line's query options;
+// with explain it first prints Explain under the same options, so the
+// explanation describes the run printed after it.
+func runQuery(e *sepdl.Engine, w io.Writer, query string, opts []sepdl.QueryOption, showStats, explain bool) error {
 	if explain {
-		out, err := e.Explain(query)
+		out, err := e.Explain(query, opts...)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(w, out)
-	}
-	opts := []sepdl.QueryOption{sepdl.WithStrategy(sepdl.Strategy(strategy))}
-	if relaxed {
-		opts = append(opts, sepdl.WithRelaxedConnectivity())
-	}
-	if limits.timeout > 0 {
-		opts = append(opts, sepdl.WithDeadline(limits.timeout))
-	}
-	if limits.maxTuples > 0 {
-		opts = append(opts, sepdl.WithBudget(sepdl.Budget{MaxTuples: limits.maxTuples}))
-	}
-	if limits.fallback {
-		opts = append(opts, sepdl.WithFallback())
+		fmt.Fprint(w, out)
 	}
 	res, err := e.Query(query, opts...)
 	if err != nil {

@@ -62,8 +62,31 @@ func TestStatsFlag(t *testing.T) {
 
 func TestExplainFlag(t *testing.T) {
 	out, _, code := runCLI(t, "", "-program", rulesPath, "-facts", factsPath, "-explain", "-query", "buys(tom, Y)?")
-	if code != 0 || !strings.Contains(out, "Separable evaluation schema") {
+	if code != 0 || !strings.HasPrefix(out, "strategy: separable (chosen by auto)\n") || !strings.Contains(out, "carry1(tom);") {
 		t.Fatalf("exit=%d out=%q", code, out)
+	}
+}
+
+// TestExplainFlagDescribesTheRun: -explain explains the query under the
+// same -strategy and -relaxed as the run it prints.
+func TestExplainFlagDescribesTheRun(t *testing.T) {
+	out, _, code := runCLI(t, "", "-program", rulesPath, "-facts", factsPath,
+		"-strategy", "magic", "-explain", "-stats", "-query", "buys(tom, Y)?")
+	if code != 0 || !strings.HasPrefix(out, "strategy: magic (forced)\n") || !strings.Contains(out, "strategy=magic") {
+		t.Fatalf("exit=%d out=%q", code, out)
+	}
+	if strings.Contains(out, "carry1") {
+		t.Errorf("magic run explained with the Separable program:\n%s", out)
+	}
+	const sg = "../../testdata/nonseparable.dl"
+	out, _, code = runCLI(t, "", "-program", sg, "-explain", "-stats", "-query", "sg(a, Y)?")
+	if code != 0 || !strings.HasPrefix(out, "strategy: magic (chosen by auto)\n") || !strings.Contains(out, "warning[SEP037]") {
+		t.Fatalf("strict: exit=%d out=%q", code, out)
+	}
+	out, _, code = runCLI(t, "", "-program", sg, "-relaxed", "-explain", "-stats", "-query", "sg(a, Y)?")
+	if code != 0 || !strings.HasPrefix(out, "strategy: separable (chosen by auto)\n") ||
+		!strings.Contains(out, "condition 4 relaxed") || !strings.Contains(out, "strategy=separable") {
+		t.Fatalf("relaxed: exit=%d out=%q", code, out)
 	}
 }
 
@@ -79,7 +102,6 @@ func TestREPL(t *testing.T) {
 	stdin := `
 buys(tom, Y)?
 :explain buys(tom, Y)?
-:analyze buys
 bogus query here
 :quit
 `
@@ -87,7 +109,7 @@ bogus query here
 	if code != 0 {
 		t.Fatalf("exit = %d", code)
 	}
-	for _, want := range []string{"facts over", "radio", "Separable evaluation schema", "equivalence class", "error:"} {
+	for _, want := range []string{"facts over", "radio", "strategy: separable (chosen by auto)", "equivalence class", "error:"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("REPL output missing %q:\n%s", want, out)
 		}
@@ -115,8 +137,10 @@ func TestBadQueryExitCode(t *testing.T) {
 	}
 }
 
+// TestREPLCompile: :explain prints the Figure 2 program the query
+// compiles to, and under the REPL's own -strategy.
 func TestREPLCompile(t *testing.T) {
-	stdin := ":compile buys(tom, Y)?\n:quit\n"
+	stdin := ":explain buys(tom, Y)?\n:quit\n"
 	out, _, code := runCLI(t, stdin, "-program", rulesPath, "-facts", factsPath)
 	if code != 0 {
 		t.Fatalf("exit = %d", code)
@@ -125,6 +149,10 @@ func TestREPLCompile(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("compile output missing %q:\n%s", want, out)
 		}
+	}
+	out, _, code = runCLI(t, stdin, "-program", rulesPath, "-facts", factsPath, "-strategy", "seminaive")
+	if code != 0 || !strings.Contains(out, "strategy: seminaive (forced)") || strings.Contains(out, "carry1") {
+		t.Fatalf("REPL -strategy seminaive: exit=%d out=%q", code, out)
 	}
 }
 

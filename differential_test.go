@@ -1001,3 +1001,55 @@ func TestGenerationEquivalenceDurable(t *testing.T) { differential(t, "cold") }
 func TestColdStorageEquivalence(t *testing.T)    { differential(t, "recovered", "recovered-ram") }
 func TestGenerationEquivalenceView(t *testing.T) { differential(t, "view") }
 func TestConcurrentQueriesAgree(t *testing.T)    { differential(t, "concurrent") }
+
+// TestExplainAgreesWithQuery runs Explain beside Query on every input's
+// queries on a plain engine, under Auto and under Auto with relaxed
+// connectivity. Explain's first line must name the strategy Query ran, or
+// be the base-predicate line for an EDB query. Auto's rule is checked
+// against the rest of the report: Separable exactly when its SEP050
+// finding says the schema applies, semi-naive without a selection
+// constant, Magic Sets otherwise.
+func TestExplainAgreesWithQuery(t *testing.T) {
+	eachInput(t, everyInput, func(t *testing.T, in *input) {
+		e := plainEngine(t, in.program, factText(in.facts))
+		idb := e.progState().prog.IDBPreds()
+		for _, opts := range [][]QueryOption{nil, {WithRelaxedConnectivity()}} {
+			for _, q := range in.queries {
+				label := fmt.Sprintf("%s (%d options)", q, len(opts))
+				why, err := e.Explain(q, opts...)
+				if err != nil {
+					t.Fatalf("%s: Explain: %v", label, err)
+				}
+				first, rest, _ := strings.Cut(why, "\n")
+				atom, err := parser.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !idb[atom.Pred] {
+					if want := atom.Pred + " is a base predicate: direct index lookup"; first != want || rest != "" {
+						t.Errorf("%s: Explain = %q, want %q", label, why, want)
+					}
+					continue
+				}
+				res, err := e.Query(q, opts...)
+				if err != nil {
+					t.Errorf("%s: Query: %v", label, err)
+					continue
+				}
+				if want := fmt.Sprintf("strategy: %s (chosen by auto)", res.Stats.Strategy); first != want {
+					t.Errorf("%s: Explain's first line %q, Query ran %s", label, first, res.Stats.Strategy)
+				}
+				want := MagicSets
+				switch {
+				case !slices.ContainsFunc(atom.Args, func(a ast.Term) bool { return !a.IsVar() }):
+					want = SemiNaive
+				case strings.Contains(rest, "separable: yes"):
+					want = Separable
+				}
+				if res.Stats.Strategy != want {
+					t.Errorf("%s: Auto ran %s, want %s by its report:\n%s", label, res.Stats.Strategy, want, why)
+				}
+			}
+		}
+	})
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -136,8 +137,8 @@ type progState struct {
 }
 
 // analysisEntry memoizes one AnalyzeOpts outcome, keeping the error so
-// Explain and AnalyzeSeparability can report why a recursion is not
-// separable without re-running the analysis.
+// Explain can report why a recursion is not separable without re-running
+// the analysis.
 type analysisEntry struct {
 	a   *core.Analysis
 	err error
@@ -957,52 +958,42 @@ func (st *progState) pickLocked(q ast.Atom, cfg queryConfig) Strategy {
 	return MagicSets
 }
 
-// Explain reports, without evaluating, which strategy Auto would use for
-// the query and why. It consults the same cached analysis as evaluation —
-// including WithRelaxedConnectivity, which changes what Auto picks — so
-// the explanation always agrees with what Query would run.
+// Explain reports, without evaluating, how Query would answer the query
+// under the same options. The first line names the strategy: the one
+// WithStrategy forces, or Auto's own pick. For a derived predicate the
+// separability findings of sepdl check follow, drawn from the analysis
+// Query uses (WithRelaxedConnectivity included), and under Separable the
+// program the query compiles to: the paper's Figure 2 schema instantiated
+// (Figures 3 and 4 for its examples).
 func (e *Engine) Explain(query string, opts ...QueryOption) (string, error) {
 	cfg := e.newQueryConfig(opts)
+	if err := checkStrategy(cfg.strategy); err != nil {
+		return "", err
+	}
 	q, err := parser.Query(query)
 	if err != nil {
 		return "", err
 	}
 	st := e.progState()
 	if !st.prog.IDBPreds()[q.Pred] {
-		return fmt.Sprintf("%s is a base predicate: direct index lookup", q.Pred), nil
+		return fmt.Sprintf("%s is a base predicate: direct index lookup\n", q.Pred), nil
 	}
-	hasConst := false
-	for _, t := range q.Args {
-		if !t.IsVar() {
-			hasConst = true
-		}
-	}
-	if !hasConst {
-		return "no selection constants: semi-naive bottom-up evaluation", nil
+	strategy, how := cfg.strategy, "forced"
+	if strategy == Auto {
+		st.mu.Lock()
+		strategy, how = st.pickLocked(q, cfg), "chosen by auto"
+		st.mu.Unlock()
 	}
 	a, aerr := st.analysisErr(q.Pred, cfg.allowDisconnected)
-	if aerr != nil {
-		return fmt.Sprintf("recursion is not separable (%v): Generalized Magic Sets", aerr), nil
+	var b strings.Builder
+	fmt.Fprintf(&b, "strategy: %s (%s)\n", strategy, how)
+	b.WriteString(check.Separability(st.prog, a, aerr, &q).Render(""))
+	if strategy == Separable && a != nil {
+		if program, err := a.CompileText(q); err == nil {
+			b.WriteString(program)
+		}
 	}
-	sel, err := a.Classify(q)
-	if err != nil {
-		return "", err
-	}
-	if sel.Kind == core.SelNone {
-		return "constants select no equivalence class: Generalized Magic Sets", nil
-	}
-	return fmt.Sprintf("separable recursion, %s: Separable evaluation schema\n%s", sel.Kind, a), nil
-}
-
-// AnalyzeSeparability runs the Definition 2.4 test on pred's definition
-// and returns the human-readable analysis, or the reason it fails. The
-// result is served from the engine's per-revision analysis cache.
-func (e *Engine) AnalyzeSeparability(pred string) (report string, separable bool) {
-	a, err := e.progState().analysisErr(pred, false)
-	if err != nil {
-		return err.Error(), false
-	}
-	return a.String(), true
+	return b.String(), nil
 }
 
 func sortRows(rows [][]string) {
@@ -1018,22 +1009,6 @@ func sortRows(rows [][]string) {
 		}
 		return len(a) < len(b)
 	})
-}
-
-// CompilePlan renders the instantiation of the paper's Figure 2 schema
-// that the Separable strategy runs for the query — the "compiled" form of
-// the recursion (Figures 3 and 4 of the paper for its examples). It fails
-// if the recursion is not separable or the query has no constants.
-func (e *Engine) CompilePlan(query string) (string, error) {
-	q, err := parser.Query(query)
-	if err != nil {
-		return "", err
-	}
-	a, err := e.progState().analysisErr(q.Pred, false)
-	if err != nil {
-		return "", err
-	}
-	return a.CompileText(q)
 }
 
 // WriteFacts writes the engine's base facts as sorted, parseable ground

@@ -47,30 +47,30 @@ func ExampleEngine_Query() {
 	// seen1 peak: 3
 }
 
-// The separability analysis of Definition 2.4, explained.
-func ExampleEngine_AnalyzeSeparability() {
+// Explaining a query: the strategy Auto picks, the separability findings
+// of sepdl check, and the program the query compiles to (Figure 3 of the
+// paper for this query).
+func ExampleEngine_Explain() {
 	e := sepdl.New()
-	e.LoadProgram(`
-		sg(X, Y) :- flat(X, Y).
-		sg(X, Y) :- up(X, U) & sg(U, V) & down(V, Y).
-	`)
-	_, separable := e.AnalyzeSeparability("sg")
-	fmt.Println("same-generation separable:", separable)
+	e.LoadProgram(`buys(X, Y) :- friend(X, W) & buys(W, Y).
+buys(X, Y) :- perfectFor(X, Y).`)
+	why, _ := e.Explain(`buys(tom, Y)?`)
+	fmt.Print(why)
 	// Output:
-	// same-generation separable: false
-}
-
-// Compiling a query plan: the instantiated Figure 2 schema (Figure 3 of
-// the paper for this query).
-func ExampleEngine_CompilePlan() {
-	e := sepdl.New()
-	e.LoadProgram(`
-		buys(X, Y) :- friend(X, W) & buys(W, Y).
-		buys(X, Y) :- perfectFor(X, Y).
-	`)
-	plan, _ := e.CompilePlan(`buys(tom, Y)?`)
-	fmt.Print(plan)
-	// Output:
+	// strategy: separable (chosen by auto)
+	// 1:1: info[SEP051]: buys/2 is a separable recursion with 1 equivalence class(es) and 1 persistent column(s)
+	//     = buys/2 is a separable recursion with 1 equivalence class(es)
+	//         e1: columns {1}, 1 rule(s)
+	//           buys(%h0, %h1) :- friend(%h0, %b0_0) & buys(%b0_0, %h1).
+	//         persistent columns: {2}
+	//         1 exit rule(s)
+	// 1:1: info[SEP050]: strategy applicability for query buys(tom, Y)
+	//     = separable: yes (full selection (class fully bound))
+	//       magic sets: yes (selection constants at columns {1})
+	//       counting: yes (full selection (class fully bound))
+	//       henschen-naqvi: yes (full selection (class fully bound))
+	//       aho-ullman pushing: no (columns {1} are not stable: the recursion rewrites them)
+	//       semi-naive bottom-up: yes (always applies)
 	// carry1(tom);
 	// seen1(V1) := carry1(V1);
 	// while carry1 not empty do
@@ -81,19 +81,6 @@ func ExampleEngine_CompilePlan() {
 	// carry2(V2) := seen1(V1) & perfectFor(V1, V2);
 	// seen2(V2) := carry2(V2);
 	// ans(V2) := seen2(V2);
-}
-
-// Explaining what the Auto strategy would do.
-func ExampleEngine_Explain() {
-	e := sepdl.New()
-	e.LoadProgram(`
-		path(X, Y) :- edge(X, Y).
-		path(X, Y) :- edge(X, W) & path(W, Y).
-	`)
-	why, _ := e.Explain(`path(a, Y)?`)
-	fmt.Println(why[:len("separable recursion")])
-	// Output:
-	// separable recursion
 }
 
 // Bounding a query: a tuple budget cuts off the Magic strategy's Ω(n²)

@@ -47,8 +47,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	report, separable := e.AnalyzeSeparability("member")
-	fmt.Printf("%s\nseparable: %v\n\n", report, separable)
+	plan, err := e.Explain(`member(amy, G)?`)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(plan)
 
 	show(e, `member(amy, G)?`)       // separable: which groups is amy in?
 	show(e, `canRead(amy, D)?`)      // negation stratum 1

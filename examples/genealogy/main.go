@@ -44,18 +44,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	for _, pred := range []string{"ancestor", "sg"} {
-		report, ok := e.AnalyzeSeparability(pred)
-		fmt.Printf("-- %s --\n%s\nseparable: %v\n\n", pred, report, ok)
-	}
-
 	queries := []string{
 		`ancestor(alice, Y)?`, // all of alice's ancestors
 		`ancestor(X, heidi)?`, // everyone descended from heidi... (column 2 selection)
 		`sg(alice, Y)?`,       // same generation as alice -> magic sets
 	}
 	for _, q := range queries {
-		why, err := e.Explain(q)
+		plan, err := e.Explain(q)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -63,17 +58,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%s  [%s]\n  plan: %s\n", q, res.Stats.Strategy, firstLine(why))
+		fmt.Printf("-- %s --\n%s", q, plan)
 		for _, row := range res.Rows() {
 			fmt.Println("  ->", strings.Join(row, ", "))
 		}
 		fmt.Println()
 	}
-}
-
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
 }

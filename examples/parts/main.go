@@ -48,8 +48,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	report, ok := e.AnalyzeSeparability("req")
-	fmt.Printf("%s\nseparable: %v\n\n", report, ok)
+	plan, err := e.Explain(`req(engine, S, P)?`)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(plan)
 
 	show(e, `req(engine, S, P)?`)    // full selection: class {1} bound
 	show(e, `req(engine, fab1, P)?`) // overconstrained: extra site filter

@@ -35,18 +35,21 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Is this recursion separable? (It is: one equivalence class on the
-	// person column, the product column persists.)
-	report, separable := e.AnalyzeSeparability("buys")
-	fmt.Println(report)
-	fmt.Println("separable:", separable)
-	fmt.Println()
+	// How will buys(tom, Y)? run? The recursion is separable (one
+	// equivalence class on the person column, the product column
+	// persists), so Auto picks the Separable strategy, and Explain prints
+	// the program the query compiles to.
+	plan, err := e.Explain(`buys(tom, Y)?`)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(plan)
 
 	res, err := e.Query(`buys(tom, Y)?`)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("buys(tom, Y)?  [strategy: %s, %s]\n", res.Stats.Strategy, res.Stats.Duration)
+	fmt.Printf("buys(tom, Y)?  [strategy: %s]\n", res.Stats.Strategy)
 	for _, row := range res.Rows() {
 		fmt.Println("  Y =", strings.Join(row, ", "))
 	}

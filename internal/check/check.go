@@ -80,7 +80,7 @@ func Program(prog *ast.Program, q *ast.Atom) diag.List {
 		l = append(l, ruleLints(r)...)
 	}
 	l = append(l, queryLints(prog, q)...)
-	l = append(l, separability(prog, q)...)
+	l = append(l, recursions(prog, q)...)
 	return l.Sorted()
 }
 
@@ -238,10 +238,10 @@ func queryLints(prog *ast.Program, q *ast.Atom) diag.List {
 	return l
 }
 
-// separability analyzes every recursive predicate against Definition 2.4
+// recursions analyzes every recursive predicate against Definition 2.4
 // and, when a query is given, reports which evaluation strategies apply to
 // it (SEP03x warnings, SEP050/SEP051 info reports).
-func separability(prog *ast.Program, q *ast.Atom) diag.List {
+func recursions(prog *ast.Program, q *ast.Atom) diag.List {
 	var l diag.List
 	idb := prog.IDBPreds()
 	var preds []string
@@ -274,21 +274,34 @@ func separability(prog *ast.Program, q *ast.Atom) diag.List {
 			continue // nonrecursive, or already reported above
 		}
 		a, err := core.Analyze(prog, p)
-		if err != nil {
-			var ne *core.NotSeparableError
-			if errors.As(err, &ne) {
-				l = append(l, ne.Diagnostic())
-			}
-			continue
+		l = append(l, Separability(prog, a, err, q)...)
+	}
+	return l
+}
+
+// Separability reports one predicate's separability findings from the
+// caller's analysis of it: a, or the error core.Analyze (or AnalyzeOpts)
+// returned instead. A failed Definition 2.4 test is its SEP034–SEP037
+// warning; a separable recursion is the SEP051 class report and, when q
+// queries it, the SEP050 strategy report.
+func Separability(prog *ast.Program, a *core.Analysis, err error, q *ast.Atom) diag.List {
+	if err != nil {
+		var ne *core.NotSeparableError
+		if errors.As(err, &ne) {
+			return diag.List{ne.Diagnostic()}
 		}
-		rules := prog.RulesFor(p)
-		l = append(l, diag.New(diag.CodeSeparableReport, diag.Info, rules[0].Position(),
-			"%s/%d is a separable recursion with %d equivalence class(es) and %d persistent column(s)",
-			p, a.Arity, len(a.Classes), len(a.Pers)).
-			WithExplanation("%s", a.String()))
-		if q != nil && q.Pred == p {
-			l = append(l, strategyReport(prog, a, *q))
-		}
+		return nil
+	}
+	relaxed := ""
+	if a.AllowDisconnected {
+		relaxed = ", condition 4 relaxed (§5)"
+	}
+	l := diag.List{diag.New(diag.CodeSeparableReport, diag.Info, prog.RulesFor(a.Pred)[0].Position(),
+		"%s/%d is a separable recursion with %d equivalence class(es) and %d persistent column(s)%s",
+		a.Pred, a.Arity, len(a.Classes), len(a.Pers), relaxed).
+		WithExplanation("%s", a.String())}
+	if q != nil && q.Pred == a.Pred {
+		l = append(l, strategyReport(prog, a, *q))
 	}
 	return l
 }

@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"sepdl/internal/core"
 	"sepdl/internal/diag"
+	"sepdl/internal/parser"
 )
 
 // codesOf runs Source and returns the distinct codes found.
@@ -209,5 +211,32 @@ func TestCleanNonRecursiveProgramIsQuiet(t *testing.T) {
 	}
 	if got := codesOf(t, "p(X, Y) :- e(X, Y).\n", ""); len(got) != 0 {
 		t.Fatalf("codes = %v", got)
+	}
+}
+
+// TestSeparabilityReportsTheCallersAnalysis: Separability renders the
+// analysis it is given, so a caller's relaxed analysis (Engine.Explain
+// under WithRelaxedConnectivity) reports the classes and strategies the
+// strict pass withholds.
+func TestSeparabilityReportsTheCallersAnalysis(t *testing.T) {
+	prog, err := parser.Parse("sg(X, Y) :- sibling(X, Y).\nsg(X, Y) :- up(X, U) & sg(U, V) & down(V, Y).\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := parser.Query("sg(a, Y)?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := core.Analyze(prog, "sg")
+	if l := Separability(prog, a, err, &q); len(l) != 1 || l[0].Code != diag.CodeDisconnected {
+		t.Errorf("strict: %v, want one SEP037", l)
+	}
+	a, err = core.AnalyzeOpts(prog, "sg", core.Options{AllowDisconnected: true})
+	l := Separability(prog, a, err, &q)
+	if codes := l.Codes(); len(codes) != 2 || codes[0] != diag.CodeStrategyReport || codes[1] != diag.CodeSeparableReport {
+		t.Fatalf("relaxed: codes %v, want SEP050 and SEP051", codes)
+	}
+	if !strings.Contains(l[0].Message, "condition 4 relaxed") {
+		t.Errorf("relaxed SEP051 = %q, want the relaxation named", l[0].Message)
 	}
 }

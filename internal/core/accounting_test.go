@@ -1,13 +1,16 @@
 package core
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"sepdl/internal/budget"
 	"sepdl/internal/database"
 	"sepdl/internal/datagen"
 	"sepdl/internal/plancache"
@@ -125,5 +128,47 @@ b(w1, z1). b(z1, z2). b(w0, z0).
 	}
 	if got := b.String(); got != string(want) {
 		t.Errorf("Separable accounting drifted from %s (rerun with -update if intended):\n%s", golden, got)
+	}
+}
+
+// TestCarryLoopJoinWorkIsLinear bounds the join work of Figure 2's carry
+// loops, which the relation sizes cannot see: a round that re-expanded all
+// of seen instead of the last round's carry would derive the same tuples.
+// A probed budget counts every join tick and round while buys(a1, Y)?
+// runs on Example 1.2's chains of n people and n products; each carry row
+// is joined once, so the count stays at most 5n on every phase-2 path.
+func TestCarryLoopJoinWorkIsLinear(t *testing.T) {
+	prog := mustProgram(t, example12)
+	q := mustQuery(t, `buys(a1, Y)?`)
+	paths := []struct {
+		name string
+		opts EvalOptions
+	}{
+		{"loop", EvalOptions{}},
+		{"product", EvalOptions{Closures: plancache.NewClosures(0)}},
+		{"parallel", EvalOptions{Parallelism: 8}},
+	}
+	for _, n := range []int{50, 100, 200} {
+		db := datagen.Example12DB(n)
+		padAboveClosureFloor(t, db)
+		for _, p := range paths {
+			var calls atomic.Int64
+			opts := p.opts
+			opts.Budget = budget.NewProbed(context.Background(), budget.Limits{}, func() error {
+				calls.Add(1)
+				return nil
+			})
+			ans, err := Answer(prog, db, q, opts)
+			if err != nil {
+				t.Fatalf("n=%d %s: %v", n, p.name, err)
+			}
+			if ans.Len() != n {
+				t.Fatalf("n=%d %s: %d answers, want %d", n, p.name, ans.Len(), n)
+			}
+			if got := calls.Load(); got > int64(5*n) {
+				t.Errorf("n=%d %s: %d join ticks and rounds, want at most %d", n, p.name, got, 5*n)
+			}
+			t.Logf("n=%d %s: %d", n, p.name, calls.Load())
+		}
 	}
 }

@@ -526,7 +526,8 @@ func connectedComponents(atoms []ast.Atom) int {
 	return len(roots)
 }
 
-// String summarizes the analysis for humans (cmd/sepdetect output).
+// String summarizes the analysis for humans: the explanation of the
+// SEP051 finding that sepdl check and Engine.Explain print.
 func (a *Analysis) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s/%d is a separable recursion with %d equivalence class(es)\n", a.Pred, a.Arity, len(a.Classes))
