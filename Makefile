@@ -79,9 +79,9 @@ crash-smoke:
 # insertions and DRed deletions against recomputation, and the round
 # structure of an insertion; Go randomises map iteration, so the round
 # loop's sink order and DRed's marked order differ run to run) 20 times,
-# the Separable product-evaluator and batch tests (the per-class closure
-# goroutines read carry_2 as a window of seen_2; a batch routes each
-# distinct seed's answers to every query naming it) 20 times,
+# the Separable product-evaluator and batch tests (the per-class closures
+# read carry_2 as a window of seen_2; a batch routes each distinct seed's
+# answers to every query naming it) 20 times,
 # and replays the parser, relation, segment scan, checkpoint marker and
 # log record fuzz seed corpora. It
 # is slower than tier-1 and meant for changes that touch the engine's

@@ -70,7 +70,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		concurrency = fs.Int("concurrency", 0, "max queries evaluated at once; 0 unlimited, negative admits none (drain)")
 		admitWait   = fs.Duration("admit-wait", 0, "how long an over-limit query queues for a slot before failing overloaded")
 		parallel    = fs.Int("parallel", 1, "fire the -query this many times concurrently")
-		parallelism = fs.Int("parallelism", 0, "worker goroutines inside one evaluation; 0 = GOMAXPROCS, 1 = sequential")
 		fallback    = fs.Bool("fallback", false, "retry a budget-aborted compiled strategy under semi-naive")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -84,7 +83,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	engOpts := []sepdl.EngineOption{
 		sepdl.WithMaxConcurrent(*concurrency),
 		sepdl.WithAdmissionWait(*admitWait),
-		sepdl.WithParallelism(*parallelism),
 	}
 	var e *sepdl.Engine
 	if *dataDir != "" {

@@ -73,7 +73,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 
 		concurrency = fs.Int("concurrency", 0, "max queries evaluated at once; 0 unlimited")
 		admitWait   = fs.Duration("admit-wait", 100*time.Millisecond, "how long an over-limit query queues before 503")
-		parallelism = fs.Int("parallelism", 0, "worker goroutines inside one evaluation; 0 = GOMAXPROCS")
 		strict      = fs.Bool("strict", false, "reject the program unless the full static-analysis pass is clean")
 
 		defaultDeadline = fs.Duration("default-deadline", 0, "deadline for requests that set none; 0 = unlimited")
@@ -104,7 +103,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 	opts := []sepdl.EngineOption{
 		sepdl.WithMaxConcurrent(*concurrency),
 		sepdl.WithAdmissionWait(*admitWait),
-		sepdl.WithParallelism(*parallelism),
 	}
 	if *strict {
 		opts = append(opts, sepdl.WithStrictChecks())

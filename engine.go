@@ -19,7 +19,6 @@ import (
 	"sepdl/internal/diag"
 	"sepdl/internal/eval"
 	"sepdl/internal/magic"
-	"sepdl/internal/par"
 	"sepdl/internal/parser"
 	"sepdl/internal/plancache"
 	"sepdl/internal/provenance"
@@ -86,7 +85,6 @@ type Engine struct {
 	admitWait     time.Duration
 	gate          chan struct{}
 	strict        bool
-	parallelism   int
 	planCacheOff  bool
 	closureBytes  int64
 	closures      *plancache.Closures
@@ -227,17 +225,14 @@ func WithStrictChecks() EngineOption {
 	return func(e *Engine) { e.strict = true }
 }
 
-// WithParallelism controls intra-query parallelism, which only the
-// Separable evaluator has: with n > 1, each equivalence class's closure in
-// the second loop of Figure 2 runs on its own goroutine once the support
-// database holds a few dozen tuples. n < 1 (and the default) means
-// runtime.GOMAXPROCS; n == 1 keeps every query on one goroutine. The other
-// strategies always evaluate sequentially. Whatever the setting, a query's
-// answer set is identical — only evaluation scheduling changes — and
-// resource budgets, deadlines, and cancellation are enforced across all
-// workers through the query's shared tracker.
+// WithParallelism once set how many goroutines Separable's second loop
+// spread its equivalence classes over. Every query now evaluates on one
+// goroutine: with two or more classes the second loop is the product of
+// the per-class closures, which is where the gain was.
+//
+// Deprecated: no effect.
 func WithParallelism(n int) EngineOption {
-	return func(e *Engine) { e.parallelism = n }
+	return func(*Engine) {}
 }
 
 // WithPlanCache toggles the per-program-revision plan cache (default on):
@@ -618,7 +613,6 @@ type queryConfig struct {
 	budget            Budget
 	deadline          time.Duration
 	fallback          bool
-	parallelism       int                 // resolved worker count (par.Degree applied)
 	materializeRounds bool                // ablation: pre-streaming round pipeline
 	closures          *plancache.Closures // engine's closure cache (nil when disabled)
 	scope             plancache.Scope     // revisions of the attempt's snapshot
@@ -823,7 +817,7 @@ func (e *Engine) QueryCtx(ctx context.Context, query string, opts ...QueryOption
 
 // newQueryConfig resolves QueryOptions against the engine's defaults.
 func (e *Engine) newQueryConfig(opts []QueryOption) queryConfig {
-	cfg := queryConfig{strategy: Auto, parallelism: par.Degree(e.parallelism)}
+	cfg := queryConfig{strategy: Auto}
 	for _, o := range opts {
 		o(&cfg)
 	}

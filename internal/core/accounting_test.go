@@ -22,12 +22,13 @@ var update = flag.Bool("update", false, "rewrite testdata/accounting.golden from
 // TestSeparableAccountingGolden pins the exact Figure 2 accounting of
 // Separable evaluations — the maxima of carry_1, seen_1, carry_2, seen_2
 // and ans, the round count, the insertion count and the peak intermediate
-// bytes — together with each answer's rows in delivery order, on the loop,
-// product and parallel phase-2 paths, streamed and under the
-// MaterializeRounds ablation. Every database is padded above the product
-// evaluator's floor, so the parallel path fans out wherever phase 2 has two
-// classes. Regenerate with go test -run TestSeparableAccountingGolden
-// -update ./internal/core/ only when the accounting is meant to change.
+// bytes — together with each answer's rows in delivery order, without and
+// with the closure cache, streamed and under the MaterializeRounds
+// ablation. Without the cache, phase 2 runs the carry loop on one class
+// and the product on two or more; the cache routes one class through the
+// product too. Regenerate with go test ./internal/core/ -run
+// TestSeparableAccountingGolden -update only when the accounting is meant
+// to change.
 func TestSeparableAccountingGolden(t *testing.T) {
 	cases := []struct {
 		name, prog, query string
@@ -68,7 +69,6 @@ b(w1, z1). b(z1, z2). b(w0, z0).
 	}{
 		{"loop", func() EvalOptions { return EvalOptions{} }},
 		{"product", func() EvalOptions { return EvalOptions{Closures: plancache.NewClosures(0)} }},
-		{"parallel", func() EvalOptions { return EvalOptions{Parallelism: 8} }},
 	}
 
 	var b strings.Builder
@@ -76,7 +76,6 @@ b(w1, z1). b(z1, z2). b(w0, z0).
 		prog := mustProgram(t, c.prog)
 		q := mustQuery(t, c.query)
 		db := c.db(t)
-		padAboveClosureFloor(t, db)
 		for _, p := range paths {
 			for _, mat := range []bool{false, true} {
 				col := stats.New()
@@ -134,41 +133,65 @@ b(w1, z1). b(z1, z2). b(w0, z0).
 // TestCarryLoopJoinWorkIsLinear bounds the join work of Figure 2's carry
 // loops, which the relation sizes cannot see: a round that re-expanded all
 // of seen instead of the last round's carry would derive the same tuples.
-// A probed budget counts every join tick and round while buys(a1, Y)?
-// runs on Example 1.2's chains of n people and n products; each carry row
-// is joined once, so the count stays at most 5n on every phase-2 path.
+// A probed budget counts every join tick and round, without and with the
+// closure cache. On Example 1.2's chains of n people and n products
+// (buys(a1, Y)?, one phase-2 class) each carry row is joined once, so the
+// count stays at most 5n. On MultiClassDB(n, c) with its driver query the
+// c-1 phase-2 classes multiply into n^(c-1) answers; the product joins
+// each class's chain once and ticks once per answer, so the count stays
+// at most |ans| + 3cn, where the interleaved loop would derive every
+// answer once per neighbouring class.
 func TestCarryLoopJoinWorkIsLinear(t *testing.T) {
-	prog := mustProgram(t, example12)
-	q := mustQuery(t, `buys(a1, Y)?`)
+	type workload struct {
+		name  string
+		prog  string
+		db    *database.Database
+		query string
+		nAns  int
+		bound int64
+	}
+	var cases []workload
+	for _, n := range []int{50, 100, 200} {
+		cases = append(cases, workload{fmt.Sprintf("example12-n%d", n), example12, datagen.Example12DB(n), `buys(a1, Y)?`, n, int64(5 * n)})
+	}
+	for _, c := range []int{3, 4} {
+		for _, n := range []int{8, 16, 32} {
+			nAns := 1
+			for range c - 1 {
+				nAns *= n
+			}
+			cases = append(cases, workload{fmt.Sprintf("multiclass-c%d-n%d", c, n), datagen.MultiClassProgram(c).String(),
+				datagen.MultiClassDB(n, c), datagen.MultiClassQuery(c), nAns, int64(nAns + 3*c*n)})
+		}
+	}
 	paths := []struct {
 		name string
-		opts EvalOptions
+		opts func() EvalOptions
 	}{
-		{"loop", EvalOptions{}},
-		{"product", EvalOptions{Closures: plancache.NewClosures(0)}},
-		{"parallel", EvalOptions{Parallelism: 8}},
+		{"no-cache", func() EvalOptions { return EvalOptions{} }},
+		{"closure-cache", func() EvalOptions { return EvalOptions{Closures: plancache.NewClosures(0)} }},
 	}
-	for _, n := range []int{50, 100, 200} {
-		db := datagen.Example12DB(n)
-		padAboveClosureFloor(t, db)
+	for _, w := range cases {
+		prog := mustProgram(t, w.prog)
+		q := mustQuery(t, w.query)
 		for _, p := range paths {
 			var calls atomic.Int64
-			opts := p.opts
+			opts := p.opts()
 			opts.Budget = budget.NewProbed(context.Background(), budget.Limits{}, func() error {
 				calls.Add(1)
 				return nil
 			})
-			ans, err := Answer(prog, db, q, opts)
+			ans, err := Answer(prog, w.db, q, opts)
 			if err != nil {
-				t.Fatalf("n=%d %s: %v", n, p.name, err)
+				t.Fatalf("%s %s: %v", w.name, p.name, err)
 			}
-			if ans.Len() != n {
-				t.Fatalf("n=%d %s: %d answers, want %d", n, p.name, ans.Len(), n)
+			if ans.Len() != w.nAns {
+				t.Fatalf("%s %s: %d answers, want %d", w.name, p.name, ans.Len(), w.nAns)
 			}
-			if got := calls.Load(); got > int64(5*n) {
-				t.Errorf("n=%d %s: %d join ticks and rounds, want at most %d", n, p.name, got, 5*n)
+			if got := calls.Load(); got > w.bound {
+				t.Errorf("%s %s: %d join ticks and rounds, want at most %d", w.name, p.name, got, w.bound)
 			}
-			t.Logf("n=%d %s: %d", n, p.name, calls.Load())
+			t.Logf("%s %s: %d", w.name, p.name, calls.Load())
 		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 
 // TestAnswerBatchRepeatedSeeds runs AnswerBatch on persistent, full-class
 // and partial (Lemma 2.1) selections, each batch repeating one of its
-// queries, on the loop, product and parallel phase-2 paths. Every answer
+// queries, without and with the closure cache. Every answer
 // must equal its own Answer, and a batch of one query repeated must build
 // exactly the single query's Figure 2 relations: the same carry and seen
 // maxima, rounds, insertions and peak intermediate bytes, with ans counting
@@ -44,11 +44,9 @@ b(w1, z1). b(z1, z2). b(w0, z0).
 		{"product", func(c *stats.Collector) EvalOptions {
 			return EvalOptions{Collector: c, Closures: plancache.NewClosures(0)}
 		}},
-		{"parallel", func(c *stats.Collector) EvalOptions { return EvalOptions{Collector: c, Parallelism: 8} }},
 	}
 	for _, c := range cases {
 		prog := mustProgram(t, c.prog)
-		padAboveClosureFloor(t, c.db)
 		qs := make([]ast.Atom, len(c.queries))
 		for i, s := range c.queries {
 			qs[i] = mustQuery(t, s)

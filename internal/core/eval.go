@@ -34,11 +34,6 @@ type EvalOptions struct {
 	// join-inner-loop granularity; exceeding it aborts the evaluation with
 	// a *budget.ResourceError and leaves db untouched.
 	Budget *budget.Budget
-	// Parallelism > 1 enables the product evaluator for the second loop
-	// of Figure 2: each class's closure is computed on its own goroutine
-	// and the results are crossed, instead of interleaving every class in
-	// one carry loop. The answer set is identical.
-	Parallelism int
 	// MaterializeRounds is forwarded to the eval.RoundSink of every carry
 	// round (and to the support fixpoint) as an ablation: each round's
 	// emissions are materialized into an intermediate relation whose
@@ -49,9 +44,10 @@ type EvalOptions struct {
 	// Closures, when non-nil, memoizes the second loop's per-start class
 	// closures across queries: those closures depend only on the program
 	// and the EDB, never on the selection constant, so repeated queries of
-	// one form reuse them. Enabling it routes phase 2 through the product
-	// evaluator (the only form that computes closures as reusable units);
-	// the answer set is identical. Cache fills run under the evaluation's
+	// one form reuse them. Phase 2 takes the product form whenever it has
+	// two or more classes; enabling the cache routes a single class through
+	// it too (the only form that computes closures as reusable units). The
+	// answer set is identical. Cache fills run under the evaluation's
 	// budget like any other carry loop.
 	Closures *plancache.Closures
 	// CacheScope carries the program and database revisions closure-cache
@@ -83,7 +79,6 @@ type evaluator struct {
 	col       *stats.Collector
 	matRounds bool
 	bud       *budget.Budget
-	par       int
 	closures  *plancache.Closures
 	scope     plancache.Scope
 	// seedW is the width of the seed-index tag: 1 when a batch of several
@@ -100,7 +95,7 @@ func newEvaluator(a *Analysis, base *database.Database, pred string, opts EvalOp
 	scope.Relaxed = a.AllowDisconnected
 	return &evaluator{a: a, db: base, col: opts.Collector,
 		matRounds: opts.MaterializeRounds, bud: opts.Budget,
-		par: opts.Parallelism, closures: opts.Closures, scope: scope}
+		closures: opts.Closures, scope: scope}
 }
 
 // fixpoint runs one carry loop of Figure 2 — lines 1-7 over the driver
@@ -238,19 +233,18 @@ func (e *evaluator) run(driverCols []int, phase1Class, excludePhase2 int, seeds 
 	e.col.Observe("carry2", seen2.Len())
 	e.col.Observe("seen2", seen2.Len())
 
-	// Phase 2 loop (lines 10-14): apply every remaining class body-to-head —
-	// interleaved sequentially, or as a product of concurrent per-class
-	// closures when the parallel evaluator is enabled and worthwhile.
+	// Phase 2 loop (lines 10-14): apply every remaining class body-to-head,
+	// as a product of per-class closures or, for one class, as the carry
+	// loop (see productPhase2).
 	p2, err := e.phase2Classes(phase1Class, excludePhase2, outCols, intern)
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(p2) > 0 {
-		if e.productPhase2(len(p2)) {
-			e.runPhase2Product(p2, seen2, tagW, src)
-		} else {
-			e.runPhase2Loop(p2, seen2, tagW, src)
-		}
+	switch {
+	case e.productPhase2(len(p2)):
+		e.runPhase2Product(p2, seen2, tagW, src)
+	case len(p2) == 1:
+		e.runPhase2Loop(&p2[0], seen2, tagW, src)
 	}
 	return seen2, outCols, nil
 }

@@ -176,8 +176,8 @@ func Lemma43DB(n, k, p int) *database.Database {
 func MultiClassPrefix(i int) string { return fmt.Sprintf("c%dv", i) }
 
 // MultiClassProgram returns a separable recursion with c independent
-// equivalence classes, one per column — the §5 query family the parallel
-// Separable evaluator is benchmarked on:
+// equivalence classes, one per column — the §5 query family Separable's
+// product form is benchmarked on:
 //
 //	t(X1,…,Xc) :- e_i(X_i, W) & t(…, W at position i, …).   for i = 1..c
 //	t(X1,…,Xc) :- t0(X1,…,Xc).
@@ -217,7 +217,7 @@ func MultiClassProgram(c int) *ast.Program {
 // class (e_i over MultiClassPrefix(i) constants) and a single exit tuple
 // at the chain ends. On the query t(c1v1, Y2, …, Yc)? phase 1 walks chain
 // 1 forward, the exit tuple seeds phase 2, and each remaining class walks
-// its own chain backward — n^(c-1) answers, the product the parallel
+// its own chain backward — n^(c-1) answers, the product the Separable
 // evaluator assembles from per-class closures.
 func MultiClassDB(n, c int) *database.Database {
 	db := database.New()

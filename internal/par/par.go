@@ -1,8 +1,8 @@
-// Package par holds the small worker-group machinery of the parallel
-// Separable evaluator: bounded goroutine fan-out with panic capture, so a
-// budget abort (which travels as a panic, see internal/budget) raised
-// inside any worker surfaces on the calling goroutine where the query's
-// budget.Guard can recover it.
+// Package par is a small worker group: bounded goroutine fan-out with
+// panic capture, so a budget abort (which travels as a panic, see
+// internal/budget) raised inside any worker surfaces on the calling
+// goroutine where the query's budget.Guard can recover it. No evaluator
+// fans out any more: concurrent tests and the benchmark's probes use it.
 package par
 
 import "runtime"

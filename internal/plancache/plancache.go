@@ -60,8 +60,7 @@ const entryOverhead = 160
 const DefaultMaxBytes = 64 << 20
 
 // Closures is a byte-budgeted LRU cache of per-start class closures. It is
-// safe for concurrent use; the parallel Separable evaluator fills it from
-// one goroutine per class.
+// safe for concurrent use: the engine's concurrent queries share it.
 type Closures struct {
 	mu       sync.Mutex
 	maxBytes int64

@@ -1,8 +1,8 @@
 package sepdl
 
-// Budget aborts under intra-query parallelism must surface the same typed
-// errors as sequential evaluation. Parallel answers are checked by the
-// differential harness's parallel mode.
+// WithParallelism is deprecated and has no effect. An engine built with it
+// must abort exactly as the default engine does; its answers are checked by
+// the differential harness's parallel mode.
 
 import (
 	"context"
@@ -12,10 +12,10 @@ import (
 	"testing"
 )
 
-// TestParallelBudgetAbortParity reuses the per-strategy budget cases: a
-// parallel engine must abort with the same typed error, limit kind, and
-// strategy tag as the sequential engines in budget_api_test.go. The
-// baselines run on the parallel engine's snapshot.
+// TestParallelBudgetAbortParity reuses the per-strategy budget cases: an
+// engine built with WithParallelism(8) must abort with the same typed
+// error, limit kind, and strategy tag as the engines in
+// budget_api_test.go. The baselines run on its snapshot.
 func TestParallelBudgetAbortParity(t *testing.T) {
 	e := New(WithParallelism(8))
 	if err := e.LoadProgram(`

@@ -260,7 +260,6 @@ func runStrategyBatch(st *progState, db *database.Database, qs []ast.Atom, pl *p
 			Analysis:          pl.analysis,
 			AllowDisconnected: cfg.allowDisconnected,
 			Budget:            bud,
-			Parallelism:       cfg.parallelism,
 			MaterializeRounds: cfg.materializeRounds,
 			Closures:          cfg.closures,
 			CacheScope:        cfg.scope,
