@@ -214,15 +214,20 @@ func TestQueryCtxCancelMidEvaluation(t *testing.T) {
 	}
 }
 
+// TestWithMaxIterationsReturnsResourceError checks that a round bound
+// trips as a rounds ResourceError naming the strategy, whichever strategy
+// runs the rounds.
 func TestWithMaxIterationsReturnsResourceError(t *testing.T) {
 	e := chainEngine(t, 30)
-	_, err := e.Query(`buys(a00, Y)?`, WithStrategy(SemiNaive), WithMaxIterations(2))
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
-	}
-	var re *ResourceError
-	if !errors.As(err, &re) || re.Limit != LimitRounds {
-		t.Fatalf("err = %#v, want rounds ResourceError", err)
+	for _, s := range []Strategy{SemiNaive, MagicSets, Separable} {
+		_, err := e.Query(`buys(a00, Y)?`, WithStrategy(s), WithBudget(Budget{MaxRounds: 2}))
+		if !errors.Is(err, ErrBudgetExceeded) {
+			t.Fatalf("%s: err = %v, want ErrBudgetExceeded", s, err)
+		}
+		var re *ResourceError
+		if !errors.As(err, &re) || re.Limit != LimitRounds || re.Max != 2 || re.Strategy != string(s) {
+			t.Fatalf("%s: err = %#v, want rounds ResourceError with Max=2", s, err)
+		}
 	}
 }
 

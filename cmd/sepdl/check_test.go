@@ -41,6 +41,7 @@ var checkCases = []checkCase{
 	{"boundmismatch", "boundmismatch.dl", "", 1},
 	{"classoverlap", "classoverlap.dl", "", 1},
 	{"disconnected", "disconnected.dl", "", 1},
+	{"disconnected_query", "disconnected.dl", "sg(a, Y)?", 1},
 	{"deadcode", "deadcode.dl", "t(a, Y)?", 1},
 	{"cartesian", "cartesian.dl", "", 1},
 	{"singleton", "singleton.dl", "", 1},

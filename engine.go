@@ -598,7 +598,7 @@ var ErrBudgetExceeded = budget.ErrBudget
 // The values a ResourceError's Limit field can take.
 const (
 	LimitTuples   = budget.LimitTuples   // Budget.MaxTuples exhausted
-	LimitRounds   = budget.LimitRounds   // Budget.MaxRounds or WithMaxIterations exhausted
+	LimitRounds   = budget.LimitRounds   // Budget.MaxRounds exhausted
 	LimitBytes    = budget.LimitBytes    // Budget.MaxBytes exhausted
 	LimitDeadline = budget.LimitDeadline // context deadline expired
 	LimitCanceled = budget.LimitCanceled // context canceled
@@ -609,11 +609,9 @@ const (
 type queryConfig struct {
 	strategy          Strategy
 	allowDisconnected bool
-	maxIterations     int
 	budget            Budget
 	deadline          time.Duration
 	fallback          bool
-	materializeRounds bool                // ablation: pre-streaming round pipeline
 	closures          *plancache.Closures // engine's closure cache (nil when disabled)
 	scope             plancache.Scope     // revisions of the attempt's snapshot
 }
@@ -643,12 +641,6 @@ func WithRelaxedConnectivity() QueryOption {
 	return func(c *queryConfig) { c.allowDisconnected = true }
 }
 
-// WithMaxIterations bounds fixpoint rounds / levels for the strategies
-// that support a bound. Exceeding it returns a *ResourceError.
-func WithMaxIterations(n int) QueryOption {
-	return func(c *queryConfig) { c.maxIterations = n }
-}
-
 // WithBudget bounds the resources the query may consume; exceeding any
 // limit returns a *ResourceError promptly (limits are checked every
 // fixpoint round and at join-inner-loop granularity) with the engine's
@@ -663,17 +655,6 @@ func WithBudget(b Budget) QueryOption {
 // context.DeadlineExceeded.
 func WithDeadline(d time.Duration) QueryOption {
 	return func(c *queryConfig) { c.deadline = d }
-}
-
-// withMaterializedRounds restores the pre-streaming evaluation pipeline
-// for one query: every fixpoint round and carry loop materializes its
-// full emission set and computes the delta by differencing afterwards,
-// instead of streaming emissions through the round sinks. Answers are
-// byte-identical either way; the equivalence suite uses it to verify
-// that streaming changes no answer. Not exported: it is an ablation, not
-// a tuning knob.
-func withMaterializedRounds() QueryOption {
-	return func(c *queryConfig) { c.materializeRounds = true }
 }
 
 // WithFallback opts the query into graceful degradation: if the selected
@@ -727,13 +708,11 @@ type Stats struct {
 	// for a standalone Query, len(batch) for QueryBatch/RunBatch (every
 	// result of one batch reports the whole batch's work).
 	BatchSize int
-	// PeakIntermediateBytes is the largest transient materialization any
-	// single fixpoint round or carry-loop step held outside the growing
-	// totals — under the streaming executor, just the round's delta,
-	// counted even though a semi-naive round appends it to the total and
-	// reads it as a window of it. It is
-	// not part of RelationSizes (the paper's Definition 4.2 measure counts
-	// named relations, not round scratch).
+	// PeakIntermediateBytes is the largest delta any single fixpoint round
+	// or carry-loop step produced, counted even though a round appends its
+	// delta to the total and reads it as a window of it. It is not part of
+	// RelationSizes (the paper's Definition 4.2 measure counts named
+	// relations, not round scratch).
 	PeakIntermediateBytes int64
 	// Duration is wall-clock evaluation time.
 	Duration time.Duration

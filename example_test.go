@@ -64,7 +64,7 @@ buys(X, Y) :- perfectFor(X, Y).`)
 	//           buys(%h0, %h1) :- friend(%h0, %b0_0) & buys(%b0_0, %h1).
 	//         persistent columns: {2}
 	//         1 exit rule(s)
-	// 1:1: info[SEP050]: strategy applicability for query buys(tom, Y)
+	// -: info[SEP050]: strategy applicability for query buys(tom, Y)
 	//     = separable: yes (full selection (class fully bound))
 	//       magic sets: yes (selection constants at columns {1})
 	//       counting: yes (full selection (class fully bound))

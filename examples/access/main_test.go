@@ -12,7 +12,7 @@ func Example() {
 	//           member(%h0, %h1) :- belongs(%h0, %b1_0) & member(%b1_0, %h1).
 	//         persistent columns: {2}
 	//         1 exit rule(s)
-	// 1:1: info[SEP050]: strategy applicability for query member(amy, G)
+	// -: info[SEP050]: strategy applicability for query member(amy, G)
 	//     = separable: yes (full selection (class fully bound))
 	//       magic sets: yes (selection constants at columns {1})
 	//       counting: yes (full selection (class fully bound))

@@ -13,7 +13,7 @@ func Example() {
 	//           ancestor(%h0, %h1) :- parent(%h0, %b1_0) & ancestor(%b1_0, %h1).
 	//         persistent columns: {2}
 	//         1 exit rule(s)
-	// 1:1: info[SEP050]: strategy applicability for query ancestor(alice, Y)
+	// -: info[SEP050]: strategy applicability for query ancestor(alice, Y)
 	//     = separable: yes (full selection (class fully bound))
 	//       magic sets: yes (selection constants at columns {1})
 	//       counting: yes (full selection (class fully bound))
@@ -45,7 +45,7 @@ func Example() {
 	//           ancestor(%h0, %h1) :- parent(%h0, %b1_0) & ancestor(%b1_0, %h1).
 	//         persistent columns: {2}
 	//         1 exit rule(s)
-	// 1:1: info[SEP050]: strategy applicability for query ancestor(X, heidi)
+	// -: info[SEP050]: strategy applicability for query ancestor(X, heidi)
 	//     = separable: yes (full selection (persistent column))
 	//       magic sets: yes (selection constants at columns {2})
 	//       counting: yes (full selection (persistent column))
@@ -69,4 +69,11 @@ func Example() {
 	// strategy: magic (chosen by auto)
 	// 8:3: warning[SEP037]: sg is not a separable recursion (condition 4 of Definition 2.4): rule sg(X, Y) :- parent(U, X) & sg(U, V) & parent(V, Y).: the nonrecursive body atoms form 2 maximal connected sets; condition 4 requires one
 	//     = the nonrecursive body atoms must form one connected set through shared variables; otherwise the selection constant cannot focus the whole rule (run with relaxed connectivity to evaluate anyway, §5)
+	// -: info[SEP050]: strategy applicability for query sg(alice, Y)
+	//     = separable: no (SEP037)
+	//       magic sets: yes (selection constants at columns {1})
+	//       counting: no (requires a separable recursion)
+	//       henschen-naqvi: no (requires a separable recursion)
+	//       aho-ullman pushing: no (columns {1} are not stable: the recursion rewrites them)
+	//       semi-naive bottom-up: yes (always applies)
 }

@@ -14,7 +14,7 @@ func Example() {
 	//           req(%h0, %h1, %h2) :- req(%h0, %h1, %b1_0) & supersedes(%b1_0, %h2).
 	//         persistent columns: {2}
 	//         1 exit rule(s)
-	// 1:1: info[SEP050]: strategy applicability for query req(engine, S, P)
+	// -: info[SEP050]: strategy applicability for query req(engine, S, P)
 	//     = separable: yes (full selection (class fully bound))
 	//       magic sets: yes (selection constants at columns {1})
 	//       counting: yes (full selection (class fully bound))

@@ -65,14 +65,10 @@ func StablePositions(prog *ast.Program, pred string) ([]int, error) {
 
 // Options configure Answer.
 type Options struct {
-	Collector     *stats.Collector
-	MaxIterations int
+	Collector *stats.Collector
 	// Budget, when non-nil, governs the bottom-up evaluation of the pushed
 	// program at round and join-inner-loop granularity.
 	Budget *budget.Budget
-	// MaterializeRounds forwards to the semi-naive fixpoint over the pushed
-	// program (eval.Options).
-	MaterializeRounds bool
 }
 
 // Push returns a copy of prog in which the selection constants of q (which
@@ -160,10 +156,8 @@ func Answer(prog *ast.Program, db *database.Database, q ast.Atom, opts Options) 
 		return nil, err
 	}
 	view, err := eval.Run(pushed, db, eval.Options{
-		Collector:         opts.Collector,
-		MaxIterations:     opts.MaxIterations,
-		Budget:            opts.Budget,
-		MaterializeRounds: opts.MaterializeRounds,
+		Collector: opts.Collector,
+		Budget:    opts.Budget,
 	})
 	if err != nil {
 		return nil, err

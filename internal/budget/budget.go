@@ -327,17 +327,3 @@ func (b *Budget) TickFunc() func() {
 	}
 	return b.Tick
 }
-
-// RoundsExceeded builds the typed error for a strategy-level iteration
-// bound (Options.MaxIterations and friends) so limit-hit is distinguishable
-// from malformed-program errors via errors.Is(err, ErrBudget) even when the
-// bound did not come from a Budget.
-func RoundsExceeded(strategy string, round, max int) error {
-	return &ResourceError{
-		Limit:    LimitRounds,
-		Consumed: int64(round),
-		Max:      int64(max),
-		Strategy: strategy,
-		Round:    round,
-	}
-}

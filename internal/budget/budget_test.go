@@ -155,13 +155,23 @@ func TestGuardPassesThroughForeignPanics(t *testing.T) {
 	_ = run(nil, func() { panic("boom") })
 }
 
+// TestRoundsExceeded pins the error a round bound produces, which is the
+// only round bound there is: Round past MaxRounds aborts with a rounds
+// ResourceError carrying the strategy label and the round it tripped on.
 func TestRoundsExceeded(t *testing.T) {
-	err := RoundsExceeded("magic", 7, 7)
+	b := New(context.Background(), Limits{MaxRounds: 7})
+	b.SetStrategy("magic")
+	err := run(b, func() {
+		for range 8 {
+			b.Round()
+		}
+	})
 	if !errors.Is(err, ErrBudget) {
-		t.Fatal("RoundsExceeded not matched by ErrBudget")
+		t.Fatalf("err = %v, want ErrBudget", err)
 	}
 	var re *ResourceError
-	if !errors.As(err, &re) || re.Limit != LimitRounds || re.Strategy != "magic" {
+	if !errors.As(err, &re) || re.Limit != LimitRounds || re.Strategy != "magic" ||
+		re.Consumed != 8 || re.Max != 7 || re.Round != 8 {
 		t.Fatalf("unexpected: %+v", err)
 	}
 }

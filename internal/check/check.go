@@ -181,7 +181,9 @@ func generatorComponents(atoms []ast.Atom) int {
 
 // queryLints reports query-dependent analyses: the unknown-predicate and
 // arity checks on the query itself, no-selection advisories, and dead-code
-// detection relative to the query (SEP040/SEP041/SEP043/SEP045).
+// detection relative to the query (SEP040/SEP041/SEP043/SEP045). The query
+// is not part of the program's source, so the findings about it carry no
+// position.
 func queryLints(prog *ast.Program, q *ast.Atom) diag.List {
 	if q == nil {
 		return nil
@@ -192,15 +194,15 @@ func queryLints(prog *ast.Program, q *ast.Atom) diag.List {
 		return nil // already reported by prog.Check
 	}
 	if want, known := arities[q.Pred]; !known {
-		l = append(l, diag.New(diag.CodeUnknownQuery, diag.Warning, q.Pos,
+		l = append(l, diag.New(diag.CodeUnknownQuery, diag.Warning, diag.Pos{},
 			"query predicate %s is not mentioned by the program; only base facts named %s can answer it", q.Pred, q.Pred))
 	} else if want != q.Arity() {
-		l = append(l, diag.New(diag.CodeArity, diag.Error, q.Pos,
+		l = append(l, diag.New(diag.CodeArity, diag.Error, diag.Pos{},
 			"query uses %s with arity %d, but the program uses arity %d", q.Pred, q.Arity(), want))
 		return l
 	}
 	if len(q.Args) > 0 && len(constPositions(*q)) == 0 {
-		l = append(l, diag.New(diag.CodeNoSelection, diag.Warning, q.Pos,
+		l = append(l, diag.New(diag.CodeNoSelection, diag.Warning, diag.Pos{},
 			"query %s has no constants: every strategy degenerates to full bottom-up evaluation", q))
 	}
 
@@ -282,39 +284,52 @@ func recursions(prog *ast.Program, q *ast.Atom) diag.List {
 // Separability reports one predicate's separability findings from the
 // caller's analysis of it: a, or the error core.Analyze (or AnalyzeOpts)
 // returned instead. A failed Definition 2.4 test is its SEP034–SEP037
-// warning; a separable recursion is the SEP051 class report and, when q
-// queries it, the SEP050 strategy report.
+// warning; a separable recursion is the SEP051 class report. Either way,
+// when q queries the predicate, the SEP050 strategy report follows.
 func Separability(prog *ast.Program, a *core.Analysis, err error, q *ast.Atom) diag.List {
+	var l diag.List
+	var pred, failed string
 	if err != nil {
 		var ne *core.NotSeparableError
-		if errors.As(err, &ne) {
-			return diag.List{ne.Diagnostic()}
+		if !errors.As(err, &ne) {
+			return nil
 		}
-		return nil
+		d := ne.Diagnostic()
+		l, pred, failed = diag.List{d}, ne.Pred, d.Code
+	} else {
+		relaxed := ""
+		if a.AllowDisconnected {
+			relaxed = ", condition 4 relaxed (§5)"
+		}
+		l = diag.List{diag.New(diag.CodeSeparableReport, diag.Info, prog.RulesFor(a.Pred)[0].Position(),
+			"%s/%d is a separable recursion with %d equivalence class(es) and %d persistent column(s)%s",
+			a.Pred, a.Arity, len(a.Classes), len(a.Pers), relaxed).
+			WithExplanation("%s", a.String())}
+		pred = a.Pred
 	}
-	relaxed := ""
-	if a.AllowDisconnected {
-		relaxed = ", condition 4 relaxed (§5)"
-	}
-	l := diag.List{diag.New(diag.CodeSeparableReport, diag.Info, prog.RulesFor(a.Pred)[0].Position(),
-		"%s/%d is a separable recursion with %d equivalence class(es) and %d persistent column(s)%s",
-		a.Pred, a.Arity, len(a.Classes), len(a.Pers), relaxed).
-		WithExplanation("%s", a.String())}
-	if q != nil && q.Pred == a.Pred {
-		l = append(l, strategyReport(prog, a, *q))
+	if q != nil && q.Pred == pred {
+		l = append(l, strategyReport(prog, a, failed, *q))
 	}
 	return l
 }
 
 // strategyReport builds the SEP050 info diagnostic: one line per
-// evaluation strategy saying whether it applies to the query and why.
-func strategyReport(prog *ast.Program, a *core.Analysis, q ast.Atom) diag.Diagnostic {
+// evaluation strategy saying whether it applies to the query and why. a
+// is nil when the recursion failed Definition 2.4 with the finding coded
+// failed.
+func strategyReport(prog *ast.Program, a *core.Analysis, failed string, q ast.Atom) diag.Diagnostic {
 	var lines []string
 	addf := func(format string, args ...any) {
 		lines = append(lines, fmt.Sprintf(format, args...))
 	}
-	sel, err := a.Classify(q)
+	var sel core.Selection
+	var err error
+	if a != nil {
+		sel, err = a.Classify(q)
+	}
 	switch {
+	case a == nil:
+		addf("separable: no (%s)", failed)
 	case err != nil:
 		addf("separable: no (%v)", err)
 	case sel.Kind == core.SelNone:
@@ -322,26 +337,28 @@ func strategyReport(prog *ast.Program, a *core.Analysis, q ast.Atom) diag.Diagno
 	default:
 		addf("separable: yes (%s)", sel.Kind)
 	}
-	hasSel := err == nil && sel.Kind != core.SelNone
-	if hasSel {
-		addf("magic sets: yes (selection constants at columns %s)", renderCols(sel.ConstPos))
+	if consts := constPositions(q); err == nil && len(consts) > 0 {
+		addf("magic sets: yes (selection constants at columns %s)", renderCols(consts))
 	} else {
 		addf("magic sets: no benefit (no selection constants to pass sideways)")
 	}
-	fullSel := err == nil && (sel.Kind == core.SelFullClass || sel.Kind == core.SelPers)
-	if fullSel {
+	switch {
+	case a == nil:
+		addf("counting: no (requires a separable recursion)")
+		addf("henschen-naqvi: no (requires a separable recursion)")
+	case err == nil && (sel.Kind == core.SelFullClass || sel.Kind == core.SelPers):
 		addf("counting: yes (%s)", sel.Kind)
 		addf("henschen-naqvi: yes (%s)", sel.Kind)
-	} else if err == nil && sel.Kind == core.SelPartial {
+	case err == nil && sel.Kind == core.SelPartial:
 		addf("counting: no (partial selection; Lemma 2.1 applies only through the separable schema)")
 		addf("henschen-naqvi: no (partial selection)")
-	} else {
+	default:
 		addf("counting: no (requires a full selection)")
 		addf("henschen-naqvi: no (requires a full selection)")
 	}
 	lines = append(lines, ahoLine(prog, q))
 	addf("semi-naive bottom-up: yes (always applies)")
-	return diag.New(diag.CodeStrategyReport, diag.Info, q.Pos,
+	return diag.New(diag.CodeStrategyReport, diag.Info, diag.Pos{},
 		"strategy applicability for query %s", q).
 		WithExplanation("%s", strings.Join(lines, "\n"))
 }

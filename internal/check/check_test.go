@@ -216,8 +216,9 @@ func TestCleanNonRecursiveProgramIsQuiet(t *testing.T) {
 
 // TestSeparabilityReportsTheCallersAnalysis: Separability renders the
 // analysis it is given, so a caller's relaxed analysis (Engine.Explain
-// under WithRelaxedConnectivity) reports the classes and strategies the
-// strict pass withholds.
+// under WithRelaxedConnectivity) reports the classes the strict pass
+// withholds. Both report the query's strategies; the strict report says
+// which finding rules Separable out.
 func TestSeparabilityReportsTheCallersAnalysis(t *testing.T) {
 	prog, err := parser.Parse("sg(X, Y) :- sibling(X, Y).\nsg(X, Y) :- up(X, U) & sg(U, V) & down(V, Y).\n")
 	if err != nil {
@@ -228,8 +229,9 @@ func TestSeparabilityReportsTheCallersAnalysis(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, err := core.Analyze(prog, "sg")
-	if l := Separability(prog, a, err, &q); len(l) != 1 || l[0].Code != diag.CodeDisconnected {
-		t.Errorf("strict: %v, want one SEP037", l)
+	if l := Separability(prog, a, err, &q); len(l) != 2 || l[0].Code != diag.CodeDisconnected ||
+		l[1].Code != diag.CodeStrategyReport || !strings.HasPrefix(l[1].Explanation, "separable: no (SEP037)\nmagic sets: yes") {
+		t.Errorf("strict: %v, want SEP037 and a SEP050 that names it", l)
 	}
 	a, err = core.AnalyzeOpts(prog, "sg", core.Options{AllowDisconnected: true})
 	l := Separability(prog, a, err, &q)

@@ -23,10 +23,9 @@ var update = flag.Bool("update", false, "rewrite testdata/accounting.golden from
 // Separable evaluations — the maxima of carry_1, seen_1, carry_2, seen_2
 // and ans, the round count, the insertion count and the peak intermediate
 // bytes — together with each answer's rows in delivery order, without and
-// with the closure cache, streamed and under the MaterializeRounds
-// ablation. Without the cache, phase 2 runs the carry loop on one class
-// and the product on two or more; the cache routes one class through the
-// product too. Regenerate with go test ./internal/core/ -run
+// with the closure cache. Without the cache, phase 2 runs the carry loop
+// on one class and the product on two or more; the cache routes one class
+// through the product too. Regenerate with go test ./internal/core/ -run
 // TestSeparableAccountingGolden -update only when the accounting is meant
 // to change.
 func TestSeparableAccountingGolden(t *testing.T) {
@@ -77,41 +76,34 @@ b(w1, z1). b(z1, z2). b(w0, z0).
 		q := mustQuery(t, c.query)
 		db := c.db(t)
 		for _, p := range paths {
-			for _, mat := range []bool{false, true} {
-				col := stats.New()
-				opts := p.opts()
-				opts.Collector = col
-				opts.MaterializeRounds = mat
-				ans, err := Answer(prog, db, q, opts)
-				if err != nil {
-					t.Fatalf("%s %s: %v", c.name, p.name, err)
-				}
-				mode := "stream"
-				if mat {
-					mode = "materialize"
-				}
-				sizes := col.SizesCopy()
-				names := make([]string, 0, len(sizes))
-				for n := range sizes {
-					names = append(names, n)
-				}
-				sort.Strings(names)
-				fmt.Fprintf(&b, "%s %s %s: iterations=%d inserted=%d peak_bytes=%d",
-					c.name, p.name, mode, col.Iterations, col.Inserted, col.PeakIntermediate())
-				for _, n := range names {
-					fmt.Fprintf(&b, " %s=%d", n, sizes[n])
-				}
-				b.WriteString("\n  ans:")
-				for i := range ans.Len() {
-					row := ans.Row(i)
-					parts := make([]string, len(row))
-					for j, v := range row {
-						parts[j] = db.Syms.Name(v)
-					}
-					b.WriteString(" (" + strings.Join(parts, ",") + ")")
-				}
-				b.WriteString("\n")
+			col := stats.New()
+			opts := p.opts()
+			opts.Collector = col
+			ans, err := Answer(prog, db, q, opts)
+			if err != nil {
+				t.Fatalf("%s %s: %v", c.name, p.name, err)
 			}
+			sizes := col.SizesCopy()
+			names := make([]string, 0, len(sizes))
+			for n := range sizes {
+				names = append(names, n)
+			}
+			sort.Strings(names)
+			fmt.Fprintf(&b, "%s %s: iterations=%d inserted=%d peak_bytes=%d",
+				c.name, p.name, col.Iterations, col.Inserted, col.PeakIntermediate())
+			for _, n := range names {
+				fmt.Fprintf(&b, " %s=%d", n, sizes[n])
+			}
+			b.WriteString("\n  ans:")
+			for i := range ans.Len() {
+				row := ans.Row(i)
+				parts := make([]string, len(row))
+				for j, v := range row {
+					parts[j] = db.Syms.Name(v)
+				}
+				b.WriteString(" (" + strings.Join(parts, ",") + ")")
+			}
+			b.WriteString("\n")
 		}
 	}
 

@@ -58,9 +58,8 @@ func AnswerBatch(prog *ast.Program, db *database.Database, qs []ast.Atom, opts E
 	// base relations for the schema. Rules for predicates t does not use
 	// are irrelevant to the query and skipped.
 	base, err := MaterializeSupport(prog, db, qs[0].Pred, eval.Options{
-		Collector:         opts.Collector,
-		Budget:            opts.Budget,
-		MaterializeRounds: opts.MaterializeRounds,
+		Collector: opts.Collector,
+		Budget:    opts.Budget,
 	})
 	if err != nil {
 		return nil, err

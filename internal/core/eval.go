@@ -34,13 +34,6 @@ type EvalOptions struct {
 	// join-inner-loop granularity; exceeding it aborts the evaluation with
 	// a *budget.ResourceError and leaves db untouched.
 	Budget *budget.Budget
-	// MaterializeRounds is forwarded to the eval.RoundSink of every carry
-	// round (and to the support fixpoint) as an ablation: each round's
-	// emissions are materialized into an intermediate relation whose
-	// tuples absent from the seen set are folded in at the round boundary,
-	// instead of streaming straight into the seen set. The answer, the
-	// round structure and every relation size are identical.
-	MaterializeRounds bool
 	// Closures, when non-nil, memoizes the second loop's per-start class
 	// closures across queries: those closures depend only on the program
 	// and the EDB, never on the selection constant, so repeated queries of
@@ -74,13 +67,12 @@ func Answer(prog *ast.Program, db *database.Database, q ast.Atom, opts EvalOptio
 
 // evaluator holds the pieces shared by the schema's phases.
 type evaluator struct {
-	a         *Analysis
-	db        *database.Database
-	col       *stats.Collector
-	matRounds bool
-	bud       *budget.Budget
-	closures  *plancache.Closures
-	scope     plancache.Scope
+	a        *Analysis
+	db       *database.Database
+	col      *stats.Collector
+	bud      *budget.Budget
+	closures *plancache.Closures
+	scope    plancache.Scope
 	// seedW is the width of the seed-index tag: 1 when a batch of several
 	// distinct seeds shares the run, 0 for a single seed (see seedGroups).
 	seedW int
@@ -93,8 +85,7 @@ func newEvaluator(a *Analysis, base *database.Database, pred string, opts EvalOp
 	scope := opts.CacheScope
 	scope.Pred = pred
 	scope.Relaxed = a.AllowDisconnected
-	return &evaluator{a: a, db: base, col: opts.Collector,
-		matRounds: opts.MaterializeRounds, bud: opts.Budget,
+	return &evaluator{a: a, db: base, col: opts.Collector, bud: opts.Budget,
 		closures: opts.Closures, scope: scope}
 }
 
@@ -103,21 +94,20 @@ func newEvaluator(a *Analysis, base *database.Database, pred string, opts EvalOp
 // starts as all of seen; each round applies step to every carry row,
 // streaming its emissions into seen through an eval.RoundSink, and the
 // next carry is the window of rows the round appended. So a new tuple is
-// hashed and copied once, and the MaterializeRounds ablation lives in the
-// sink alone. The carry and seen maxima are reported under carryName and
-// seenName when those are set.
+// hashed and copied once. The carry and seen maxima are reported under
+// carryName and seenName when those are set.
 func (e *evaluator) fixpoint(seen *rel.Relation, carryName, seenName string, step func(t rel.Tuple, emit func(rel.Tuple))) {
 	carry := seen.Window(0, seen.Len())
 	for !carry.Empty() {
 		e.bud.Round()
 		e.col.AddIteration()
-		sink := eval.NewRoundSink(seen, e.matRounds)
+		sink := eval.NewRoundSink(seen, false)
 		emit := sink.Add
 		for i := range carry.Len() {
 			step(carry.Row(i), emit)
 		}
 		carry = sink.Delta()
-		e.col.ObserveIntermediate(int64(sink.IntermediateLen(carry)) * int64(seen.Arity()) * rel.ValueBytes)
+		e.col.ObserveIntermediate(int64(carry.Len()) * int64(seen.Arity()) * rel.ValueBytes)
 		e.col.AddInserted(carry.Len())
 		e.bud.AddDerived(carry.Len(), seen.Arity())
 		if carryName != "" {

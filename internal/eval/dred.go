@@ -121,14 +121,15 @@ func (m *Materialized) DeleteFact(pred string, args ...string) (bool, error) {
 	doomed.Insert(t)
 	if err := func() (err error) {
 		defer budget.Guard(&err)
-		return m.stratum.run(m.view, marked, map[string]*rel.Relation{pred: doomed}, m.opts(), nil)
+		m.stratum.run(m.view, marked, map[string]*rel.Relation{pred: doomed}, m.opts(), nil)
+		return nil
 	}(); err != nil {
 		return false, err
 	}
 
 	// Phases 2 and 3 mutate the view, so from here a budget abort marks it
 	// invalid (see mutating).
-	err := m.mutating(func() error {
+	err := m.mutating(func() {
 		// Phase 2: apply the deletions.
 		base.Delete(t)
 		for p, mk := range marked {
@@ -162,7 +163,7 @@ func (m *Materialized) DeleteFact(pred string, args ...string) (bool, error) {
 			}
 			seed[p] = tot.Window(n, tot.Len())
 		}
-		return m.stratum.run(m.view, nil, seed, m.opts(), nil)
+		m.stratum.run(m.view, nil, seed, m.opts(), nil)
 	})
 	if err != nil {
 		return false, err

@@ -19,11 +19,6 @@ import (
 type Options struct {
 	// Collector, when non-nil, receives per-round relation sizes.
 	Collector *stats.Collector
-	// MaxIterations bounds the number of fixpoint rounds; 0 means no bound.
-	// Exceeding the bound yields a *budget.ResourceError (used to cut off
-	// divergent methods; distinguish it from malformed-program errors with
-	// errors.Is(err, budget.ErrBudget)).
-	MaxIterations int
 	// Naive forces full recomputation each round instead of semi-naive
 	// deltas (ablation).
 	Naive bool
@@ -31,13 +26,6 @@ type Options struct {
 	// join-inner-loop granularity; exceeding it aborts the run with a
 	// *budget.ResourceError and leaves db untouched.
 	Budget *budget.Budget
-	// MaterializeRounds restores the pre-streaming round pipeline as an
-	// ablation: every rule emission is materialized into an intermediate
-	// round relation whose tuples absent from the totals are folded in at
-	// the round boundary, instead of streaming emissions through a
-	// RoundSink straight into the totals. The answer, the round structure
-	// and every relation size are identical.
-	MaterializeRounds bool
 }
 
 // stratum is one stratum's rules, compiled once and run any number of
@@ -139,9 +127,7 @@ func run(prog *ast.Program, db *database.Database, opts Options, marks *[]map[st
 		if err != nil {
 			return nil, err
 		}
-		if err := s.run(view, nil, nil, opts, mark); err != nil {
-			return nil, err
-		}
+		s.run(view, nil, nil, opts, mark)
 	}
 	return view, nil
 }
@@ -186,7 +172,7 @@ func compileStratum(rules []ast.Rule, preds []string, intern func(string) rel.Va
 //
 // A run into a non-nil out (DRed's over-deletion marks) charges rounds and
 // join ticks but not derived tuples: it mutates nothing the view serves.
-func (s *stratum) run(view *database.Database, out, seed map[string]*rel.Relation, opts Options, roundEnd func()) error {
+func (s *stratum) run(view *database.Database, out, seed map[string]*rel.Relation, opts Options, roundEnd func()) {
 	fixpoint := out == nil
 	if fixpoint {
 		out = make(map[string]*rel.Relation, len(s.preds))
@@ -206,7 +192,7 @@ func (s *stratum) run(view *database.Database, out, seed map[string]*rel.Relatio
 		}
 	}
 	if seed != nil && len(delta) == 0 {
-		return nil // nothing to propagate, and no round to charge
+		return // nothing to propagate, and no round to charge
 	}
 
 	// runRule pulls the rule's satisfying bindings one at a time and
@@ -227,7 +213,7 @@ func (s *stratum) run(view *database.Database, out, seed map[string]*rel.Relatio
 		for _, p := range s.preds {
 			r := view.Relation(p)
 			frozen[p] = r.Window(0, r.Len())
-			sinks[p] = NewRoundSink(out[p], opts.MaterializeRounds)
+			sinks[p] = NewRoundSink(out[p], false)
 		}
 		for i := range s.rules {
 			cr := &s.rules[i]
@@ -260,7 +246,7 @@ func (s *stratum) run(view *database.Database, out, seed map[string]*rel.Relatio
 		for p, sink := range sinks {
 			d := sink.Delta()
 			arity := out[p].Arity()
-			interBytes += int64(sink.IntermediateLen(d)) * int64(arity) * int64(rel.ValueBytes)
+			interBytes += int64(d.Len()) * int64(arity) * int64(rel.ValueBytes)
 			if d.Empty() {
 				continue
 			}
@@ -283,13 +269,9 @@ func (s *stratum) run(view *database.Database, out, seed map[string]*rel.Relatio
 	}
 
 	changed := runRound(seed == nil)
-	for round := 1; changed; round++ {
-		if opts.MaxIterations > 0 && round >= opts.MaxIterations {
-			return budget.RoundsExceeded(opts.Budget.Strategy(), round, opts.MaxIterations)
-		}
+	for changed {
 		changed = runRound(opts.Naive)
 	}
-	return nil
 }
 
 // QueryVars returns the distinct variables of q in order of first

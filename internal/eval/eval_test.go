@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -255,7 +256,8 @@ func TestIDBInitialFacts(t *testing.T) {
 func TestIterationLimit(t *testing.T) {
 	db := database.New()
 	mustLoad(t, db, `edge(a, b). edge(b, c). edge(c, d). edge(d, e).`)
-	_, err := Run(mustProgram(t, tcProg), db, Options{MaxIterations: 2})
+	bud := budget.New(context.Background(), budget.Limits{MaxRounds: 2})
+	_, err := Run(mustProgram(t, tcProg), db, Options{Budget: bud})
 	if !errors.Is(err, budget.ErrBudget) {
 		t.Fatalf("err = %v, want budget.ErrBudget", err)
 	}

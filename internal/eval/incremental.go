@@ -202,7 +202,7 @@ func (m *Materialized) AddFact(pred string, args ...string) (bool, error) {
 	// The base fact is in; from here an abort leaves the IDB relations
 	// behind the base relations, so it poisons the view.
 	seed := map[string]*rel.Relation{pred: r.Window(r.Len()-1, r.Len())}
-	if err := m.mutating(func() error { return m.stratum.run(m.view, nil, seed, m.opts(), nil) }); err != nil {
+	if err := m.mutating(func() { m.stratum.run(m.view, nil, seed, m.opts(), nil) }); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -214,10 +214,11 @@ func (m *Materialized) opts() Options { return Options{Collector: m.col, Budget:
 // mutating runs a maintenance step that modifies the view, converting a
 // budget abort into an error and marking the view invalid (the step may
 // have been interrupted between mutations).
-func (m *Materialized) mutating(f func() error) error {
+func (m *Materialized) mutating(f func()) error {
 	err := func() (err error) {
 		defer budget.Guard(&err)
-		return f()
+		f()
+		return nil
 	}()
 	if err != nil {
 		m.broken = err

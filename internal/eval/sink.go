@@ -74,37 +74,24 @@ func (s *AnswerSink) Result() *rel.Relation { return s.out }
 // dense inputs. Since the total grows during the round, rule bodies must
 // read windows of the totals frozen at the round start, never the totals
 // themselves.
-//
-// The materialize flag (ablation, driven by Options.MaterializeRounds)
-// restores the old pipeline inside the sink: every emission is inserted
-// into an intermediate relation, and Delta folds that relation's tuples
-// absent from the total into it.
 type RoundSink struct {
 	total   *rel.Relation
-	lo      int           // total's length when the round began
-	all     *rel.Relation // materializing ablation: the round's raw output
+	lo      int // total's length when the round began
 	emitted int
 }
 
 // NewRoundSink starts a round's sink over the stratum total for one
 // predicate. Nothing but the sink may write to total until Delta has been
-// read.
-func NewRoundSink(total *rel.Relation, materialize bool) *RoundSink {
-	s := &RoundSink{total: total, lo: total.Len()}
-	if materialize {
-		s.all = rel.New(total.Arity())
-	}
-	return s
+// read. The second argument is ignored; it goes when ROADMAP 3(a) drops
+// the probe.
+func NewRoundSink(total *rel.Relation, _ bool) *RoundSink {
+	return &RoundSink{total: total, lo: total.Len()}
 }
 
 // Add streams one emitted head tuple into the round. The tuple may be a
 // reused buffer; its values are copied if and when it is new.
 func (s *RoundSink) Add(t rel.Tuple) {
 	s.emitted++
-	if s.all != nil {
-		s.all.Insert(t)
-		return
-	}
 	s.total.Insert(t)
 }
 
@@ -112,25 +99,9 @@ func (s *RoundSink) Add(t rel.Tuple) {
 // window of the total over the rows the round appended. Call it once, at
 // the round boundary; the window is valid while the total only appends.
 func (s *RoundSink) Delta() *rel.Relation {
-	if s.all != nil {
-		s.total.InsertAll(s.all)
-	}
 	return s.total.Window(s.lo, s.total.Len())
 }
 
 // Emitted reports the raw number of head tuples streamed into the sink —
 // the round's join fan-out, duplicates included.
 func (s *RoundSink) Emitted() int { return s.emitted }
-
-// IntermediateLen reports how many tuples the round materialized, for the
-// peak-intermediate-bytes metric: the delta, or, under the ablation, the
-// raw round output on top of it. The delta counts although it is a window
-// of the total, so the metric measures a round's new tuples under both
-// pipelines. Call it after Delta.
-func (s *RoundSink) IntermediateLen(delta *rel.Relation) int {
-	n := delta.Len()
-	if s.all != nil {
-		n += s.all.Len()
-	}
-	return n
-}

@@ -154,18 +154,14 @@ func cloneAtoms(atoms []ast.Atom) []ast.Atom {
 
 // Options configure Answer and AnswerBatch.
 type Options struct {
-	Collector     *stats.Collector
-	MaxIterations int
-	Naive         bool // evaluate the rewritten program naively (ablation)
+	Collector *stats.Collector
+	Naive     bool // evaluate the rewritten program naively (ablation)
 	// Supplementary uses the supplementary-magic rewrite of [BR87]
 	// (RewriteSupplementary) instead of the basic rewrite.
 	Supplementary bool
 	// Budget, when non-nil, governs the bottom-up evaluation of the
 	// rewritten program at round and join-inner-loop granularity.
 	Budget *budget.Budget
-	// MaterializeRounds forwards to the semi-naive fixpoint over the
-	// rewritten program (eval.Options).
-	MaterializeRounds bool
 	// Template, when non-nil, supplies the precompiled rewrite for the
 	// query's form (from a plan cache): Answer binds the query's constants
 	// into it instead of rewriting, and Supplementary is ignored in favor

@@ -121,11 +121,9 @@ func AnswerBatch(prog *ast.Program, db *database.Database, qs []ast.Atom, opts O
 		return nil, err
 	}
 	view, err := eval.Run(rw, db, eval.Options{
-		Collector:         opts.Collector,
-		MaxIterations:     opts.MaxIterations,
-		Naive:             opts.Naive,
-		Budget:            opts.Budget,
-		MaterializeRounds: opts.MaterializeRounds,
+		Collector: opts.Collector,
+		Naive:     opts.Naive,
+		Budget:    opts.Budget,
 	})
 	if err != nil {
 		return nil, err

@@ -31,12 +31,11 @@ type Collector struct {
 	// disabled.
 	ClosureHits   int
 	ClosureMisses int
-	// PeakIntermediateBytes is the largest transient materialization any
-	// single fixpoint round (or carry-loop step) held outside the growing
-	// totals — the streamed delta, plus, under the materializing ablation,
-	// the round's raw emission relation. It is kept separate from Sizes so
-	// the per-relation peak-size accounting the paper's §4 claims are
-	// checked against is unperturbed.
+	// PeakIntermediateBytes is the largest delta any single fixpoint round
+	// (or carry-loop step) produced, counted although the delta is a window
+	// of the growing total. It is kept separate from Sizes so the
+	// per-relation peak-size accounting the paper's §4 claims are checked
+	// against is unperturbed.
 	PeakIntermediateBytes int64
 }
 

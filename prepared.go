@@ -260,26 +260,21 @@ func runStrategyBatch(st *progState, db *database.Database, qs []ast.Atom, pl *p
 			Analysis:          pl.analysis,
 			AllowDisconnected: cfg.allowDisconnected,
 			Budget:            bud,
-			MaterializeRounds: cfg.materializeRounds,
 			Closures:          cfg.closures,
 			CacheScope:        cfg.scope,
 		})
 	case MagicSets, MagicSetsSup:
 		return magic.AnswerBatch(st.prog, db, qs, magic.Options{
-			Collector:         c,
-			MaxIterations:     cfg.maxIterations,
-			Supplementary:     strategy == MagicSetsSup,
-			Budget:            bud,
-			MaterializeRounds: cfg.materializeRounds,
-			Template:          pl.template,
+			Collector:     c,
+			Supplementary: strategy == MagicSetsSup,
+			Budget:        bud,
+			Template:      pl.template,
 		})
 	case SemiNaive, Naive:
 		view, err := eval.Run(st.prog, db, eval.Options{
-			Collector:         c,
-			Naive:             strategy == Naive,
-			MaxIterations:     cfg.maxIterations,
-			Budget:            bud,
-			MaterializeRounds: cfg.materializeRounds,
+			Collector: c,
+			Naive:     strategy == Naive,
+			Budget:    bud,
 		})
 		if err != nil {
 			return nil, err
