@@ -49,6 +49,7 @@ var checkCases = []checkCase{
 	{"unknownquery", "buys.dl", "nosuch(a)?", 1},
 	{"separable", "buys.dl", "buys(tom, Y)?", 0},
 	{"aho", "anc.dl", "anc(adam, Y)?", 0},
+	{"nonrecursive", "nonrecursive.dl", "contact(a, Y)?", 1},
 }
 
 // runCase invokes the check subcommand on a fixture and returns its stdout

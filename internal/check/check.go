@@ -242,7 +242,9 @@ func queryLints(prog *ast.Program, q *ast.Atom) diag.List {
 
 // recursions analyzes every recursive predicate against Definition 2.4
 // and, when a query is given, reports which evaluation strategies apply to
-// it (SEP03x warnings, SEP050/SEP051 info reports).
+// it (SEP03x warnings, SEP050/SEP051 info reports). A query on a
+// nonrecursive derived predicate gets its SEP050 report too, as Explain
+// prints it.
 func recursions(prog *ast.Program, q *ast.Atom) diag.List {
 	var l diag.List
 	idb := prog.IDBPreds()
@@ -272,8 +274,9 @@ func recursions(prog *ast.Program, q *ast.Atom) diag.List {
 	}
 
 	for _, p := range preds {
-		if !deps[p][p] || mutual[p] {
-			continue // nonrecursive, or already reported above
+		queried := q != nil && q.Pred == p
+		if mutual[p] || !deps[p][p] && !queried {
+			continue // already reported above, or nonrecursive and not queried
 		}
 		a, err := core.Analyze(prog, p)
 		l = append(l, Separability(prog, a, err, q)...)
@@ -284,8 +287,10 @@ func recursions(prog *ast.Program, q *ast.Atom) diag.List {
 // Separability reports one predicate's separability findings from the
 // caller's analysis of it: a, or the error core.Analyze (or AnalyzeOpts)
 // returned instead. A failed Definition 2.4 test is its SEP034–SEP037
-// warning; a separable recursion is the SEP051 class report. Either way,
-// when q queries the predicate, the SEP050 strategy report follows.
+// warning; a separable recursion is the SEP051 class report, which a
+// nonrecursive predicate (no recursive rule, so no class) does not get.
+// Either way, when q queries the predicate, the SEP050 strategy report
+// follows.
 func Separability(prog *ast.Program, a *core.Analysis, err error, q *ast.Atom) diag.List {
 	var l diag.List
 	var pred, failed string
@@ -296,6 +301,8 @@ func Separability(prog *ast.Program, a *core.Analysis, err error, q *ast.Atom) d
 		}
 		d := ne.Diagnostic()
 		l, pred, failed = diag.List{d}, ne.Pred, d.Code
+	} else if len(a.Classes) == 0 {
+		pred = a.Pred // nonrecursive: every rule is an exit rule
 	} else {
 		relaxed := ""
 		if a.AllowDisconnected {

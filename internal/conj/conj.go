@@ -22,7 +22,8 @@ const Unbound = symtab.None
 // RelSource supplies the relation for a body atom. The atom's original
 // index is passed so callers can substitute delta relations for specific
 // occurrences (semi-naive evaluation). A nil return is treated as an empty
-// relation.
+// relation. A stream asks once per atom, when it starts (a TransitionRunner
+// once, when it is built), never per probe.
 type RelSource func(atomIdx int, pred string) *rel.Relation
 
 // step is one atom of the compiled plan together with the binding state
@@ -206,13 +207,13 @@ func (p *Plan) AtomOrder() []int {
 }
 
 // Runner executes one compiled Plan with private, reusable scratch: the
-// slot binding vector plus one cursor (probe-key buffer and candidate
-// scan) per plan step. The semi-naive round loop keeps one Runner per
-// rule and reuses it across rounds; concurrent evaluations each build
-// their own over the shared Plan, which stays immutable during execution,
-// so any number of Runners may execute it at once. One Runner supports one
-// in-flight Stream at a time; one-shot callers use Plan.Stream, which
-// builds a fresh Runner.
+// slot binding vector plus one cursor (resolved relation, probe-key buffer
+// and candidate scan) per plan step. The semi-naive round loop keeps one
+// Runner per rule and reuses it across rounds; concurrent evaluations each
+// build their own over the shared Plan, which stays immutable during
+// execution, so any number of Runners may execute it at once. One Runner
+// supports one in-flight Stream at a time; one-shot callers use
+// Plan.Stream, which builds a fresh Runner.
 type Runner struct {
 	p       *Plan
 	tick    func()
@@ -225,7 +226,8 @@ type Runner struct {
 // runner inherits the plan's tick hook as installed at creation time;
 // override it per runner with SetTick.
 func (p *Plan) NewRunner() *Runner {
-	return &Runner{p: p, tick: p.tick, binding: make([]rel.Value, len(p.vars))}
+	return &Runner{p: p, tick: p.tick, binding: make([]rel.Value, len(p.vars)),
+		cursors: make([]stepCursor, len(p.steps))}
 }
 
 // SetTick installs this runner's per-candidate budget hook, shadowing the

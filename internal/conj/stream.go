@@ -23,12 +23,15 @@ import (
 // and therefore cancellation/deadline/fault-injection points, are fixed
 // by the plan and the data.
 
-// stepCursor is the resumable state of one generator step inside a
-// Stream. Filter steps (builtins, negation) hold no state: descending
-// evaluates them once, and backtracking passes straight through them.
+// stepCursor is the resumable state of one step inside a Stream, plus
+// the relation the step reads, resolved when the runner was bound (see
+// Runner.bind). Filter steps (builtins, negation) hold no scan state:
+// descending evaluates them once, and backtracking passes straight through
+// them.
 type stepCursor struct {
-	key  []rel.Value // probe-key buffer, reused across rounds at this depth
-	scan rel.Scan    // candidate tuples not yet tried at this depth
+	rel  *rel.Relation // the step's relation; nil reads as empty
+	key  []rel.Value   // probe-key buffer, reused across rounds at this depth
+	scan rel.Scan      // candidate tuples not yet tried at this depth
 }
 
 // Stream is an in-flight pull evaluation of a Runner's plan. Obtain one
@@ -38,31 +41,40 @@ type stepCursor struct {
 // abandons the previous one.
 type Stream struct {
 	r       *Runner
-	src     RelSource
 	started bool
 	done    bool
 }
 
 // Stream begins a pull evaluation of the plan with the given bound input
-// values, reusing the runner's binding and cursor scratch. The returned
-// stream is valid until the runner's next Stream call.
+// values, reusing the runner's binding and cursor scratch. Each body atom's
+// relation is resolved through src once, here, never per probe. The
+// returned stream is valid until the runner's next Stream call.
 func (r *Runner) Stream(src RelSource, in []rel.Value) *Stream {
-	p := r.p
-	if len(in) != p.nIn {
-		panic(fmt.Sprintf("conj: Stream got %d input values, plan declares %d", len(in), p.nIn))
+	r.bind(src)
+	return r.start(in)
+}
+
+// bind resolves, through src, the relation each relation step reads, into
+// the step's cursor. Streams started afterwards read those relations.
+func (r *Runner) bind(src RelSource) {
+	for d := range r.p.steps {
+		if st := &r.p.steps[d]; !st.builtin {
+			r.cursors[d].rel = src(st.atomIdx, st.pred)
+		}
 	}
-	if r.binding == nil {
-		r.binding = make([]rel.Value, len(p.vars))
+}
+
+// start begins a pull evaluation over the relations the last bind
+// resolved.
+func (r *Runner) start(in []rel.Value) *Stream {
+	if len(in) != r.p.nIn {
+		panic(fmt.Sprintf("conj: Stream got %d input values, plan declares %d", len(in), r.p.nIn))
 	}
 	for i := range r.binding {
 		r.binding[i] = Unbound
 	}
 	copy(r.binding, in)
-	if cap(r.cursors) < len(p.steps) {
-		r.cursors = make([]stepCursor, len(p.steps))
-	}
-	r.cursors = r.cursors[:len(p.steps)]
-	r.stream = Stream{r: r, src: src}
+	r.stream = Stream{r: r}
 	return &r.stream
 }
 
@@ -119,7 +131,7 @@ func (s *Stream) Next() ([]rel.Value, bool) {
 
 		cur := &r.cursors[d]
 		if st.negated {
-			if descend && r.negationPasses(st, cur, s.src) {
+			if descend && r.negationPasses(st, cur) {
 				d++
 				continue
 			}
@@ -129,13 +141,12 @@ func (s *Stream) Next() ([]rel.Value, bool) {
 		}
 
 		if descend {
-			rn := s.src(st.atomIdx, st.pred)
-			if rn == nil || rn.Len() == 0 {
+			if cur.rel == nil || cur.rel.Len() == 0 {
 				descend = false
 				d--
 				continue
 			}
-			r.openScan(st, cur, rn)
+			r.openScan(st, cur)
 		}
 		if r.nextMatch(st, cur) {
 			d++
@@ -151,9 +162,10 @@ func (s *Stream) Next() ([]rel.Value, bool) {
 }
 
 // openScan builds the step's probe key from the current binding and opens
-// its candidate scan: the whole relation for unconstrained steps (and
-// under the no-index ablation), otherwise the matching index bucket.
-func (r *Runner) openScan(st *step, cur *stepCursor, rn *rel.Relation) {
+// its candidate scan over the step's relation: all of it for unconstrained
+// steps (and under the no-index ablation), otherwise the matching index
+// bucket.
+func (r *Runner) openScan(st *step, cur *stepCursor) {
 	cur.key = cur.key[:0]
 	for i, sl := range st.lookupSlot {
 		if sl < 0 {
@@ -163,9 +175,9 @@ func (r *Runner) openScan(st *step, cur *stepCursor, rn *rel.Relation) {
 		}
 	}
 	if len(st.lookupCols) == 0 || r.p.noIndex {
-		cur.scan = rn.Scan()
+		cur.scan = cur.rel.Scan()
 	} else {
-		cur.scan = rn.Probe(st.lookupCols, cur.key)
+		cur.scan = cur.rel.Probe(st.lookupCols, cur.key)
 	}
 }
 
@@ -223,12 +235,11 @@ func (r *Runner) builtinPasses(st *step) bool {
 // (Compile guarantees it), so any candidate surviving the lookup-column
 // filter refutes the negation. Ticks per candidate considered, stopping at
 // the first refutation.
-func (r *Runner) negationPasses(st *step, cur *stepCursor, src RelSource) bool {
-	rn := src(st.atomIdx, st.pred)
-	if rn == nil || rn.Len() == 0 {
+func (r *Runner) negationPasses(st *step, cur *stepCursor) bool {
+	if cur.rel == nil || cur.rel.Len() == 0 {
 		return true
 	}
-	r.openScan(st, cur, rn)
+	r.openScan(st, cur)
 candidates:
 	for {
 		t, ok := cur.scan.Next()

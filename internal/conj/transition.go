@@ -57,16 +57,17 @@ func (tr *Transition) SetTick(tick func()) { tr.plan.SetTick(tick) }
 // anything it keeps. Apply allocates its scratch per call; carry-loop hot
 // paths should hold a TransitionRunner instead.
 func (tr *Transition) Apply(src RelSource, carry rel.Tuple, emit func(rel.Tuple)) {
-	tr.NewRunner().Apply(src, carry, emit)
+	tr.NewRunner(src).Apply(carry, emit)
 }
 
 // TransitionRunner executes one Transition with fully reusable scratch:
-// the plan runner's binding and cursor arrays plus the bound-input and
-// projected-output rows. The carry loops of the Separable evaluator apply
-// the same handful of transitions to every carry tuple of every round, so
-// holding a runner per transition removes all per-tuple allocation from
-// that path. Like conj.Runner, a TransitionRunner belongs to one goroutine
-// and supports one in-flight Apply/Stream at a time.
+// the plan runner's binding and cursor arrays, the relations the body
+// reads, and the bound-input and projected-output rows. The carry loops of
+// the Separable evaluator apply the same handful of transitions to every
+// carry tuple of every round, so holding a runner per transition removes
+// all per-tuple allocation and every per-probe relation lookup from that
+// path. Like conj.Runner, a TransitionRunner belongs to one goroutine and
+// supports one in-flight Apply/Stream at a time.
 type TransitionRunner struct {
 	tr  *Transition
 	run *Runner
@@ -74,22 +75,27 @@ type TransitionRunner struct {
 	row rel.Tuple
 }
 
-// NewRunner returns a runner over the transition with its own scratch. It
-// inherits the plan's tick hook as installed at creation time.
-func (tr *Transition) NewRunner() *TransitionRunner {
-	return &TransitionRunner{
+// NewRunner returns a runner over the transition with its own scratch,
+// reading the body's relations from src. Each atom's relation is resolved
+// here, once, so src must not change what it serves while the runner is
+// in use. The runner inherits the plan's tick hook as installed at
+// creation time.
+func (tr *Transition) NewRunner(src RelSource) *TransitionRunner {
+	t := &TransitionRunner{
 		tr:  tr,
 		run: tr.plan.NewRunner(),
 		in:  make([]rel.Value, len(tr.inIdx)),
 		row: make(rel.Tuple, tr.proj.Arity()),
 	}
+	t.run.bind(src)
+	return t
 }
 
 // Apply is Transition.Apply on the runner's reusable scratch: it pulls
 // bindings from the underlying plan stream and projects each into a reused
 // output row, so emit must copy anything it keeps.
-func (t *TransitionRunner) Apply(src RelSource, carry rel.Tuple, emit func(rel.Tuple)) {
-	s, ok := t.Stream(src, carry)
+func (t *TransitionRunner) Apply(carry rel.Tuple, emit func(rel.Tuple)) {
+	s, ok := t.Stream(carry)
 	if !ok {
 		return
 	}
@@ -101,7 +107,7 @@ func (t *TransitionRunner) Apply(src RelSource, carry rel.Tuple, emit func(rel.T
 // Stream begins a pull evaluation for one carry tuple, returning false
 // when the carry fails the transition's equality guards (no bindings). Use
 // Project to turn each yielded binding into the transition's output row.
-func (t *TransitionRunner) Stream(src RelSource, carry rel.Tuple) (*Stream, bool) {
+func (t *TransitionRunner) Stream(carry rel.Tuple) (*Stream, bool) {
 	for _, p := range t.tr.eqPairs {
 		if carry[p[0]] != carry[p[1]] {
 			return nil, false
@@ -110,7 +116,7 @@ func (t *TransitionRunner) Stream(src RelSource, carry rel.Tuple) (*Stream, bool
 	for i, j := range t.tr.inIdx {
 		t.in[i] = carry[j]
 	}
-	return t.run.Stream(src, t.in), true
+	return t.run.start(t.in), true
 }
 
 // Project renders a binding yielded by Stream into the transition's

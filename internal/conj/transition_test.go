@@ -1,6 +1,7 @@
 package conj
 
 import (
+	"fmt"
 	"testing"
 
 	"sepdl/internal/ast"
@@ -96,5 +97,40 @@ func TestPlanIntrospection(t *testing.T) {
 	}
 	if _, ok := plan.Slot("Q"); ok {
 		t.Fatal("found slot for unknown var")
+	}
+}
+
+// TestTransitionRunnerResolvesOnce pins that a TransitionRunner asks its
+// source for each body atom's relation once, when it is built, and never
+// per carry tuple or per probe: a carry loop applies the same runner to
+// every row of every round.
+func TestTransitionRunnerResolvesOnce(t *testing.T) {
+	db := database.New()
+	for i := range 50 {
+		db.AddFact("e", fmt.Sprintf("v%d", i), fmt.Sprintf("v%d", i+1))
+	}
+	atoms := []ast.Atom{
+		ast.A("e", ast.V("X"), ast.V("W")),
+		ast.A("e", ast.V("W"), ast.V("Y")),
+	}
+	tr, err := NewTransition(atoms, []string{"X"}, []string{"Y"}, db.Syms.Intern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	run := tr.NewRunner(func(_ int, pred string) *rel.Relation {
+		calls++
+		return db.Relation(pred)
+	})
+	emitted := 0
+	for i := range 49 {
+		v, _ := db.Syms.Lookup(fmt.Sprintf("v%d", i))
+		run.Apply(rel.Tuple{v}, func(rel.Tuple) { emitted++ })
+	}
+	if emitted != 49 {
+		t.Fatalf("emitted %d two-hop rows, want 49", emitted)
+	}
+	if calls != len(atoms) {
+		t.Fatalf("source asked %d times for %d atoms over 49 carry tuples, want once per atom", calls, len(atoms))
 	}
 }

@@ -187,3 +187,39 @@ func TestCarryLoopJoinWorkIsLinear(t *testing.T) {
 		}
 	}
 }
+
+// TestCarryRoundsDoNotAllocate pins that a carry-loop round allocates
+// nothing: the carry is a row range of seen, emit is one closure per loop,
+// every transition's relations are resolved once per query, and the
+// collector is updated once per loop. Example 1.2's buys(a1, Y)? runs about
+// 2n rounds (n over the friend chain, n over the cheaper chain), so going
+// from n = 64 to n = 256 adds about 384 rounds. The only allocations that
+// may grow with n are the doublings of the relations Figure 2 grows:
+// seen_1, seen_2 and the answer relation each double their row array and
+// their row table twice on a 4x growth, 2 x 2 x 3 = 12 allocations. Under
+// the race detector some runs count one allocation more, so the bound
+// allows 2 beyond that. Three allocations per round (a round sink, its Add
+// method value and the delta window) would add over a thousand.
+func TestCarryRoundsDoNotAllocate(t *testing.T) {
+	const doublingAllocs, raceJitter = 2 * 2 * 3, 2
+	prog := mustProgram(t, example12)
+	q := mustQuery(t, `buys(a1, Y)?`)
+	a, err := Analyze(prog, "buys")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(n int) float64 {
+		db := datagen.Example12DB(n)
+		col := stats.New()
+		return testing.AllocsPerRun(10, func() {
+			if _, err := Answer(prog, db, q, EvalOptions{Analysis: a, Collector: col}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(64), allocs(256)
+	if large-small > doublingAllocs+raceJitter {
+		t.Errorf("Answer allocates %v times at n = 64 and %v at n = 256: %v more for ~384 more rounds, want at most %d (the relations' doublings) + %d",
+			small, large, large-small, doublingAllocs, raceJitter)
+	}
+}

@@ -199,9 +199,9 @@ func (e *evaluator) batchPartial(qs []ast.Atom, sel Selection, sinks []*eval.Ans
 			return fmt.Errorf("core: rule %s: %w", r.Rule, err)
 		}
 		tr.SetTick(e.bud.TickFunc())
-		run := tr.NewRunner()
+		run := tr.NewRunner(src)
 		for i, v := range boundVals {
-			run.Apply(src, v, func(out rel.Tuple) {
+			run.Apply(v, func(out rel.Tuple) {
 				row = e.seedRow(row, i, out)
 				seedsB.Insert(row)
 			})

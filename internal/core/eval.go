@@ -92,28 +92,36 @@ func newEvaluator(a *Analysis, base *database.Database, pred string, opts EvalOp
 // fixpoint runs one carry loop of Figure 2 — lines 1-7 over the driver
 // class, lines 10-14 over the others — to its fixpoint over seen. carry
 // starts as all of seen; each round applies step to every carry row,
-// streaming its emissions into seen through an eval.RoundSink, and the
-// next carry is the window of rows the round appended. So a new tuple is
-// hashed and copied once. The carry and seen maxima are reported under
-// carryName and seenName when those are set.
+// whose emissions insert straight into seen (a set, so a new tuple is
+// hashed and copied once), and the next carry is the row range lo..hi the
+// round appended. A round allocates nothing beyond seen's own growth: the
+// carry is two ints and emit is one closure per loop. The budget is
+// charged every round; the collector's counters (rounds, insertions, peak
+// intermediate bytes, and the carry and seen maxima under carryName and
+// seenName when those are set) are tallied in locals and reported once,
+// when the loop ends or aborts.
 func (e *evaluator) fixpoint(seen *rel.Relation, carryName, seenName string, step func(t rel.Tuple, emit func(rel.Tuple))) {
-	carry := seen.Window(0, seen.Len())
-	for !carry.Empty() {
+	arity := seen.Arity()
+	emit := func(t rel.Tuple) { seen.Insert(t) }
+	var rounds, inserted, maxCarry, maxSeen int
+	defer func() {
+		e.col.AddRounds(rounds, inserted, int64(maxCarry)*int64(arity)*rel.ValueBytes)
+		if carryName != "" && maxSeen > 0 { // a round completed
+			e.col.Observe(carryName, maxCarry)
+			e.col.Observe(seenName, maxSeen)
+		}
+	}()
+	for lo, hi := 0, seen.Len(); lo < hi; lo, hi = hi, seen.Len() {
 		e.bud.Round()
-		e.col.AddIteration()
-		sink := eval.NewRoundSink(seen, false)
-		emit := sink.Add
-		for i := range carry.Len() {
-			step(carry.Row(i), emit)
+		rounds++
+		for i := lo; i < hi; i++ {
+			step(seen.Row(i), emit)
 		}
-		carry = sink.Delta()
-		e.col.ObserveIntermediate(int64(carry.Len()) * int64(seen.Arity()) * rel.ValueBytes)
-		e.col.AddInserted(carry.Len())
-		e.bud.AddDerived(carry.Len(), seen.Arity())
-		if carryName != "" {
-			e.col.Observe(carryName, carry.Len())
-			e.col.Observe(seenName, seen.Len())
-		}
+		n := seen.Len() - hi
+		inserted += n
+		maxCarry = max(maxCarry, n)
+		maxSeen = seen.Len()
+		e.bud.AddDerived(n, arity)
 	}
 }
 
@@ -122,13 +130,13 @@ func (e *evaluator) fixpoint(seen *rel.Relation, carryName, seenName string, ste
 // closure of the product evaluator): every transition is applied to the
 // values, and each emission is written after the row's tag into a reused
 // buffer of the given arity.
-func taggedStep(runners []*conj.TransitionRunner, src conj.RelSource, tagW, arity int) func(rel.Tuple, func(rel.Tuple)) {
+func taggedStep(runners []*conj.TransitionRunner, tagW, arity int) func(rel.Tuple, func(rel.Tuple)) {
 	row := make(rel.Tuple, 0, arity)
 	return func(t rel.Tuple, emit func(rel.Tuple)) {
 		tag := t[:tagW]
 		out := func(o rel.Tuple) { emit(append(append(row[:0], tag...), o...)) }
 		for _, run := range runners {
-			run.Apply(src, t[tagW:], out)
+			run.Apply(t[tagW:], out)
 		}
 	}
 }
@@ -180,9 +188,9 @@ func (e *evaluator) run(driverCols []int, phase1Class, excludePhase2 int, seeds 
 				return nil, nil, fmt.Errorf("core: rule %s: %w", r.Rule, err)
 			}
 			tr.SetTick(e.bud.TickFunc())
-			runners[i] = tr.NewRunner()
+			runners[i] = tr.NewRunner(src)
 		}
-		e.fixpoint(seen1, "carry1", "seen1", taggedStep(runners, src, tagW, seen1.Arity()))
+		e.fixpoint(seen1, "carry1", "seen1", taggedStep(runners, tagW, seen1.Arity()))
 	}
 
 	// Output columns: every position outside the driver columns.
@@ -208,7 +216,7 @@ func (e *evaluator) run(driverCols []int, phase1Class, excludePhase2 int, seeds 
 			return nil, nil, fmt.Errorf("core: exit rule %s: %w", ex, err)
 		}
 		tr.SetTick(e.bud.TickFunc())
-		run := tr.NewRunner()
+		run := tr.NewRunner(src)
 		var tag rel.Tuple
 		emit := func(out rel.Tuple) {
 			seen2.Insert(append(append(row[:0], tag...), out...))
@@ -216,7 +224,7 @@ func (e *evaluator) run(driverCols []int, phase1Class, excludePhase2 int, seeds 
 		for i := range seen1.Len() {
 			t := seen1.Row(i)
 			tag = t[:tagW]
-			run.Apply(src, t[tagW:], emit)
+			run.Apply(t[tagW:], emit)
 		}
 	}
 	e.bud.AddDerived(seen2.Len(), seen2.Arity())

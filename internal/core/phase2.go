@@ -83,22 +83,34 @@ func classCacheKey(cols []int) string {
 
 // classReach is one class's closure over the seed rows: sets[i] holds the
 // class-arity tuples reachable from start vector i, and starts maps a seed
-// row's projection onto the class columns to its index. The per-start sets
-// are standalone immutable relations so the closure cache can share them
-// across queries.
+// row's projection onto the class columns, encoded by
+// plancache.EncodeStart, to its index. The per-start sets are standalone
+// immutable relations so the closure cache can share them across queries.
+// cv and key are the projection and encoding buffers lookup reuses.
 type classReach struct {
 	starts map[string]int
 	sets   []*rel.Relation
+	cv     rel.Tuple
+	key    []byte
+}
+
+// project encodes seed row t's projection onto colIdx into cr.key, through
+// cr.cv, and returns the projection; both buffers are reused by the next
+// call.
+func (cr *classReach) project(t rel.Tuple, tagW int, colIdx []int) rel.Tuple {
+	for i, j := range colIdx {
+		cr.cv[i] = t[tagW+j]
+	}
+	cr.key = plancache.AppendStart(cr.key[:0], cr.cv)
+	return cr.cv
 }
 
 // lookup returns the closure set reachable from seed row t's class
-// projection, or nil.
+// projection, or nil. It allocates nothing: the map is indexed by the
+// reused key buffer.
 func (cr *classReach) lookup(t rel.Tuple, tagW int, colIdx []int) *rel.Relation {
-	cv := make(rel.Tuple, len(colIdx))
-	for i, j := range colIdx {
-		cv[i] = t[tagW+j]
-	}
-	idx, ok := cr.starts[plancache.EncodeStart(cv)]
+	cr.project(t, tagW, colIdx)
+	idx, ok := cr.starts[string(cr.key)]
 	if !ok {
 		return nil
 	}
@@ -114,18 +126,13 @@ func (cr *classReach) lookup(t rel.Tuple, tagW int, colIdx []int) *rel.Relation 
 // uncached loop, so resource errors are unchanged.
 func (e *evaluator) classClosure(pc *phase2class, seeds *rel.Relation, tagW int, src conj.RelSource) *classReach {
 	k := len(pc.colIdx)
-	cr := &classReach{starts: make(map[string]int)}
+	cr := &classReach{starts: make(map[string]int), cv: make(rel.Tuple, k), key: make([]byte, 0, 4*k)}
 	var startVecs []rel.Tuple
 	for si := range seeds.Len() {
-		t := seeds.Row(si)
-		cv := make(rel.Tuple, k)
-		for i, j := range pc.colIdx {
-			cv[i] = t[tagW+j]
-		}
-		key := plancache.EncodeStart(cv)
-		if _, ok := cr.starts[key]; !ok {
-			cr.starts[key] = len(startVecs)
-			startVecs = append(startVecs, cv)
+		cv := cr.project(seeds.Row(si), tagW, pc.colIdx)
+		if _, ok := cr.starts[string(cr.key)]; !ok {
+			cr.starts[string(cr.key)] = len(startVecs)
+			startVecs = append(startVecs, cv.Clone())
 		}
 	}
 	cr.sets = make([]*rel.Relation, len(startVecs))
@@ -161,9 +168,9 @@ func (e *evaluator) classClosure(pc *phase2class, seeds *rel.Relation, tagW int,
 	}
 	runners := make([]*conj.TransitionRunner, len(pc.trans))
 	for i, tr := range pc.trans {
-		runners[i] = tr.NewRunner()
+		runners[i] = tr.NewRunner(src)
 	}
-	e.fixpoint(seen, "", "", taggedStep(runners, src, 1, 1+k))
+	e.fixpoint(seen, "", "", taggedStep(runners, 1, 1+k))
 
 	// Split the joint closure by tag into per-start sets (FromRows copies
 	// the row views, which stay valid because nothing mutates seen) and
@@ -250,7 +257,7 @@ seeds:
 func (e *evaluator) runPhase2Loop(pc *phase2class, seen2 *rel.Relation, tagW int, src conj.RelSource) {
 	runners := make([]*conj.TransitionRunner, len(pc.trans))
 	for i, tr := range pc.trans {
-		runners[i] = tr.NewRunner()
+		runners[i] = tr.NewRunner(src)
 	}
 	row := make(rel.Tuple, seen2.Arity())
 	classVals := make(rel.Tuple, len(pc.colIdx))
@@ -268,7 +275,7 @@ func (e *evaluator) runPhase2Loop(pc *phase2class, seen2 *rel.Relation, tagW int
 			classVals[k] = t[tagW+j]
 		}
 		for _, run := range runners {
-			run.Apply(src, classVals, out)
+			run.Apply(classVals, out)
 		}
 	})
 }

@@ -11,6 +11,7 @@ import (
 	"sepdl/internal/budget"
 	"sepdl/internal/database"
 	"sepdl/internal/datagen"
+	"sepdl/internal/eval"
 	"sepdl/internal/parser"
 	"sepdl/internal/plancache"
 )
@@ -95,6 +96,60 @@ func BenchmarkPhase2(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkFigure2AsRules prices Figure 2 run as a program on eval's
+// semi-naive round loop against core's own driver, on Example 1.2's
+// buys(a1, Y)? at n = 1 024. The hand-written rewrite below derives seen1,
+// seen2 and ans with the sizes Answer builds, n each: phase 1 is seen1's
+// recursion from the seed fact, phase 2 seen2's from the exit rule.
+func BenchmarkFigure2AsRules(b *testing.B) {
+	const n = 1024
+	rules, err := parser.Program(`
+seen1(W) :- seen1(X) & friend(X, W).
+seen2(Y) :- seen1(X) & perfectFor(X, Y).
+seen2(Y) :- seen2(W) & cheaper(Y, W).
+ans(Y) :- seen2(Y).
+`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ex12, err := parser.Program(example12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	q, err := parser.Query(`buys(a1, Y)?`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	seeded := datagen.Example12DB(n)
+	seeded.AddFact("seen1", "a1")
+	view, err := eval.Run(rules, seeded, eval.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, p := range []string{"seen1", "seen2", "ans"} {
+		if got := view.Relation(p).Len(); got != n {
+			b.Fatalf("%s holds %d tuples, want %d", p, got, n)
+		}
+	}
+	b.Run("eval", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			if _, err := eval.Run(rules, seeded, eval.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	db := datagen.Example12DB(n)
+	b.Run("core", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			if _, err := Answer(ex12, db, q, EvalOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func TestProductEvaluatorPartialAndMultipleSelections(t *testing.T) {

@@ -30,21 +30,29 @@ type Options struct {
 
 // stratum is one stratum's rules, compiled once and run any number of
 // times: a from-scratch fixpoint, or a maintenance pass seeded with
-// deltas (see run).
+// deltas (see run). Every predicate the rules name has a slot: the
+// stratum's own predicates first, in preds order, then the base
+// predicates their bodies read, in bases order. The round loop keeps its
+// state in slices by slot, so a round looks no predicate up by name.
 type stratum struct {
 	rules []compiledRule
-	preds []string // the predicates the stratum's rules derive
+	preds []string // slots 0..len(preds)-1: the predicates the rules derive
+	bases []string // the following slots: the other predicates bodies read
+	slot  map[string]int
 }
 
 type compiledRule struct {
 	rule ast.Rule
 	proj *conj.Projector
 	occs []int // positive relation atoms: the body positions a delta can fill
+	head int   // the head predicate's slot
+	body []int // each body atom's slot, by atom index; -1 for builtins
 
 	// runner and row are reusable scratch: one pull-stream runner and one
 	// projected-head buffer per rule, reused across every round and run.
 	// rels holds the relation each body atom reads, by atom index, set at
-	// each round start; src serves it to the runner.
+	// each run's start and swapped for a delta in delta rounds; src serves
+	// it to the runner.
 	runner *conj.Runner
 	row    rel.Tuple
 	rels   []*rel.Relation
@@ -135,7 +143,19 @@ func run(prog *ast.Program, db *database.Database, opts Options, marks *[]map[st
 // compileStratum compiles rules, whose heads are among preds, for run. The
 // plans tick bud at join-inner-loop granularity.
 func compileStratum(rules []ast.Rule, preds []string, intern func(string) rel.Value, bud *budget.Budget) (*stratum, error) {
-	s := &stratum{rules: make([]compiledRule, 0, len(rules)), preds: preds}
+	s := &stratum{rules: make([]compiledRule, 0, len(rules)), preds: preds, slot: make(map[string]int)}
+	for i, p := range preds {
+		s.slot[p] = i
+	}
+	slotOf := func(p string) int {
+		i, ok := s.slot[p]
+		if !ok {
+			i = len(preds) + len(s.bases)
+			s.slot[p] = i
+			s.bases = append(s.bases, p)
+		}
+		return i
+	}
 	for _, r := range rules {
 		plan, err := conj.Compile(r.Body, nil, intern)
 		if err != nil {
@@ -147,11 +167,17 @@ func compileStratum(rules []ast.Rule, preds []string, intern func(string) rel.Va
 		}
 		plan.SetTick(bud.TickFunc())
 		rels := make([]*rel.Relation, len(r.Body))
-		cr := compiledRule{rule: r, proj: proj, runner: plan.NewRunner(), rels: rels}
+		cr := compiledRule{rule: r, proj: proj, head: s.slot[r.Head.Pred], body: make([]int, len(r.Body)),
+			runner: plan.NewRunner(), rels: rels}
 		cr.row = make(rel.Tuple, proj.Arity())
 		cr.src = func(atomIdx int, _ string) *rel.Relation { return rels[atomIdx] }
 		for i, a := range r.Body {
-			if !a.Negated && !ast.Builtin(a.Pred) {
+			if ast.Builtin(a.Pred) {
+				cr.body[i] = -1
+				continue
+			}
+			cr.body[i] = slotOf(a.Pred)
+			if !a.Negated {
 				cr.occs = append(cr.occs, i)
 			}
 		}
@@ -170,30 +196,78 @@ func compileStratum(rules []ast.Rule, preds []string, intern func(string) rel.Va
 // positive body atom whose predicate has a delta, with that delta
 // substituted there. A non-nil roundEnd runs after every round.
 //
+// A run resolves every relation by name once, at its start; a round
+// allocates nothing, re-cutting one frozen window, one sink and one delta
+// window per slot in place. The budget is charged every round; the
+// collector's counters are tallied in locals and reported when the run
+// ends or aborts.
+//
 // A run into a non-nil out (DRed's over-deletion marks) charges rounds and
 // join ticks but not derived tuples: it mutates nothing the view serves.
 func (s *stratum) run(view *database.Database, out, seed map[string]*rel.Relation, opts Options, roundEnd func()) {
 	fixpoint := out == nil
-	if fixpoint {
-		out = make(map[string]*rel.Relation, len(s.preds))
-		for _, p := range s.preds {
-			out[p] = view.Relation(p)
+	n := len(s.preds)
+	// totals are the stratum's relations in view, which rule bodies read;
+	// outs the relations their heads stream into.
+	totals := make([]*rel.Relation, n)
+	outs := totals
+	if !fixpoint {
+		outs = make([]*rel.Relation, n)
+	}
+	for i, p := range s.preds {
+		totals[i] = view.Relation(p)
+		if !fixpoint {
+			outs[i] = out[p]
 		}
 	}
 	// The sinks append during a round, so rule bodies read windows
-	// instead: frozen, each of the stratum's relations in view as it stood
-	// when the round began, and delta, the rows the previous round added.
-	sinks := make(map[string]*RoundSink, len(s.preds))
-	frozen := make(map[string]*rel.Relation, len(s.preds))
-	delta := make(map[string]*rel.Relation, len(s.preds))
+	// instead: frozen, each total as it stood when the round began, and
+	// delta, by slot, the rows the previous round added (or the seed).
+	delta := make([]*rel.Relation, n+len(s.bases))
+	seeded := false
 	for p, d := range seed {
-		if !d.Empty() {
-			delta[p] = d
+		if d.Empty() {
+			continue
+		}
+		seeded = true
+		if i, ok := s.slot[p]; ok {
+			delta[i] = d
 		}
 	}
-	if seed != nil && len(delta) == 0 {
+	if seed != nil && !seeded {
 		return // nothing to propagate, and no round to charge
 	}
+	frozen := make([]rel.Relation, n)
+	deltas := make([]rel.Relation, n)
+	sinks := make([]RoundSink, n)
+	reads := make([]*rel.Relation, n+len(s.bases))
+	for i := range frozen {
+		reads[i] = &frozen[i]
+	}
+	for i, p := range s.bases {
+		reads[n+i] = view.Relation(p)
+	}
+	for ri := range s.rules {
+		cr := &s.rules[ri]
+		for j, sl := range cr.body {
+			if sl >= 0 {
+				cr.rels[j] = reads[sl]
+			}
+		}
+	}
+
+	var rounds, inserted int
+	var peak int64
+	sizes := make([]int, n) // the totals' lengths at the last completed round's end
+	sized := false
+	defer func() {
+		opts.Collector.AddRounds(rounds, inserted, peak)
+		if sized {
+			for i, size := range sizes {
+				opts.Collector.Observe(s.preds[i], size)
+			}
+		}
+	}()
 
 	// runRule pulls the rule's satisfying bindings one at a time and
 	// streams each projected head straight into the round sink — nothing
@@ -205,32 +279,24 @@ func (s *stratum) run(view *database.Database, out, seed map[string]*rel.Relatio
 		}
 	}
 
-	// runRound evaluates one round into fresh sinks, either every rule in
-	// full or the delta round, and reports whether any sink grew.
+	// runRound evaluates one round, either every rule in full or the delta
+	// round, and reports whether any sink grew.
 	runRound := func(full bool) bool {
 		opts.Budget.Round()
-		opts.Collector.AddIteration()
-		for _, p := range s.preds {
-			r := view.Relation(p)
-			frozen[p] = r.Window(0, r.Len())
-			sinks[p] = NewRoundSink(out[p], false)
+		rounds++
+		for i, t := range totals {
+			frozen[i].Recut(t, 0, t.Len())
+			sinks[i] = RoundSink{total: outs[i], lo: outs[i].Len()}
 		}
 		for i := range s.rules {
 			cr := &s.rules[i]
-			for j, a := range cr.rule.Body {
-				if f := frozen[a.Pred]; f != nil {
-					cr.rels[j] = f
-				} else {
-					cr.rels[j] = view.Relation(a.Pred)
-				}
-			}
-			into := sinks[cr.rule.Head.Pred]
+			into := &sinks[cr.head]
 			if full {
 				runRule(cr, into)
 				continue
 			}
 			for _, occ := range cr.occs {
-				d := delta[cr.rule.Body[occ].Pred]
+				d := delta[cr.body[occ]]
 				if d == nil {
 					continue
 				}
@@ -242,30 +308,34 @@ func (s *stratum) run(view *database.Database, out, seed map[string]*rel.Relatio
 		}
 
 		clear(delta)
+		grew := false
 		var interBytes int64
-		for p, sink := range sinks {
-			d := sink.Delta()
-			arity := out[p].Arity()
-			interBytes += int64(d.Len()) * int64(arity) * int64(rel.ValueBytes)
-			if d.Empty() {
+		for i := range sinks {
+			sink := &sinks[i]
+			added := sink.total.Len() - sink.lo
+			arity := sink.total.Arity()
+			interBytes += int64(added) * int64(arity) * int64(rel.ValueBytes)
+			if added == 0 {
 				continue
 			}
-			delta[p] = d
+			deltas[i].Recut(sink.total, sink.lo, sink.total.Len())
+			delta[i], grew = &deltas[i], true
 			if fixpoint {
-				opts.Collector.AddInserted(d.Len())
-				opts.Budget.AddDerived(d.Len(), arity)
+				inserted += added
+				opts.Budget.AddDerived(added, arity)
 			}
 		}
 		if fixpoint {
-			opts.Collector.ObserveIntermediate(interBytes)
-			for _, p := range s.preds {
-				opts.Collector.Observe(p, out[p].Len())
+			peak = max(peak, interBytes)
+			for i, t := range totals {
+				sizes[i] = t.Len()
 			}
+			sized = true
 		}
 		if roundEnd != nil {
 			roundEnd()
 		}
-		return len(delta) > 0
+		return grew
 	}
 
 	changed := runRound(seed == nil)

@@ -11,6 +11,7 @@ import (
 	"sepdl/internal/ast"
 	"sepdl/internal/budget"
 	"sepdl/internal/database"
+	"sepdl/internal/datagen"
 	"sepdl/internal/parser"
 	"sepdl/internal/stats"
 )
@@ -378,5 +379,38 @@ down(p1, c1). down(p1, c2). down(p2, c3).
 	got := answerDump(t, prog, db, `sg(c1, Y)?`, Options{})
 	if got != "{(c3)}" {
 		t.Fatalf("sg(c1, Y) = %s", got)
+	}
+}
+
+// TestSemiNaiveRoundsDoNotAllocate pins that a semi-naive round allocates
+// nothing: frozen windows, sinks and deltas are per-slot headers re-cut in
+// place, base relations are resolved once per run, and the collector is
+// updated once per run. Reachability from the head of an n-edge chain runs
+// n+1 rounds that each derive one tuple, so going from n = 64 to n = 256
+// adds 192 rounds. The only allocations that may grow with n are reach's
+// own doublings: its row array and its row table each double twice on a 4x
+// growth, 2 x 2 = 4 allocations. Per-round sinks and windows would add
+// hundreds.
+func TestSemiNaiveRoundsDoNotAllocate(t *testing.T) {
+	const doublingAllocs = 2 * 2
+	prog := mustProgram(t, `
+reach(Y) :- start(Y).
+reach(Y) :- reach(X) & edge(X, Y).
+`)
+	allocs := func(n int) float64 {
+		db := database.New()
+		datagen.Chain(db, "edge", "a", n)
+		db.AddFact("start", datagen.Name("a", 1))
+		col := stats.New()
+		return testing.AllocsPerRun(10, func() {
+			if _, err := Run(prog, db, Options{Collector: col}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(64), allocs(256)
+	if large-small > doublingAllocs {
+		t.Errorf("Run allocates %v times at n = 64 and %v at n = 256: %v more for 192 more rounds, want at most %d (reach's doublings)",
+			small, large, large-small, doublingAllocs)
 	}
 }

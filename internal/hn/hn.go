@@ -119,7 +119,7 @@ func Answer(prog *ast.Program, db *database.Database, q ast.Atom, opts Options) 
 				return nil, err
 			}
 			tr.SetTick(opts.Budget.TickFunc())
-			ruleTrans = append(ruleTrans, tr.NewRunner())
+			ruleTrans = append(ruleTrans, tr.NewRunner(src))
 		}
 	}
 
@@ -148,7 +148,7 @@ func Answer(prog *ast.Program, db *database.Database, q ast.Atom, opts Options) 
 			return nil, err
 		}
 		tr.SetTick(opts.Budget.TickFunc())
-		exits = append(exits, tr.NewRunner())
+		exits = append(exits, tr.NewRunner(src))
 	}
 	type p2trans struct {
 		tr     *conj.TransitionRunner
@@ -174,7 +174,7 @@ func Answer(prog *ast.Program, db *database.Database, q ast.Atom, opts Options) 
 				return nil, err
 			}
 			tr.SetTick(opts.Budget.TickFunc())
-			p2 = append(p2, p2trans{tr: tr.NewRunner(), colIdx: colIdx})
+			p2 = append(p2, p2trans{tr: tr.NewRunner(src), colIdx: colIdx})
 		}
 	}
 
@@ -194,7 +194,7 @@ func Answer(prog *ast.Program, db *database.Database, q ast.Atom, opts Options) 
 		seen := rel.New(len(outCols))
 		for _, ex := range exits {
 			for _, b := range bindings.Rows() {
-				ex.Apply(src, b, func(out rel.Tuple) {
+				ex.Apply(b, func(out rel.Tuple) {
 					seen.Insert(out)
 				})
 			}
@@ -219,7 +219,7 @@ func Answer(prog *ast.Program, db *database.Database, q ast.Atom, opts Options) 
 					for _, j := range pt.colIdx {
 						classVals = append(classVals, tup[j])
 					}
-					pt.tr.Apply(src, classVals, func(out rel.Tuple) {
+					pt.tr.Apply(classVals, func(out rel.Tuple) {
 						for k, j := range pt.colIdx {
 							rowBuf[j] = out[k]
 						}
@@ -260,7 +260,7 @@ func Answer(prog *ast.Program, db *database.Database, q ast.Atom, opts Options) 
 		for _, tr := range ruleTrans {
 			child := rel.New(len(driverCols))
 			for _, b := range st.bindings.Rows() {
-				tr.Apply(src, b, func(out rel.Tuple) {
+				tr.Apply(b, func(out rel.Tuple) {
 					child.Insert(out)
 				})
 			}

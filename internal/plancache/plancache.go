@@ -222,9 +222,15 @@ func (c *Closures) Stats() Stats {
 // little-endian bytes per value: injective, so it also serves the
 // Separable evaluator as a map key for start vectors.
 func EncodeStart(t rel.Tuple) string {
-	b := make([]byte, 0, 4*len(t))
+	return string(AppendStart(make([]byte, 0, 4*len(t)), t))
+}
+
+// AppendStart appends EncodeStart(t)'s bytes to b, so a hot loop can look
+// start vectors up as m[string(buf)] in a reused buffer without
+// allocating.
+func AppendStart(b []byte, t rel.Tuple) []byte {
 	for _, v := range t {
 		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 	}
-	return string(b)
+	return b
 }

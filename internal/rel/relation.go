@@ -65,8 +65,7 @@ func (t Tuple) Equal(u Tuple) bool {
 // point-in-time isolation for concurrent readers is provided by Snapshot's
 // copy-on-write scheme. The read paths — Contains, Row, Rows, Scan, Index,
 // Lookup — are safe for concurrent use on a relation nobody is mutating,
-// which is what lets concurrent queries and the Separable evaluator's
-// per-class workers share one snapshot.
+// which is what lets concurrent queries share one snapshot.
 //
 // Rows are handed out as views into the value array (Row, Rows, Scan,
 // Lookup), never copies. A row handed out by an unshared handle is valid
@@ -205,6 +204,16 @@ func (r *Relation) Arity() int { return r.arity }
 // appends: a Delete through r moves its last row into the hole and may
 // move a row into, or out of, the window's range.
 func (r *Relation) Window(lo, hi int) *Relation {
+	w := new(Relation)
+	w.Recut(r, lo, hi)
+	return w
+}
+
+// Recut makes w, in place, the window r.Window(lo, hi): the
+// allocation-free form for a round loop that re-cuts the same window
+// header every round. w must be a window or a zero Relation, and no scan
+// over w may be in flight.
+func (w *Relation) Recut(r *Relation, lo, hi int) {
 	if r.cold != nil {
 		panic("rel: Window on a cold relation")
 	}
@@ -212,7 +221,8 @@ func (r *Relation) Window(lo, hi int) *Relation {
 		panic(fmt.Sprintf("rel: Window(%d, %d) of a %d-row relation", lo, hi, r.Len()))
 	}
 	off, _ := r.bounds()
-	return &Relation{arity: r.arity, g: r.g, window: true, lo: int32(off + lo), hi: int32(off + hi)}
+	w.arity, w.g, w.cold, w.shared = r.arity, r.g, nil, false
+	w.window, w.lo, w.hi = true, int32(off+lo), int32(off+hi)
 }
 
 // bounds returns the range of g's rows this handle reads: lo..hi-1 of a

@@ -39,8 +39,9 @@ func sameRows(a, b []Tuple) bool {
 
 func TestWindow(t *testing.T) {
 	t.Run("size class", func(t *testing.T) {
-		// Separable allocates a Relation per carry round; the window
-		// bounds must not push it past the 48-byte size class.
+		// Every Window allocates a Relation (a seed, a sink's Delta, a
+		// provenance round); the window bounds must not push it past the
+		// 48-byte size class.
 		if n := unsafe.Sizeof(Relation{}); n > 48 {
 			t.Fatalf("sizeof(Relation) = %d, want <= 48", n)
 		}
@@ -81,6 +82,35 @@ func TestWindow(t *testing.T) {
 		if r.Window(1, 1).Len() != 0 {
 			t.Fatal("Window(1, 1) is not empty")
 		}
+	})
+
+	t.Run("recut in place", func(t *testing.T) {
+		// A round loop re-cuts one header per round: a zero Relation, then
+		// the same header over later rows, then over a window's range.
+		r := New(2)
+		for i := range 4 {
+			r.Insert(tp(Value(i%2), Value(i)))
+		}
+		r.Index([]int{0})
+		var w Relation
+		w.Recut(r, 0, 2)
+		if !sameRows(w.Rows(), []Tuple{tp(0, 0), tp(1, 1)}) {
+			t.Fatalf("Recut(0, 2) = %v", w.Rows())
+		}
+		for i := 4; i < 100; i++ {
+			r.Insert(tp(Value(i%2), Value(i)))
+		}
+		w.Recut(r, 97, 100)
+		if got, want := drain(w.Probe([]int{0}, []Value{1})), []Tuple{tp(1, 97), tp(1, 99)}; !sameRows(got, want) {
+			t.Fatalf("re-cut Probe(1) = %v, want %v", got, want)
+		}
+		outer := r.Window(10, 20)
+		w.Recut(outer, 1, 3)
+		if !sameRows(w.Rows(), []Tuple{tp(1, 11), tp(0, 12)}) || !w.Equal(outer.Window(1, 3)) {
+			t.Fatalf("Recut of a window = %v", w.Rows())
+		}
+		mustPanic(t, "Insert through a re-cut header", func() { w.Insert(tp(5, 6)) })
+		mustPanic(t, "Recut past Len", func() { w.Recut(r, 99, 101) })
 	})
 
 	t.Run("probe cut at both ends", func(t *testing.T) {

@@ -15,8 +15,10 @@ import (
 // Collector accumulates per-relation peak sizes and work counters for one
 // query evaluation. A nil *Collector is valid and records nothing, so hot
 // paths need no nil checks at call sites. A Collector is safe for
-// concurrent use: the parallel evaluators report observations from every
-// worker goroutine into the query's single collector.
+// concurrent use: a view's maintenance passes report into the lifetime
+// collector that its readers print. Round loops tally their counters in
+// locals and report them once per loop (AddRounds), so the lock is not on
+// the per-round path.
 type Collector struct {
 	mu sync.Mutex
 	// Sizes maps each materialized relation to the largest size it reached.
@@ -88,19 +90,6 @@ func (c *Collector) ClosureCounts() (hits, misses int) {
 	return c.ClosureHits, c.ClosureMisses
 }
 
-// ObserveIntermediate records that a round held bytes of transient tuple
-// storage outside the totals, keeping the maximum across calls.
-func (c *Collector) ObserveIntermediate(bytes int64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	if bytes > c.PeakIntermediateBytes {
-		c.PeakIntermediateBytes = bytes
-	}
-	c.mu.Unlock()
-}
-
 // PeakIntermediate returns the largest transient round materialization
 // observed, in bytes.
 func (c *Collector) PeakIntermediate() int64 {
@@ -110,6 +99,21 @@ func (c *Collector) PeakIntermediate() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.PeakIntermediateBytes
+}
+
+// AddRounds reports one round loop's tallies at once: rounds fixpoint
+// rounds, inserted successful insertions into derived relations, and
+// peakBytes, the largest delta any of its rounds produced, kept as the
+// maximum across calls.
+func (c *Collector) AddRounds(rounds, inserted int, peakBytes int64) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	c.Iterations += rounds
+	c.Inserted += inserted
+	c.PeakIntermediateBytes = max(c.PeakIntermediateBytes, peakBytes)
+	c.mu.Unlock()
 }
 
 // AddIteration counts one fixpoint round.

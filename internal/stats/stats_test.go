@@ -53,6 +53,7 @@ func TestNilCollectorIsSafe(t *testing.T) {
 	c.Observe("r", 1)
 	c.AddInserted(1)
 	c.AddIteration()
+	c.AddRounds(1, 1, 1)
 	if n, s := c.MaxRelation(); n != "" || s != 0 {
 		t.Fatal("nil collector returned data")
 	}
@@ -71,6 +72,12 @@ func TestCounters(t *testing.T) {
 	c.AddIteration()
 	if c.Inserted != 7 || c.Iterations != 1 {
 		t.Fatalf("counters = %d, %d", c.Inserted, c.Iterations)
+	}
+	c.AddRounds(5, 2, 64)
+	c.AddRounds(3, 1, 16)
+	if c.Inserted != 10 || c.Iterations != 9 || c.PeakIntermediate() != 64 {
+		t.Fatalf("after AddRounds: inserted %d, iterations %d, peak %d; want 10, 9, 64",
+			c.Inserted, c.Iterations, c.PeakIntermediate())
 	}
 }
 
