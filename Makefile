@@ -1,6 +1,6 @@
 # Tier-1 verify: everything a change must keep green (see ROADMAP.md).
 # For deeper concurrency soak-testing beyond tier-1, run `make stress`.
-.PHONY: verify vet build test bench bench-verify stress fuzz lint lint-selftest serve-smoke crash-smoke
+.PHONY: verify vet build test bench bench-verify bench-smoke stress fuzz lint lint-selftest serve-smoke crash-smoke
 
 verify: vet build test bench-verify
 
@@ -44,6 +44,14 @@ bench:
 # module and so is not covered by ./... from the root.
 bench-verify:
 	cd benchmark && go vet ./... && go test -race ./...
+
+# bench-smoke runs the §4 baselines' benchmarks (E2, E4) and
+# BenchmarkFigure2AsRules once each. go test compiles benchmark bodies but
+# never runs them; these are the baselines' only timing and the yardstick
+# for Figure 2 as rules (ROADMAP item 8). About a second.
+bench-smoke:
+	go test -run '^$$' -bench 'E2|E4' -benchtime 1x .
+	go test -run '^$$' -bench Figure2AsRules -benchtime 1x ./internal/core/
 
 # serve-smoke boots a real sepdld process, answers a query and a batch
 # over HTTP, SIGTERMs it mid-load, and asserts 503 + Retry-After

@@ -71,6 +71,6 @@ func BenchmarkTransitionApply(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Apply(src, carry, func(rel.Tuple) {})
+		tr.NewRunner(src).Apply(carry, func(rel.Tuple) {})
 	}
 }

@@ -17,8 +17,8 @@ type Transition struct {
 }
 
 // NewTransition compiles a transition over atoms. boundVars are supplied
-// positionally from the carry tuple at Apply time (duplicates allowed);
-// outVars are projected in order.
+// positionally from the carry tuple at TransitionRunner.Apply time
+// (duplicates allowed); outVars are projected in order.
 func NewTransition(atoms []ast.Atom, boundVars, outVars []string, intern func(string) rel.Value) (*Transition, error) {
 	tr := &Transition{}
 	var uniq []string
@@ -52,22 +52,13 @@ func NewTransition(atoms []ast.Atom, boundVars, outVars []string, intern func(st
 // SetTick forwards a join-inner-loop tick hook to the underlying plan.
 func (tr *Transition) SetTick(tick func()) { tr.plan.SetTick(tick) }
 
-// Apply runs the transition for one carry tuple and emits projected output
-// tuples. The emitted tuple is reused between calls; emit must copy
-// anything it keeps. Apply allocates its scratch per call; carry-loop hot
-// paths should hold a TransitionRunner instead.
-func (tr *Transition) Apply(src RelSource, carry rel.Tuple, emit func(rel.Tuple)) {
-	tr.NewRunner(src).Apply(carry, emit)
-}
-
 // TransitionRunner executes one Transition with fully reusable scratch:
 // the plan runner's binding and cursor arrays, the relations the body
-// reads, and the bound-input and projected-output rows. The carry loops of
-// the Separable evaluator apply the same handful of transitions to every
-// carry tuple of every round, so holding a runner per transition removes
-// all per-tuple allocation and every per-probe relation lookup from that
-// path. Like conj.Runner, a TransitionRunner belongs to one goroutine and
-// supports one in-flight Apply/Stream at a time.
+// reads, and the bound-input and projected-output rows. A carry loop
+// applies the same handful of transitions to every carry tuple of every
+// round, one runner per transition, without per-tuple allocation or
+// per-probe relation lookup. Like conj.Runner, a TransitionRunner belongs
+// to one goroutine and supports one in-flight Apply/Stream at a time.
 type TransitionRunner struct {
 	tr  *Transition
 	run *Runner
@@ -91,9 +82,10 @@ func (tr *Transition) NewRunner(src RelSource) *TransitionRunner {
 	return t
 }
 
-// Apply is Transition.Apply on the runner's reusable scratch: it pulls
-// bindings from the underlying plan stream and projects each into a reused
-// output row, so emit must copy anything it keeps.
+// Apply runs the transition for one carry tuple and emits projected output
+// tuples: it pulls bindings from the underlying plan stream and projects
+// each into the runner's reused output row, so emit must copy anything it
+// keeps.
 func (t *TransitionRunner) Apply(carry rel.Tuple, emit func(rel.Tuple)) {
 	s, ok := t.Stream(carry)
 	if !ok {

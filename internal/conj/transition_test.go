@@ -19,7 +19,7 @@ func TestTransitionForward(t *testing.T) {
 	tom, _ := db.Syms.Lookup("tom")
 	dick, _ := db.Syms.Lookup("dick")
 	var got []rel.Value
-	tr.Apply(DBSource(db.Relation), rel.Tuple{tom}, func(out rel.Tuple) {
+	tr.NewRunner(DBSource(db.Relation)).Apply(rel.Tuple{tom}, func(out rel.Tuple) {
 		got = append(got, out[0])
 	})
 	if len(got) != 1 || got[0] != dick {
@@ -39,12 +39,12 @@ func TestTransitionDuplicateBoundVars(t *testing.T) {
 	a, _ := db.Syms.Lookup("a")
 	b, _ := db.Syms.Lookup("b")
 	n := 0
-	tr.Apply(DBSource(db.Relation), rel.Tuple{a, a}, func(rel.Tuple) { n++ })
+	tr.NewRunner(DBSource(db.Relation)).Apply(rel.Tuple{a, a}, func(rel.Tuple) { n++ })
 	if n != 1 {
 		t.Fatalf("consistent duplicate: %d rows", n)
 	}
 	n = 0
-	tr.Apply(DBSource(db.Relation), rel.Tuple{a, b}, func(rel.Tuple) { n++ })
+	tr.NewRunner(DBSource(db.Relation)).Apply(rel.Tuple{a, b}, func(rel.Tuple) { n++ })
 	if n != 0 {
 		t.Fatalf("inconsistent duplicate produced %d rows", n)
 	}
@@ -62,7 +62,7 @@ func TestTransitionMultiOut(t *testing.T) {
 	}
 	tom, _ := db.Syms.Lookup("tom")
 	var rows [][2]string
-	tr.Apply(DBSource(db.Relation), rel.Tuple{tom}, func(out rel.Tuple) {
+	tr.NewRunner(DBSource(db.Relation)).Apply(rel.Tuple{tom}, func(out rel.Tuple) {
 		rows = append(rows, [2]string{db.Syms.Name(out[0]), db.Syms.Name(out[1])})
 	})
 	if len(rows) != 1 || rows[0] != [2]string{"dick", "harry"} {

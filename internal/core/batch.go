@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"sepdl/internal/ast"
@@ -93,6 +94,66 @@ func AnswerBatch(prog *ast.Program, db *database.Database, qs []ast.Atom, opts E
 	return out, nil
 }
 
+// ErrNotFullSelection reports a query AnswerSeeded cannot run: its
+// predicate is not a separable recursion, or its selection is not full.
+var ErrNotFullSelection = errors.New("core: not a full selection on a separable recursion")
+
+// SeedFunc builds the seen_1 an AnswerSeeded run starts the second loop
+// of Figure 2 from, in place of the first: rows of tagW tag columns
+// followed by one value per driver column. driver is the driver class, nil
+// when the selection binds persistent columns only; db is the database
+// with the query's support materialized; seed is the query's constants at
+// the driver columns.
+type SeedFunc func(driver *Class, db *database.Database, seed rel.Tuple) (seen1 *rel.Relation, tagW int, err error)
+
+// AnswerSeeded answers the full selection q by lines 8-14 of Figure 2 over
+// the seen_1 that seeds builds. Rows with different tags are answered
+// apart, as a batch's queries are (AnswerBatch runs the same code with the
+// seed index as the tag), and their answers unite in the result. It
+// returns the answers and the size of the tagged seen_2. Queries outside
+// its scope fail with ErrNotFullSelection.
+func AnswerSeeded(prog *ast.Program, db *database.Database, q ast.Atom, opts EvalOptions, seeds SeedFunc) (_ *rel.Relation, seen2 int, err error) {
+	defer budget.Guard(&err)
+	a := opts.Analysis
+	if a == nil {
+		if a, err = AnalyzeOpts(prog, q.Pred, Options{AllowDisconnected: opts.AllowDisconnected}); err != nil {
+			return nil, 0, fmt.Errorf("%w: %v", ErrNotFullSelection, err)
+		}
+	}
+	sel, err := a.Classify(q)
+	if err != nil {
+		return nil, 0, err
+	}
+	var driver *Class
+	driverCols := sel.PersPos
+	switch sel.Kind {
+	case SelFullClass:
+		driver = &a.Classes[sel.Driver]
+		driverCols = driver.Cols
+	case SelPers:
+	default:
+		return nil, 0, fmt.Errorf("%w: query is %s", ErrNotFullSelection, sel.Kind)
+	}
+	base, err := MaterializeSupport(prog, db, q.Pred, eval.Options{Collector: opts.Collector, Budget: opts.Budget})
+	if err != nil {
+		return nil, 0, err
+	}
+	seed := constsAt(q, driverCols, base.Syms.Intern)
+	seen1, tagW, err := seeds(driver, base, seed)
+	if err != nil {
+		return nil, 0, err
+	}
+	e := newEvaluator(a, base, q.Pred, opts)
+	res, outCols, err := e.run(driverCols, -1, sel.Driver, seen1, tagW)
+	if err != nil {
+		return nil, 0, err
+	}
+	sink := eval.NewAnswerSink(q, base.Syms)
+	e.deliverBatch(res, tagW, nil, driverCols, []rel.Tuple{seed}, outCols, [][]*eval.AnswerSink{{sink}})
+	opts.Collector.Observe("ans", sink.Result().Len())
+	return sink.Result(), res.Len(), nil
+}
+
 // seedGroups gives each distinct vector of the queries' constants at cols
 // one seed index: vecs[i] is seed i's vector and groups[i] the sinks of the
 // queries that name it. It sets the seed-index tag width: 1 when the batch
@@ -142,7 +203,7 @@ func (e *evaluator) batchFull(qs []ast.Atom, driverCols []int, driver int, sinks
 	if err != nil {
 		return err
 	}
-	e.deliverBatch(res, nil, driverCols, driverVals, outCols, groups)
+	e.deliverBatch(res, e.seedW, nil, driverCols, driverVals, outCols, groups)
 	return nil
 }
 
@@ -181,7 +242,7 @@ func (e *evaluator) batchPartial(qs []ast.Atom, sel Selection, sinks []*eval.Ans
 	if err != nil {
 		return err
 	}
-	e.deliverBatch(resA, nil, boundCols, boundVals, outColsA, groups)
+	e.deliverBatch(resA, e.seedW, nil, boundCols, boundVals, outColsA, groups)
 
 	// Branch B (t_full): at least one application of the driver class.
 	// The first application is made here, through each rule's a_1j, with
@@ -225,17 +286,17 @@ func (e *evaluator) batchPartial(qs []ast.Atom, sel Selection, sinks []*eval.Ans
 		}
 		driverVals[i] = dv
 	}
-	e.deliverBatch(resB, freeCols, cls.Cols, driverVals, outColsB, groups)
+	e.deliverBatch(resB, tagW, freeCols, cls.Cols, driverVals, outColsB, groups)
 	return nil
 }
 
 // deliverBatch assembles full-arity tuples from a run's result and routes
-// each to the sinks of its seed. Result rows are the seed index (batches of
-// several seeds only), then one value per tagCols, then the output columns;
-// driverCols take the seed's driverVals, with free positions, if any,
-// overwritten by the tag.
-func (e *evaluator) deliverBatch(res *rel.Relation, tagCols []int, driverCols []int, driverVals []rel.Tuple, outCols []int, groups [][]*eval.AnswerSink) {
-	tagW := e.seedW + len(tagCols)
+// each to the sinks of its seed. Result rows are tagW tag columns — the
+// seed index (batches of several seeds only) first, one value per tagCols
+// last — then the output columns; driverCols take the seed's driverVals,
+// with free positions, if any, overwritten by the tag.
+func (e *evaluator) deliverBatch(res *rel.Relation, tagW int, tagCols []int, driverCols []int, driverVals []rel.Tuple, outCols []int, groups [][]*eval.AnswerSink) {
+	tagAt := tagW - len(tagCols)
 	full := make(rel.Tuple, e.a.Arity)
 	for k := range res.Len() {
 		t := res.Row(k)
@@ -247,7 +308,7 @@ func (e *evaluator) deliverBatch(res *rel.Relation, tagCols []int, driverCols []
 			full[p] = driverVals[i][j]
 		}
 		for j, p := range tagCols {
-			full[p] = t[e.seedW+j]
+			full[p] = t[tagAt+j]
 		}
 		for j, p := range outCols {
 			full[p] = t[tagW+j]
